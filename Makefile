@@ -1,9 +1,9 @@
 # Tier-1 verification (see ROADMAP.md). The pipeline is concurrent
 # end-to-end, so vet and the race detector are part of the baseline gate;
 # cover enforces the per-package statement-coverage floor.
-.PHONY: verify build test race vet bench bench-smoke cover fuzz-smoke servtest storetest acc acc-baseline
+.PHONY: verify build test race vet bench bench-smoke cover fuzz-smoke servtest storetest acc acc-baseline benchtest
 
-verify: build vet test race cover acc servtest storetest
+verify: build vet test race cover acc servtest storetest benchtest
 
 build:
 	go build ./...
@@ -16,6 +16,12 @@ test:
 
 race:
 	go test -race ./...
+
+# The repo benchmark (bench/, run by bench/run.sh) is its own Go module,
+# so the root go test ./... never builds it. Its tests include the
+# layer-by-layer replay of the pipeline, which must keep matching core.
+benchtest:
+	cd bench && go vet ./... && go test ./...
 
 # Benchmark-regression gate: run the full suite, compare against the
 # latest committed BENCH_<date>.json (>15% ns/op regression fails), and

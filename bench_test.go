@@ -168,25 +168,10 @@ func BenchmarkT4Ablation(b *testing.B) {
 }
 
 // BenchmarkT5Throughput measures end-to-end core throughput (bytes/sec as
-// B/s via SetBytes).
-func BenchmarkT5Throughput(b *testing.B) {
-	e := benchSetup(b)
-	d := core.New(e.model)
-	b.SetBytes(corpusBytes(e.corpus))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, bin := range e.corpus {
-			d.Disassemble(bin.Code, bin.Base, int(bin.Entry-bin.Base))
-		}
-	}
-}
-
-// BenchmarkT5ThroughputTiered pins the tiered correction pass explicitly
-// (the default engine, spelled out so the number survives any future
-// default flip) and reports the decode-cache hit rate: the fraction of
+// B/s via SetBytes) and reports the decode-cache hit rate: the fraction of
 // InstAt materializations served from the per-graph cache instead of a
 // fresh x86 decode.
-func BenchmarkT5ThroughputTiered(b *testing.B) {
+func BenchmarkT5Throughput(b *testing.B) {
 	e := benchSetup(b)
 	d := core.New(e.model)
 	b.SetBytes(corpusBytes(e.corpus))
@@ -203,22 +188,6 @@ func BenchmarkT5ThroughputTiered(b *testing.B) {
 		b.ReportMetric(float64(hits)/float64(total)*100, "dcache-hit-%")
 	}
 	b.ReportMetric(float64(hits)/float64(b.N), "dcache-hits/op")
-}
-
-// BenchmarkT5ThroughputSinglePhase is the untiered reference: the same
-// corpus through the one-phase pipeline (statistics scored over every
-// byte). The delta against BenchmarkT5ThroughputTiered is the tiering
-// win at matched accuracy (oracle.TestTieredMatchesSinglePhase).
-func BenchmarkT5ThroughputSinglePhase(b *testing.B) {
-	e := benchSetup(b)
-	d := core.New(e.model, core.WithoutTiering())
-	b.SetBytes(corpusBytes(e.corpus))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, bin := range e.corpus {
-			d.Disassemble(bin.Code, bin.Base, int(bin.Entry-bin.Base))
-		}
-	}
 }
 
 // BenchmarkT5ThroughputBaselines times the fastest baseline for contrast.

@@ -68,8 +68,7 @@ func main() {
 	cacheEntries := flag.Int("cache-entries", 128, "result cache capacity in entries (0 = disable cache)")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result cache capacity in body bytes")
 	modelPath := flag.String("model", "", "load a trained model (see cmd/train); default trains in-process")
-	tier := flag.Bool("tier", true, "tiered correction: score statistics only over contested windows (off = single-phase reference; output is identical)")
-	shardBytes := flag.Int("shard-bytes", 0, "split sections larger than this into shards analysed on the request's worker pool with O(shard) resident memory (0 = whole-section; output is identical)")
+	shardBytes := flag.Int("shard-bytes", 0, "split sections larger than this into shards analysed on the request's worker pool with O(shard) resident memory (0 = one shard per section; output is identical)")
 	spoolBytes := flag.Int64("spool-bytes", 0, "largest upload kept in memory; larger bodies spool to a mmap-ed temp file (0 = 512 KiB, negative = buffer whole bodies)")
 	storeDir := flag.String("store-dir", "", "persistent content-addressed result store root, shareable between replicas (empty = disabled)")
 	storeBytes := flag.Int64("store-bytes", 0, "result store byte budget, LRU-swept past it (0 = 1 GiB)")
@@ -77,7 +76,7 @@ func main() {
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: disasmd [-addr :8421] [-workers n] [-batch n] [-queue n]"+
 			" [-max-bytes n] [-deadline d] [-cache-entries n] [-cache-bytes n] [-model m.pdmd]"+
-			" [-tier=false] [-shard-bytes n] [-spool-bytes n] [-store-dir dir] [-store-bytes n]")
+			" [-shard-bytes n] [-spool-bytes n] [-store-dir dir] [-store-bytes n]")
 		os.Exit(2)
 	}
 
@@ -98,9 +97,6 @@ func main() {
 	}
 
 	copts := []core.Option{core.WithWorkers(*workers)}
-	if !*tier {
-		copts = append(copts, core.WithoutTiering())
-	}
 	if *shardBytes > 0 {
 		copts = append(copts, core.WithShardBytes(*shardBytes))
 	}

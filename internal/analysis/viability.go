@@ -111,7 +111,8 @@ func Viability(g *superset.Graph) []bool {
 //     current global mask, right-to-left and descending inside each
 //     shard (poison flows backwards, mostly along ascending fallthrough
 //     edges, so this order converges in one sweep for chains), repeating
-//     until a full pass flips nothing.
+//     until a full pass flips nothing. A single range has no seam edges,
+//     so round one alone reaches the fixpoint and the sweeps are skipped.
 //
 // Both Viability and this routine are chaotic iterations of the same
 // monotone equation system, and such iterations converge to its unique
@@ -141,6 +142,12 @@ func ViabilityRanges(ctx context.Context, g *superset.Graph, ranges [][2]int, pa
 	})
 	if stop.Load() || ctxutil.Cancelled(ctx) {
 		return nil, ctxutil.Err(ctx)
+	}
+	if len(ranges) == 1 {
+		// No seam edges: round one already propagated every edge, so the
+		// mask is the greatest fixpoint and a cascade sweep would flip
+		// nothing.
+		return viable, nil
 	}
 
 	var succs []int

@@ -13,7 +13,7 @@ package core
 import (
 	"context"
 	"runtime"
-	"sync"
+	"slices"
 
 	"probedis/internal/analysis"
 	"probedis/internal/cfg"
@@ -59,14 +59,6 @@ func WithoutPrioritization() Option { return func(d *Disassembler) { d.flatPrio 
 // WithThreshold shifts the statistical decision boundary (F4 sweep).
 func WithThreshold(t float64) Option { return func(d *Disassembler) { d.threshold = t } }
 
-// WithoutTiering disables the tiered correction pre-pass: statistical
-// scores and hints are computed over the whole section instead of only
-// the contested windows left undecided by the structural hints. The
-// classification is byte-identical either way (see package tier); the
-// single-phase path exists as the reference for that equivalence and for
-// experiments that replay the full hint stream.
-func WithoutTiering() Option { return func(d *Disassembler) { d.useTier = false } }
-
 // WithFloatRuns enables the experimental unreferenced-constant-pool
 // detector (see analysis.FloatRunHints for why it is off by default).
 func WithFloatRuns() Option { return func(d *Disassembler) { d.useFloatRuns = true } }
@@ -87,12 +79,13 @@ func WithWorkers(n int) Option { return func(d *Disassembler) { d.workers = n } 
 // of ~16x the section), viability and the anchored hint analyses run per
 // shard on the worker pool — stealing slots across shards and sections
 // within one request — and the per-shard outputs merge deterministically
-// into the exact stream the unsharded run produces, so the final
+// into the exact stream a one-shard run produces, so the final
 // classification is byte-identical for every shard size (enforced by
 // oracle.CheckShards and the seam boundary-sweep suite). n <= 0 (the
-// default) disables sharding; positive values are clamped to a 256-byte
-// floor. Production guidance: a few MiB; tests sweep tiny values to park
-// seams on adversarial constructs.
+// default) runs every section as a single shard over the eager graph;
+// positive values are clamped to a 256-byte floor. Production guidance:
+// a few MiB; tests sweep tiny values to park seams on adversarial
+// constructs.
 func WithShardBytes(n int) Option {
 	return func(d *Disassembler) {
 		if n > 0 && n < minShardBytes {
@@ -102,7 +95,7 @@ func WithShardBytes(n int) Option {
 	}
 }
 
-// ShardBytes returns the configured shard size (0 = sharding disabled).
+// ShardBytes returns the configured shard size (0 = one shard per section).
 func (d *Disassembler) ShardBytes() int { return d.shardBytes }
 
 // Disassembler is a configured metadata-free disassembly pipeline. It is
@@ -114,7 +107,6 @@ type Disassembler struct {
 	useStats      bool
 	useJumpTables bool
 	useFloatRuns  bool
-	useTier       bool
 	flatPrio      bool
 	penaltyWeight float64
 	threshold     float64
@@ -138,7 +130,6 @@ func New(model *stats.Model, opts ...Option) *Disassembler {
 		model:         model,
 		useStats:      true,
 		useJumpTables: true,
-		useTier:       true,
 		penaltyWeight: 1.0,
 		window:        8,
 	}
@@ -163,10 +154,11 @@ func (d *Disassembler) Clone(opts ...Option) *Disassembler {
 }
 
 // HintsFor returns the combined hint list for one section exactly as the
-// correction stage would consume it (unsorted): viability and statistical
-// scores are recomputed from the graph. Exposed for the verification
+// correction stage would consume it (unsorted, priorities flattened under
+// WithoutPrioritization): viability and statistical scores are recomputed
+// from the graph over the whole section. Exposed for the verification
 // oracle, which checks that the hint stream is deterministic and totally
-// ordered.
+// ordered and rebuilds the tier partition from it.
 func (d *Disassembler) HintsFor(g *superset.Graph, entry int) []analysis.Hint {
 	viable := analysis.Viability(g)
 	var scores []float64
@@ -175,7 +167,21 @@ func (d *Disassembler) HintsFor(g *superset.Graph, entry int) []analysis.Hint {
 		d.model.ScoreAllInto(scores, g, d.window)
 	}
 	hints, _ := d.CollectHints(g, viable, entry, scores)
+	d.flatten(hints)
 	return hints
+}
+
+// flatten applies WithoutPrioritization to a hint stream in place: every
+// hint drops to statistical priority with a zero score, so the corrector
+// commits in address order. A no-op on every other configuration.
+func (d *Disassembler) flatten(hints []analysis.Hint) {
+	if !d.flatPrio {
+		return
+	}
+	for i := range hints {
+		hints[i].Prio = analysis.PrioStat
+		hints[i].Score = 0
+	}
 }
 
 // Name implements dis.Engine.
@@ -200,9 +206,9 @@ type Detail struct {
 	CFG     *cfg.CFG
 
 	// Tier is the settled/contested partition the tiered correction
-	// pre-pass derived after the structural commit phase; nil when the
-	// run used the single-phase path (WithoutTiering, WithoutStats or
-	// WithoutPrioritization).
+	// pre-pass derived after the structural commit phase. Under
+	// WithoutPrioritization no hint is structural, so it is one window
+	// covering the whole section.
 	Tier *tier.Partition
 }
 
@@ -212,70 +218,44 @@ func (d *Disassembler) DisassembleDetail(code []byte, base uint64, entry int) *D
 	return det
 }
 
-// run executes the pipeline stages on a built superset graph. sp is the
-// enclosing (per-section) trace span, or nil when tracing is off; every
-// stage the section's wall time goes to is a direct child of sp, so a
-// rendered trace accounts for the whole run.
-func (d *Disassembler) run(g *superset.Graph, entry int, sp *obs.Span) *Detail {
-	det, _ := d.runContext(nil, g, entry, sp)
-	return det
-}
-
-// runContext is run with cooperative cancellation: ctx is polled at
-// every stage boundary and, inside the correction hot loops, every few
-// thousand offsets (see correct.RunContext). Once ctx is done the run
-// aborts and returns (nil, ctx.Err()) — partial stage output is
-// discarded, never surfaced. A nil ctx (what run passes) keeps the exact
-// uncancellable behaviour, including byte-identical output.
-func (d *Disassembler) runContext(ctx context.Context, g *superset.Graph, entry int, sp *obs.Span) (*Detail, error) {
-	return d.runContextPool(ctx, g, entry, sp, nil)
-}
-
-// runContextPool is runContext with an optional request-scoped work pool
-// (see workPool): the ELF driver passes one shared across its sections so
-// shard tasks steal idle section workers. It dispatches to the sharded
-// scheduler when the section exceeds the configured shard size.
-func (d *Disassembler) runContextPool(ctx context.Context, g *superset.Graph, entry int, sp *obs.Span, pool *workPool) (*Detail, error) {
-	if d.shardedFor(g.Len()) {
-		return d.runSharded(ctx, g, entry, sp, pool)
+// run is the section pipeline on a built superset graph. Viability and
+// the per-shard hint analyses fan out over the shard plan on the
+// work-stealing pool (pool may be nil: a section-level call gets its own);
+// without sharding the plan is the single shard [0, n). The per-shard
+// outputs merge into one canonical hint stream (each analysis emits in
+// ascending anchor order, so concatenation in shard order reproduces the
+// whole-section scan; call-target counts merge globally before emission),
+// and the tiered corrector consumes it under its usual total order — which
+// is the whole seam-resolution rule: no seam-local tie-breaking exists to
+// get wrong, so the output is byte-identical for every shard size
+// (enforced by oracle.CheckShards and the boundary-sweep suite).
+//
+// sp is the enclosing (per-section) trace span, or nil when tracing is
+// off; every stage is a direct child of sp, so a rendered trace accounts
+// for the whole run. ctx is polled at every stage boundary and inside the
+// per-shard and correction loops; once it is done the run returns
+// (nil, ctx.Err()) and partial stage output is discarded, never surfaced.
+//
+// Statistical scores live in per-contested-window buffers (see
+// windowScores), so with a windowed graph (superset.BuildLazy) pipeline
+// residency beyond the unavoidable O(section) output arrays is
+// O(shard x workers).
+func (d *Disassembler) run(ctx context.Context, g *superset.Graph, entry int, sp *obs.Span, pool *workPool) (*Detail, error) {
+	if pool == nil {
+		pool = newWorkPool(d.Workers())
 	}
+	shards := ShardPlan(g.Len(), d.shardBytes)
+	sp.Count("shards", int64(len(shards)))
+
 	vsp := sp.StartChild("viability")
-	viable := analysis.Viability(g)
+	viable, err := analysis.ViabilityRanges(ctx, g, shards, pool.run)
 	vsp.End()
-	if ctxutil.Cancelled(ctx) {
-		return nil, ctxutil.Err(ctx)
+	if err != nil {
+		return nil, err
 	}
 
-	// The tiered path defers statistical scoring and hints until the
-	// structural hints have been committed, then runs them only over the
-	// contested windows. It requires the statistical layer (otherwise
-	// there is nothing to defer) and the prioritized commit order (flat
-	// priorities erase the structural/statistical rank gap the phase
-	// split relies on — see correct.RunTieredContext).
-	tiered := d.useTier && d.useStats && !d.flatPrio
-
-	// Scores are consumed by StatHints and the corrector's gap fill and
-	// never escape this call, so the slice cycles through a pool instead
-	// of being reallocated for every section. On the tiered path the
-	// buffer is filled lazily per contested window; the stale values at
-	// settled offsets are never read (gap fill consults scores only at
-	// gap starts, and every gap is a subset of a contested window).
-	var scores []float64
-	if d.useStats {
-		scores = getScoreBuf(g.Len())
-		defer putScoreBuf(scores)
-		if !tiered {
-			ssp := sp.StartChild("stats")
-			d.model.ScoreAllInto(scores, g, d.window)
-			ssp.Count("scored", int64(len(scores)))
-			ssp.End()
-			if ctxutil.Cancelled(ctx) {
-				return nil, ctxutil.Err(ctx)
-			}
-		}
-	}
 	hsp := sp.StartChild("hints")
-	hints, tables := d.collectHints(ctx, g, viable, entry, scores, !tiered, hsp)
+	hints, tables := d.collectHints(ctx, g, viable, entry, shards, hsp, pool)
 	hsp.Count("hints", int64(len(hints)))
 	hsp.End()
 	// A cancellation observed by collectHints leaves the hint stream
@@ -283,44 +263,53 @@ func (d *Disassembler) runContextPool(ctx context.Context, g *superset.Graph, en
 	if ctxutil.Cancelled(ctx) {
 		return nil, ctxutil.Err(ctx)
 	}
-	if d.flatPrio {
-		for i := range hints {
-			hints[i].Prio = analysis.PrioStat
-			hints[i].Score = 0
-		}
-	}
+	// Flattened priorities leave no hint above PrioStat, so the split
+	// below puts the whole stream in phase B over one whole-section window.
+	d.flatten(hints)
+
+	// The sequential per-shard scans are done; everything from here on —
+	// hint commits in priority order, contested-window scoring, gap fill,
+	// the CFG walk — reads the graph in scattered order, where faulting a
+	// whole block to serve one offset would thrash the resident-block cap.
+	// Point reads serve those misses at single-decode cost instead, keeping
+	// residency frozen at its scan-phase bound (no-op on an eager graph).
+	g.SetPointReads(true)
 
 	csp := sp.StartChild("correct")
-	var out *correct.Outcome
-	var err error
+	structural, weak := tier.SplitHints(hints)
 	var part *tier.Partition
+	ws := &windowScores{}
 	statHints := 0
-	if tiered {
-		structural, weak := tier.SplitHints(hints)
-		out, err = correct.RunTieredContext(ctx, g, viable, structural, func(o *correct.Outcome) []analysis.Hint {
-			part = tier.FromStates(o.State)
-			tsp := csp.StartChild("tier")
-			tsp.Count("settled", int64(part.SettledBytes))
-			tsp.Count("contested", int64(part.ContestedBytes))
-			tsp.Count("windows", int64(len(part.Windows)))
-			tsp.End()
-			ssp := csp.StartChild("stats")
-			d.model.ScoreRangesInto(scores, g, d.window, part.Windows)
-			ssp.Count("scored", int64(part.ContestedBytes))
-			ssp.End()
-			shsp := csp.StartChild("stathints")
-			var stat []analysis.Hint
-			for _, w := range part.Windows {
-				stat = analysis.StatHintsRange(g, viable, scores, d.penaltyWeight, d.threshold, w[0], w[1], stat)
-			}
-			shsp.Count("hints", int64(len(stat)))
-			shsp.End()
-			statHints = len(stat)
-			return append(stat, weak...)
-		}, correct.Options{Scores: scores, Trace: csp})
-	} else {
-		out, err = correct.RunContext(ctx, g, viable, hints, correct.Options{Scores: scores, Trace: csp})
+	opts := correct.Options{Trace: csp}
+	if d.useStats {
+		opts.ScoreAt = ws.at
 	}
+	out, err := correct.RunTieredContext(ctx, g, viable, structural, func(o *correct.Outcome) []analysis.Hint {
+		part = tier.FromStates(o.State)
+		tsp := csp.StartChild("tier")
+		tsp.Count("settled", int64(part.SettledBytes))
+		tsp.Count("contested", int64(part.ContestedBytes))
+		tsp.Count("windows", int64(len(part.Windows)))
+		tsp.End()
+		if !d.useStats {
+			return weak
+		}
+		ssp := csp.StartChild("stats")
+		ws.score(d, g, part, pool)
+		ssp.Count("scored", int64(part.ContestedBytes))
+		ssp.End()
+		shsp := csp.StartChild("stathints")
+		var stat []analysis.Hint
+		for i, w := range part.Windows {
+			stat = analysis.StatHintsRangeRel(g, viable, ws.bufs[i],
+				d.penaltyWeight, d.threshold, w[0], w[1], stat)
+		}
+		d.flatten(stat)
+		shsp.Count("hints", int64(len(stat)))
+		shsp.End()
+		statHints = len(stat)
+		return append(stat, weak...)
+	}, opts)
 	csp.End()
 	if err != nil {
 		return nil, err
@@ -328,10 +317,8 @@ func (d *Disassembler) runContextPool(ctx context.Context, g *superset.Graph, en
 	return d.finish(ctx, g, entry, viable, tables, hints, statHints, out, part, sp)
 }
 
-// finish is the shared pipeline tail — result emission, function-seed
-// extraction and CFG recovery — identical for the unsharded and sharded
-// paths (both feed it the same correction outcome and hint stream, which
-// is what makes the sharded output byte-identical end to end).
+// finish is the pipeline tail after correction: result emission,
+// function-seed extraction and CFG recovery.
 func (d *Disassembler) finish(ctx context.Context, g *superset.Graph, entry int, viable []bool, tables []analysis.JumpTable, hints []analysis.Hint, statHints int, out *correct.Outcome, part *tier.Partition, sp *obs.Span) (*Detail, error) {
 	esp := sp.StartChild("emit")
 	res := dis.NewResult(g.Base, g.Len())
@@ -375,109 +362,106 @@ func (d *Disassembler) finish(ctx context.Context, g *superset.Graph, entry int,
 	}, nil
 }
 
-// CollectHints runs every enabled analysis and returns the combined hint
-// list (unsorted) plus discovered jump tables. scores may be nil when the
-// statistical layer is disabled. Exposed for the convergence experiment,
-// which replays correction with a bounded hint budget.
-//
-// The analyses are mutually independent (all read the immutable graph,
-// viability mask and scores), so they run on the disassembler's worker
-// pool. Their outputs are merged by concatenation in the fixed canonical
-// stage order below — entry, jump tables, call targets, prologues, data
-// patterns, literal pools, float runs, statistics — so the corrector sees
-// exactly the sequence the serial path produced, regardless of which
-// stage finished first.
+// CollectHints runs every enabled analysis over the whole section and
+// returns the combined hint list (unsorted) plus discovered jump tables:
+// the structural stream of a one-shard run, followed by the statistical
+// hints when scores is non-nil and the statistical layer is enabled.
+// Exposed for the convergence experiment, which replays correction with a
+// bounded hint budget.
 func (d *Disassembler) CollectHints(g *superset.Graph, viable []bool, entry int, scores []float64) ([]analysis.Hint, []analysis.JumpTable) {
-	return d.collectHints(nil, g, viable, entry, scores, true, nil)
-}
-
-// collectHints is CollectHints with tracing and cancellation: each
-// analysis runs inside its own child span of sp — one span per analysis
-// per worker goroutine — recording the hint count it produced. ctx is
-// polled before each analysis starts (on both the serial and worker
-// paths); once it is done the remaining analyses are skipped, leaving an
-// incomplete hint stream the caller must discard after its own ctx check.
-// includeStat gates the statistical stage: the tiered pipeline passes
-// false and generates stat hints later, over the contested windows only.
-func (d *Disassembler) collectHints(ctx context.Context, g *superset.Graph, viable []bool, entry int, scores []float64, includeStat bool, sp *obs.Span) ([]analysis.Hint, []analysis.JumpTable) {
-	var tables []analysis.JumpTable
-
-	type stage struct {
-		name string
-		fn   func() []analysis.Hint
-	}
-	stages := []stage{
-		{"entry", func() []analysis.Hint { return analysis.EntryHint(g, entry) }},
-	}
-	if d.useJumpTables {
-		stages = append(stages, stage{"jumptable", func() []analysis.Hint {
-			tables = analysis.FindJumpTables(g, viable)
-			return analysis.JumpTableHints(tables)
-		}})
-	}
-	stages = append(stages,
-		stage{"calltarget", func() []analysis.Hint { return analysis.CallTargetHints(g, viable) }},
-		stage{"prologue", func() []analysis.Hint { return analysis.PrologueHints(g, viable) }},
-		stage{"datapattern", func() []analysis.Hint { return analysis.DataPatternHints(g) }},
-		stage{"literalpool", func() []analysis.Hint { return analysis.LiteralPoolHints(g, viable) }},
-	)
-	if d.useFloatRuns {
-		stages = append(stages, stage{"floatrun", func() []analysis.Hint { return analysis.FloatRunHints(g) }})
-	}
-	if includeStat && d.useStats && scores != nil {
-		stages = append(stages, stage{"stat", func() []analysis.Hint {
-			return analysis.StatHints(g, viable, scores, d.penaltyWeight, d.threshold)
-		}})
-	}
-
-	parts := make([][]analysis.Hint, len(stages))
-	runStage := func(i int) {
-		if ctxutil.Cancelled(ctx) {
-			return
-		}
-		ssp := sp.StartChild(stages[i].name)
-		parts[i] = stages[i].fn()
-		ssp.Count("hints", int64(len(parts[i])))
-		ssp.End()
-	}
-	if workers := d.Workers(); workers <= 1 {
-		for i := range stages {
-			runStage(i)
-		}
-	} else {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i := range stages {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				runStage(i)
-				<-sem
-			}(i)
-		}
-		wg.Wait()
-	}
-
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	hints := make([]analysis.Hint, 0, total)
-	for _, p := range parts {
-		hints = append(hints, p...)
+	hints, tables := d.collectHints(nil, g, viable, entry, ShardPlan(g.Len(), 0), nil, newWorkPool(d.Workers()))
+	if d.useStats && scores != nil {
+		hints = append(hints, analysis.StatHints(g, viable, scores, d.penaltyWeight, d.threshold)...)
 	}
 	return hints, tables
 }
 
-// scorePool recycles per-section score slices (see Disassembler.run).
-var scorePool sync.Pool
+// collectHints runs the structural analyses over the shard plan: the
+// anchored analyses (jump tables, call targets, prologues, literal pools)
+// run once per shard as independent tasks on the pool, while the
+// inherently global stages (entry; the raw-byte data-pattern runs, whose
+// fill/string/pointer runs are unbounded and must not be split; float
+// runs) stay whole-section tasks riding the same pool. Outputs merge in
+// the fixed canonical stage order — entry, jump tables, call targets,
+// prologues, data patterns, literal pools, float runs — with shards
+// ascending inside each stage, which reproduces the whole-section
+// analyses' stream element for element, whatever the tiling or the
+// order tasks finished in.
+//
+// Each task runs inside its own child span of sp. ctx is polled before
+// each task starts; once it is done the remaining tasks are skipped,
+// leaving an incomplete stream the caller must discard after its own ctx
+// check.
+func (d *Disassembler) collectHints(ctx context.Context, g *superset.Graph, viable []bool, entry int, shards [][2]int, sp *obs.Span, pool *workPool) ([]analysis.Hint, []analysis.JumpTable) {
+	k := len(shards)
+	var entryPart, dataPart, floatPart []analysis.Hint
+	jtParts := make([][]analysis.JumpTable, k)
+	ctCounts := make([]map[int]int32, k)
+	proParts := make([][]analysis.Hint, k)
+	litParts := make([][]analysis.Hint, k)
 
-func getScoreBuf(n int) []float64 {
-	if v, _ := scorePool.Get().(*[]float64); v != nil && cap(*v) >= n {
-		return (*v)[:n]
+	// Task order is shard-major — the whole-section tasks first, then every
+	// per-shard analysis for shard 0, then shard 1, ... — so consecutive
+	// tasks read the same windowed-graph blocks. Stage-major order (all
+	// jump-table shards, then all call-target shards, ...) would sweep the
+	// section once per stage and refault every block each time under the
+	// resident cap. Execution order is pure cost: each task writes only its
+	// own slot, and the merge below imposes the canonical stage order.
+	type task struct {
+		name string
+		fn   func()
 	}
-	return make([]float64, n)
-}
+	tasks := []task{
+		{"entry", func() { entryPart = analysis.EntryHint(g, entry) }},
+		{"datapattern", func() { dataPart = analysis.DataPatternHints(g) }},
+	}
+	if d.useFloatRuns {
+		tasks = append(tasks, task{"floatrun", func() { floatPart = analysis.FloatRunHints(g) }})
+	}
+	for i := range shards {
+		i := i
+		if d.useJumpTables {
+			tasks = append(tasks, task{"jumptable", func() {
+				jtParts[i] = analysis.FindJumpTablesRange(g, viable, shards[i][0], shards[i][1], nil)
+			}})
+		}
+		tasks = append(tasks, task{"calltarget", func() {
+			m := make(map[int]int32)
+			analysis.CallTargetCountsRange(g, viable, shards[i][0], shards[i][1], m)
+			ctCounts[i] = m
+		}})
+		tasks = append(tasks, task{"prologue", func() {
+			proParts[i] = analysis.PrologueHintsRange(g, viable, shards[i][0], shards[i][1], nil)
+		}})
+		tasks = append(tasks, task{"literalpool", func() {
+			litParts[i] = analysis.LiteralPoolHintsRange(g, viable, shards[i][0], shards[i][1], nil)
+		}})
+	}
 
-func putScoreBuf(s []float64) { scorePool.Put(&s) }
+	pool.run(len(tasks), func(ti int) {
+		if ctxutil.Cancelled(ctx) {
+			return
+		}
+		ssp := sp.StartChild(tasks[ti].name)
+		tasks[ti].fn()
+		ssp.End()
+	})
+
+	// Merge: canonical stage order, shards ascending within a stage.
+	var tables []analysis.JumpTable
+	for _, p := range jtParts {
+		tables = append(tables, p...)
+	}
+	counts := make(map[int]int32)
+	for _, m := range ctCounts {
+		for t, n := range m {
+			counts[t] += n
+		}
+	}
+	parts := [][]analysis.Hint{entryPart, analysis.JumpTableHints(tables), analysis.CallTargetHintsFromCounts(counts)}
+	parts = append(parts, proParts...)
+	parts = append(parts, dataPart)
+	parts = append(parts, litParts...)
+	parts = append(parts, floatPart)
+	return slices.Concat(parts...), tables
+}

@@ -66,7 +66,7 @@ func (d *Disassembler) DisassembleSectionTraceContext(ctx context.Context, code 
 
 // disassembleSectionPool is DisassembleSectionTraceContext with an
 // optional request-scoped work pool shared across sections (see
-// workPool). Sections on the sharded path get a windowed graph
+// workPool). Sections split into several shards get a windowed graph
 // (superset.BuildLazy, O(1) construction — decode cost is paid block by
 // block inside the stages that fault them in, so no "superset" span is
 // recorded); everything else keeps the eager parallel build.
@@ -93,7 +93,7 @@ func (d *Disassembler) disassembleSectionPool(ctx context.Context, code []byte, 
 		}
 	}
 	g.SetExtern(extern)
-	return d.runContextPool(ctx, g, entry, sp, pool)
+	return d.run(ctx, g, entry, sp, pool)
 }
 
 // DisassembleELFDetail is DisassembleELF returning the full pipeline

@@ -1,13 +1,8 @@
 package core
 
 import (
-	"context"
 	"sync"
 
-	"probedis/internal/analysis"
-	"probedis/internal/correct"
-	"probedis/internal/ctxutil"
-	"probedis/internal/obs"
 	"probedis/internal/superset"
 	"probedis/internal/tier"
 )
@@ -41,8 +36,9 @@ func ShardPlan(n, shardBytes int) [][2]int {
 	return out
 }
 
-// shardedFor reports whether a section of n bytes runs the sharded path
-// under this configuration (at least two shards, so there is a seam).
+// shardedFor reports whether a section of n bytes is split into at least
+// two shards under this configuration, which is what moves it onto the
+// windowed graph backend (superset.BuildLazy).
 func (d *Disassembler) shardedFor(n int) bool {
 	return d.shardBytes > 0 && n > d.shardBytes
 }
@@ -114,234 +110,26 @@ func (p *workPool) run(n int, fn func(int)) {
 	wg.Wait()
 }
 
-// runSharded is runContext for sections large enough to shard (see
-// WithShardBytes): viability and the per-shard hint analyses fan out over
-// the shard plan on the work-stealing pool, their outputs merge into the
-// exact hint stream the unsharded path produces (each analysis emits in
-// ascending anchor order, so concatenation in shard order reproduces the
-// global scan; call-target counts merge globally before emission), and
-// the corrector then consumes that stream under its usual total order —
-// which is the whole seam-resolution rule: no seam-local tie-breaking
-// exists to get wrong, so the output is byte-identical to the unsharded
-// run (enforced by oracle.CheckShards and the boundary-sweep suite).
-//
-// On the default tiered configuration, statistical scores live in
-// per-contested-window buffers (see windowScores) and the graph is
-// windowed (superset.BuildLazy), so pipeline residency beyond the
-// unavoidable O(section) output arrays is O(shard x workers).
-func (d *Disassembler) runSharded(ctx context.Context, g *superset.Graph, entry int, sp *obs.Span, pool *workPool) (*Detail, error) {
-	if pool == nil {
-		pool = newWorkPool(d.Workers())
-	}
-	shards := ShardPlan(g.Len(), d.shardBytes)
-	sp.Count("shards", int64(len(shards)))
-
-	vsp := sp.StartChild("viability")
-	viable, err := analysis.ViabilityRanges(ctx, g, shards, pool.run)
-	vsp.End()
-	if err != nil {
-		return nil, err
-	}
-
-	tiered := d.useTier && d.useStats && !d.flatPrio
-	var scores []float64
-	if d.useStats && !tiered {
-		// Non-tiered sharded runs (ablations) keep the full-length pooled
-		// score buffer: correctness first, O(shard) scores only on the
-		// default tiered configuration.
-		scores = getScoreBuf(g.Len())
-		defer putScoreBuf(scores)
-		ssp := sp.StartChild("stats")
-		d.model.ScoreAllInto(scores, g, d.window)
-		ssp.Count("scored", int64(len(scores)))
-		ssp.End()
-		if ctxutil.Cancelled(ctx) {
-			return nil, ctxutil.Err(ctx)
-		}
-	}
-
-	hsp := sp.StartChild("hints")
-	hints, tables := d.collectHintsSharded(ctx, g, viable, entry, scores, !tiered, shards, hsp, pool)
-	hsp.Count("hints", int64(len(hints)))
-	hsp.End()
-	if ctxutil.Cancelled(ctx) {
-		return nil, ctxutil.Err(ctx)
-	}
-	if d.flatPrio {
-		for i := range hints {
-			hints[i].Prio = analysis.PrioStat
-			hints[i].Score = 0
-		}
-	}
-
-	// The sequential per-shard scans are done; everything from here on —
-	// hint commits in priority order, contested-window scoring, gap fill,
-	// the CFG walk — reads the graph in scattered order, where faulting a
-	// whole block to serve one offset would thrash the resident-block cap.
-	// Point reads serve those misses at single-decode cost instead, keeping
-	// residency frozen at its scan-phase bound.
-	g.SetPointReads(true)
-
-	csp := sp.StartChild("correct")
-	var out *correct.Outcome
-	var part *tier.Partition
-	statHints := 0
-	if tiered {
-		structural, weak := tier.SplitHints(hints)
-		ws := &windowScores{}
-		out, err = correct.RunTieredContext(ctx, g, viable, structural, func(o *correct.Outcome) []analysis.Hint {
-			part = tier.FromStates(o.State)
-			tsp := csp.StartChild("tier")
-			tsp.Count("settled", int64(part.SettledBytes))
-			tsp.Count("contested", int64(part.ContestedBytes))
-			tsp.Count("windows", int64(len(part.Windows)))
-			tsp.End()
-			ssp := csp.StartChild("stats")
-			ws.score(d, g, part.Windows, pool)
-			ssp.Count("scored", int64(part.ContestedBytes))
-			ssp.End()
-			shsp := csp.StartChild("stathints")
-			var stat []analysis.Hint
-			for i, w := range part.Windows {
-				stat = analysis.StatHintsRangeRel(g, viable, ws.bufs[i],
-					d.penaltyWeight, d.threshold, w[0], w[1], stat)
-			}
-			shsp.Count("hints", int64(len(stat)))
-			shsp.End()
-			statHints = len(stat)
-			return append(stat, weak...)
-		}, correct.Options{ScoreAt: ws.at, Trace: csp})
-	} else {
-		out, err = correct.RunContext(ctx, g, viable, hints, correct.Options{Scores: scores, Trace: csp})
-	}
-	csp.End()
-	if err != nil {
-		return nil, err
-	}
-	return d.finish(ctx, g, entry, viable, tables, hints, statHints, out, part, sp)
-}
-
-// collectHintsSharded is collectHints decomposed over the shard plan: the
-// anchored analyses (jump tables, call targets, prologues, literal pools,
-// and — on the non-tiered path — statistics) run once per shard as
-// independent tasks on the pool, while the inherently global stages
-// (entry; the raw-byte data-pattern runs, whose fill/string/pointer runs
-// are unbounded and must not be split) stay whole-section tasks riding
-// the same pool. Outputs merge in the fixed canonical stage order with
-// shards ascending inside each stage, which reproduces the serial
-// collectHints stream element for element.
-func (d *Disassembler) collectHintsSharded(ctx context.Context, g *superset.Graph, viable []bool, entry int, scores []float64, includeStat bool, shards [][2]int, sp *obs.Span, pool *workPool) ([]analysis.Hint, []analysis.JumpTable) {
-	k := len(shards)
-	var entryPart, dataPart, floatPart []analysis.Hint
-	jtParts := make([][]analysis.JumpTable, k)
-	ctCounts := make([]map[int]int32, k)
-	proParts := make([][]analysis.Hint, k)
-	litParts := make([][]analysis.Hint, k)
-	var statParts [][]analysis.Hint
-
-	// Task order is shard-major — the whole-section tasks first, then every
-	// per-shard analysis for shard 0, then shard 1, ... — so consecutive
-	// tasks read the same windowed-graph blocks. Stage-major order (all
-	// jump-table shards, then all call-target shards, ...) would sweep the
-	// section once per stage and refault every block each time under the
-	// resident cap. Execution order is pure cost: each task writes only its
-	// own slot, and the merge below imposes the canonical stage order.
-	type task struct {
-		name string
-		fn   func()
-	}
-	tasks := []task{
-		{"entry", func() { entryPart = analysis.EntryHint(g, entry) }},
-		{"datapattern", func() { dataPart = analysis.DataPatternHints(g) }},
-	}
-	if d.useFloatRuns {
-		tasks = append(tasks, task{"floatrun", func() { floatPart = analysis.FloatRunHints(g) }})
-	}
-	if includeStat && d.useStats && scores != nil {
-		statParts = make([][]analysis.Hint, k)
-	}
-	for i := range shards {
-		i := i
-		if d.useJumpTables {
-			tasks = append(tasks, task{"jumptable", func() {
-				jtParts[i] = analysis.FindJumpTablesRange(g, viable, shards[i][0], shards[i][1], nil)
-			}})
-		}
-		tasks = append(tasks, task{"calltarget", func() {
-			m := make(map[int]int32)
-			analysis.CallTargetCountsRange(g, viable, shards[i][0], shards[i][1], m)
-			ctCounts[i] = m
-		}})
-		tasks = append(tasks, task{"prologue", func() {
-			proParts[i] = analysis.PrologueHintsRange(g, viable, shards[i][0], shards[i][1], nil)
-		}})
-		tasks = append(tasks, task{"literalpool", func() {
-			litParts[i] = analysis.LiteralPoolHintsRange(g, viable, shards[i][0], shards[i][1], nil)
-		}})
-		if statParts != nil {
-			tasks = append(tasks, task{"stat", func() {
-				statParts[i] = analysis.StatHintsRange(g, viable, scores,
-					d.penaltyWeight, d.threshold, shards[i][0], shards[i][1], nil)
-			}})
-		}
-	}
-
-	pool.run(len(tasks), func(ti int) {
-		if ctxutil.Cancelled(ctx) {
-			return
-		}
-		ssp := sp.StartChild(tasks[ti].name)
-		tasks[ti].fn()
-		ssp.End()
-	})
-
-	// Merge: canonical stage order, shards ascending within a stage.
-	var tables []analysis.JumpTable
-	for _, p := range jtParts {
-		tables = append(tables, p...)
-	}
-	counts := make(map[int]int32)
-	for _, m := range ctCounts {
-		for t, n := range m {
-			counts[t] += n
-		}
-	}
-	var hints []analysis.Hint
-	hints = append(hints, entryPart...)
-	hints = append(hints, analysis.JumpTableHints(tables)...)
-	hints = append(hints, analysis.CallTargetHintsFromCounts(counts)...)
-	for _, p := range proParts {
-		hints = append(hints, p...)
-	}
-	hints = append(hints, dataPart...)
-	for _, p := range litParts {
-		hints = append(hints, p...)
-	}
-	hints = append(hints, floatPart...)
-	for _, p := range statParts {
-		hints = append(hints, p...)
-	}
-	return hints, tables
-}
-
-// windowScores holds the tiered path's statistical scores one contested
-// window at a time — the sharded replacement for the section-length score
-// buffer, sized O(contested bytes) instead of O(section).
+// windowScores holds the statistical scores one contested window at a
+// time, sized O(contested bytes) instead of O(section).
 type windowScores struct {
 	windows [][2]int
 	bufs    [][]float64
 }
 
-// score fills one buffer per window on the pool (windows are disjoint,
-// so writes never overlap; values are bit-identical to a full pass).
-func (ws *windowScores) score(d *Disassembler, g *superset.Graph, windows [][2]int, pool *workPool) {
-	ws.windows = windows
-	ws.bufs = make([][]float64, len(windows))
-	pool.run(len(windows), func(i int) {
-		w := windows[i]
-		buf := make([]float64, w[1]-w[0])
-		d.model.ScoreWindowInto(buf, g, d.window, w[0], w[1])
-		ws.bufs[i] = buf
+// score fills one buffer per contested window on the pool (windows are
+// disjoint, so writes never overlap; values are bit-identical to a full
+// pass). The buffers are consecutive slices of one contested-size array.
+func (ws *windowScores) score(d *Disassembler, g *superset.Graph, part *tier.Partition, pool *workPool) {
+	ws.windows = part.Windows
+	ws.bufs = make([][]float64, len(part.Windows))
+	backing := make([]float64, part.ContestedBytes)
+	for i, w := range part.Windows {
+		ws.bufs[i], backing = backing[:w[1]-w[0]], backing[w[1]-w[0]:]
+	}
+	pool.run(len(part.Windows), func(i int) {
+		w := part.Windows[i]
+		d.model.ScoreWindowInto(ws.bufs[i], g, d.window, w[0], w[1])
 	})
 }
 

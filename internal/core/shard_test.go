@@ -75,12 +75,8 @@ func requireSameDetail(tb testing.TB, label string, want, got *Detail) {
 		tb.Fatalf("%s: outcome counters (%d,%d,%d) vs (%d,%d,%d)", label,
 			wo.Committed, wo.Rejected, wo.Retracted, go_.Committed, go_.Rejected, go_.Retracted)
 	}
-	switch {
-	case want.Tier == nil && got.Tier == nil:
-	case want.Tier == nil || got.Tier == nil:
-		tb.Fatalf("%s: tier partition presence diverges", label)
-	case !reflect.DeepEqual(want.Tier.Windows, got.Tier.Windows):
-		tb.Fatalf("%s: tier windows diverge", label)
+	if !reflect.DeepEqual(want.Tier, got.Tier) {
+		tb.Fatalf("%s: tier partitions diverge", label)
 	}
 }
 
@@ -122,42 +118,55 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesUnshardedAblations covers the non-default paths the
-// sharded scheduler special-cases: no tiering (full score buffer), no
-// stats, flat priorities, float runs.
+// TestShardedMatchesUnshardedAblations covers the configurations the
+// scheduler treats as degenerate cases of the tiered corrector (no stats:
+// no statistical phase; flat priorities: one whole-section window) plus
+// the optional analyses: the sharded run must equal the one-shard run
+// and the single-phase reference.
 func TestShardedMatchesUnshardedAblations(t *testing.T) {
 	bin := shardTestBins(t)[1]
 	entry := int(bin.Entry - bin.Base)
-	for _, opts := range [][]Option{
-		{WithoutTiering()},
+	for i, opts := range [][]Option{
+		nil,
 		{WithoutStats()},
 		{WithoutPrioritization()},
 		{WithFloatRuns()},
 		{WithoutJumpTables()},
 	} {
+		label := fmt.Sprintf("ablation %d", i)
 		ref := New(DefaultModel(), opts...)
 		want := ref.DisassembleSection(bin.Code, bin.Base, entry, nil)
 		got := ref.Clone(WithShardBytes(777)).DisassembleSection(bin.Code, bin.Base, entry, nil)
-		requireSameDetail(t, fmt.Sprintf("ablation %T", opts), want, got)
+		requireSameDetail(t, label, want, got)
+		requireMatchesSinglePhase(t, label, ref, bin.Code, bin.Base, entry, got)
 	}
 }
 
 // TestShardedHintStreamIdentical pins the merge rule at its strongest:
-// the sharded collector's merged stream equals the serial collector's
-// stream element for element (not just as a sorted multiset), so the
-// corrector provably consumes the same sequence.
+// for every tiling, the collector's merged stream equals the whole-section
+// analyses called in canonical order, element for element (not just as a
+// sorted multiset), so the corrector provably consumes the same sequence.
 func TestShardedHintStreamIdentical(t *testing.T) {
 	d := New(DefaultModel())
 	for bi, bin := range shardTestBins(t) {
 		g := superset.Build(bin.Code, bin.Base)
 		viable := analysis.Viability(g)
 		entry := int(bin.Entry - bin.Base)
-		scores := make([]float64, g.Len())
-		d.model.ScoreAllInto(scores, g, d.window)
-		want, wantTables := d.collectHints(nil, g, viable, entry, scores, true, nil)
-		for _, shard := range []int{311, 2048} {
+		wantTables := analysis.FindJumpTables(g, viable)
+		var want []analysis.Hint
+		for _, part := range [][]analysis.Hint{
+			analysis.EntryHint(g, entry),
+			analysis.JumpTableHints(wantTables),
+			analysis.CallTargetHints(g, viable),
+			analysis.PrologueHints(g, viable),
+			analysis.DataPatternHints(g),
+			analysis.LiteralPoolHints(g, viable),
+		} {
+			want = append(want, part...)
+		}
+		for _, shard := range []int{0, 311, 2048} {
 			plan := ShardPlan(g.Len(), shard)
-			got, gotTables := d.collectHintsSharded(nil, g, viable, entry, scores, true, plan, nil, newWorkPool(1))
+			got, gotTables := d.collectHints(nil, g, viable, entry, plan, nil, newWorkPool(1))
 			if !reflect.DeepEqual(want, got) {
 				for i := range want {
 					if i >= len(got) || want[i] != got[i] {

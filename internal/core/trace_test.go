@@ -74,9 +74,8 @@ func TestTraceSpanTree(t *testing.T) {
 		for _, st := range sec.Children() {
 			stages[st.Name] = st
 		}
-		// Under the (default) tiered path, statistical scoring happens
-		// inside the correction stage, so "stats" is a child of "correct"
-		// rather than of the section span.
+		// Statistical scoring happens inside the correction stage, so
+		// "stats" is a child of "correct" rather than of the section span.
 		for _, want := range []string{"superset", "viability", "hints", "correct", "emit", "cfg"} {
 			if stages[want] == nil {
 				t.Fatalf("section %d missing stage span %q (have %v)", i, want, names(sec.Children()))
@@ -92,7 +91,7 @@ func TestTraceSpanTree(t *testing.T) {
 		}
 		// Detail.Hints is the run's total hint count: the structural/weak
 		// stream collected up front plus the statistical hints generated
-		// inside the correction stage (tiered path).
+		// inside the correction stage.
 		var statCount int64
 		for _, c := range stages["correct"].Children() {
 			if c.Name == "stathints" {
@@ -103,11 +102,12 @@ func TestTraceSpanTree(t *testing.T) {
 			t.Errorf("hints counter = %d (+%d stat), want %d",
 				st.Counter("hints"), statCount, secs[i].Detail.Hints)
 		}
-		// Per-analysis child spans under "hints", in canonical serial order.
-		// The tiered path defers the "stat" analysis into the correction
+		// Per-analysis child spans under "hints", in serial execution
+		// order: the whole-section tasks, then the per-shard analyses of
+		// the single shard. The "stat" analysis runs inside the correction
 		// stage, so it is absent here.
 		an := names(stages["hints"].Children())
-		wantAn := []string{"entry", "jumptable", "calltarget", "prologue", "datapattern", "literalpool"}
+		wantAn := []string{"entry", "datapattern", "jumptable", "calltarget", "prologue", "literalpool"}
 		if !reflect.DeepEqual(an, wantAn) {
 			t.Errorf("analysis spans = %v, want %v", an, wantAn)
 		}

@@ -373,16 +373,16 @@ func (r *Runner) T7PerProfile() Table {
 // T9TierSettlement quantifies the tiered correction pre-pass per
 // profile: how much of each binary the structural hints settle outright
 // (bytes that never see statistical scoring), how many contested
-// windows remain, and how far the hint stream shrinks versus the
-// single-phase pipeline.
+// windows remain, and how far the hint stream shrinks versus a
+// single-phase run, whose stream (statistics over every byte) HintsFor
+// returns.
 func (r *Runner) T9TierSettlement() Table {
 	t := Table{
 		ID:      "T9",
 		Title:   "Tiered correction: structural settlement by profile",
 		Columns: []string{"profile", "bytes", "settled", "windows", "hints", "hints(1-phase)", "hint-cut"},
 	}
-	tiered := core.New(r.Model)
-	single := core.New(r.Model, core.WithoutTiering())
+	d := core.New(r.Model)
 	byProfile := map[string][]*synth.Binary{}
 	var order []string
 	for _, b := range r.Corpus {
@@ -396,15 +396,12 @@ func (r *Runner) T9TierSettlement() Table {
 		var bytes, settled, windows, hintsTiered, hintsSingle int
 		for _, b := range byProfile[name] {
 			entry := int(b.Entry - b.Base)
-			dt := tiered.DisassembleSection(b.Code, b.Base, entry, nil)
-			ds := single.DisassembleSection(b.Code, b.Base, entry, nil)
-			if dt.Tier != nil {
-				bytes += dt.Tier.Total
-				settled += dt.Tier.SettledBytes
-				windows += len(dt.Tier.Windows)
-			}
-			hintsTiered += dt.Hints
-			hintsSingle += ds.Hints
+			det := d.DisassembleSection(b.Code, b.Base, entry, nil)
+			bytes += det.Tier.Total
+			settled += det.Tier.SettledBytes
+			windows += len(det.Tier.Windows)
+			hintsTiered += det.Hints
+			hintsSingle += len(d.HintsFor(det.Graph, entry))
 		}
 		t.AddRow(name, itoa(bytes), fmtPct(ratio(settled, bytes)), itoa(windows),
 			itoa(hintsTiered), itoa(hintsSingle),

@@ -337,8 +337,9 @@ func CheckHintDeterminism(rep *Report, sec string, collect func() []analysis.Hin
 // maximal Unknown runs of the resulting state must be exactly the
 // recorded contested windows. A settled region containing a contested
 // offset (or the reverse) is a violation: statistical evidence would have
-// been skipped (or recomputed) where the single-phase run consults it. A
-// nil det.Tier (single-phase configuration) is vacuously fine.
+// been skipped (or recomputed) where the single-phase run consults it.
+// Every pipeline run records a partition; a Detail without one is
+// vacuously fine.
 func CheckTier(rep *Report, sec string, d *core.Disassembler, entry int, det *core.Detail) {
 	p := det.Tier
 	if p == nil {
@@ -370,10 +371,11 @@ func CheckTier(rep *Report, sec string, d *core.Disassembler, entry int, det *co
 		rep.addf(InvTier, sec, -1, "windows cover %d bytes, partition claims %d contested", sum, p.ContestedBytes)
 	}
 
-	// Independent recomputation. HintsFor rebuilds the full hint stream;
-	// the statistical hints it contains all carry exactly PrioStat, so the
-	// structural split matches the one the tiered pipeline made before
-	// any statistics existed.
+	// Independent recomputation. HintsFor rebuilds the full hint stream,
+	// flattened under WithoutPrioritization exactly as the pipeline
+	// flattens it; the statistical hints it contains all carry exactly
+	// PrioStat, so the structural split matches the one the tiered
+	// pipeline made before any statistics existed.
 	structural, _ := tier.SplitHints(d.HintsFor(det.Graph, entry))
 	phaseA := correct.Run(det.Graph, det.Viable, structural,
 		correct.Options{NoRetract: true, NoGapFill: true})

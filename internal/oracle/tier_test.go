@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"probedis/internal/analysis"
 	"probedis/internal/core"
+	"probedis/internal/correct"
 	"probedis/internal/eval"
 	"probedis/internal/synth"
 )
@@ -73,11 +75,13 @@ func TestDetectsTierByteCountMismatch(t *testing.T) {
 }
 
 // TestTieredMatchesSinglePhase is the equivalence oracle for the tiered
-// correction pass: over the whole default synthetic corpus, the tiered
-// pipeline (statistics restricted to contested windows) must produce a
-// byte-identical classification, instruction starts and function starts
-// to the single-phase reference (WithoutTiering). This is the metamorphic
-// guarantee the 2x throughput win rests on.
+// correction pass: over the whole default synthetic corpus, the pipeline
+// (statistics restricted to contested windows) must reach exactly the
+// correction state of the single-phase reference — one correct.Run over
+// the full HintsFor stream with whole-section scores. Function starts
+// follow from the instruction starts and the structural hints, which both
+// runs share. This is the metamorphic guarantee the 2x throughput win
+// rests on.
 func TestTieredMatchesSinglePhase(t *testing.T) {
 	spec := eval.DefaultCorpus()
 	spec.PerProfile = 2
@@ -87,27 +91,21 @@ func TestTieredMatchesSinglePhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := core.DefaultModel()
-	tiered := core.New(model)
-	single := core.New(model, core.WithoutTiering())
+	d := core.New(model)
 	for ci, b := range corpus {
 		entry := int(b.Entry - b.Base)
-		dt := tiered.DisassembleSection(b.Code, b.Base, entry, nil)
-		ds := single.DisassembleSection(b.Code, b.Base, entry, nil)
-		if dt.Tier == nil {
+		det := d.DisassembleSection(b.Code, b.Base, entry, nil)
+		if det.Tier == nil {
 			t.Errorf("corpus binary %d: tiered run recorded no partition", ci)
 		}
-		if ds.Tier != nil {
-			t.Errorf("corpus binary %d: single-phase run recorded a partition", ci)
+		g := det.Graph
+		single := correct.Run(g, analysis.Viability(g), d.HintsFor(g, entry),
+			correct.Options{Scores: model.ScoreAll(g, 8)})
+		if !reflect.DeepEqual(det.Outcome.State, single.State) {
+			t.Errorf("binary %d: correction state diverges between tiered and single-phase", ci)
 		}
-		rt, rs := dt.Result, ds.Result
-		if !reflect.DeepEqual(rt.IsCode, rs.IsCode) {
-			t.Errorf("binary %d: IsCode diverges between tiered and single-phase", ci)
-		}
-		if !reflect.DeepEqual(rt.InstStart, rs.InstStart) {
+		if !reflect.DeepEqual(det.Outcome.InstStart, single.InstStart) {
 			t.Errorf("binary %d: InstStart diverges between tiered and single-phase", ci)
-		}
-		if !reflect.DeepEqual(rt.FuncStarts, rs.FuncStarts) {
-			t.Errorf("binary %d: FuncStarts diverge between tiered and single-phase", ci)
 		}
 	}
 }

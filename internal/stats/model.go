@@ -215,57 +215,33 @@ func (m *Model) ScoreAll(g *superset.Graph, window int) []float64 {
 }
 
 // ScoreAllInto is ScoreAll writing into out, which must have length
-// g.Len(). It exists so the pipeline can recycle score slices through a
-// buffer pool instead of allocating one per section.
+// g.Len().
 func (m *Model) ScoreAllInto(out []float64, g *superset.Graph, window int) {
 	if len(out) != g.Len() {
 		panic("stats: ScoreAllInto buffer length mismatch")
 	}
-	scoreRange := func(from, to int) {
-		for off := from; off < to; off++ {
-			s, n := m.LogOdds(g, off, window)
-			if n == 0 {
-				out[off] = -1e9
-				continue
-			}
-			out[off] = s / float64(n)
-		}
-	}
 	const parallelThreshold = 1 << 14
 	workers := runtime.GOMAXPROCS(0)
 	if g.Len() < parallelThreshold || workers == 1 {
-		scoreRange(0, g.Len())
+		m.ScoreWindowInto(out, g, window, 0, g.Len())
 		return
 	}
-	m.scoreAllParallel(out, g, window, workers, scoreRange)
+	m.scoreAllParallel(out, g, window, workers)
 }
 
 // ScoreRangesInto computes the same per-offset values ScoreAllInto would
 // (each offset's LogOdds depends only on the graph, never on neighbouring
 // scores) restricted to the half-open windows [w[0], w[1]); offsets
-// outside every window are left untouched. The tiered pipeline scores
-// only the contested windows this way — the values at those offsets are
-// bit-identical to a full scoring pass. Windows out of range are clamped;
-// len(out) must equal g.Len().
+// outside every window are left untouched. The values at those offsets
+// are bit-identical to a full scoring pass. Windows out of range are
+// clamped; len(out) must equal g.Len().
 func (m *Model) ScoreRangesInto(out []float64, g *superset.Graph, window int, windows [][2]int) {
 	if len(out) != g.Len() {
 		panic("stats: ScoreRangesInto buffer length mismatch")
 	}
 	for _, w := range windows {
-		from, to := w[0], w[1]
-		if from < 0 {
-			from = 0
-		}
-		if to > g.Len() {
-			to = g.Len()
-		}
-		for off := from; off < to; off++ {
-			s, n := m.LogOdds(g, off, window)
-			if n == 0 {
-				out[off] = -1e9
-				continue
-			}
-			out[off] = s / float64(n)
+		if from := max(w[0], 0); from < g.Len() {
+			m.ScoreWindowInto(out[from:], g, window, from, w[1])
 		}
 	}
 }
@@ -273,9 +249,10 @@ func (m *Model) ScoreRangesInto(out []float64, g *superset.Graph, window int, wi
 // ScoreWindowInto computes the per-offset values of [from, to) into a
 // window-relative buffer: out[i] receives the score of offset from+i.
 // Values are bit-identical to the corresponding slice of a full scoring
-// pass (LogOdds reads only the graph). The sharded tiered pipeline uses
-// it to keep one small buffer per contested window instead of a
-// section-length slice. len(out) must be at least to-from.
+// pass (LogOdds reads only the graph). It is the one scoring loop behind
+// ScoreAllInto and ScoreRangesInto, and the pipeline calls it directly to
+// keep one small buffer per contested window instead of a section-length
+// slice. len(out) must be at least to-from.
 func (m *Model) ScoreWindowInto(out []float64, g *superset.Graph, window, from, to int) {
 	if from < 0 {
 		from = 0
@@ -295,7 +272,7 @@ func (m *Model) ScoreWindowInto(out []float64, g *superset.Graph, window, from, 
 
 // scoreAllParallel fans ScoreAllInto's per-offset loop out over the
 // worker count (offsets are independent, so chunking is deterministic).
-func (m *Model) scoreAllParallel(out []float64, g *superset.Graph, window, workers int, scoreRange func(from, to int)) {
+func (m *Model) scoreAllParallel(out []float64, g *superset.Graph, window, workers int) {
 	var wg sync.WaitGroup
 	chunk := (g.Len() + workers - 1) / workers
 	for from := 0; from < g.Len(); from += chunk {
@@ -306,7 +283,7 @@ func (m *Model) scoreAllParallel(out []float64, g *superset.Graph, window, worke
 		wg.Add(1)
 		go func(a, b int) {
 			defer wg.Done()
-			scoreRange(a, b)
+			m.ScoreWindowInto(out[a:b], g, window, a, b)
 		}(from, to)
 	}
 	wg.Wait()

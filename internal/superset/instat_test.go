@@ -66,8 +66,8 @@ func checkGraphMatchesEagerDecode(t *testing.T, g *Graph) {
 		if !e.Valid() {
 			t.Fatalf("+%#x: eager decode valid (%v) but packed entry invalid", off, inst.Op)
 		}
-		if *e != pack(&inst) {
-			t.Fatalf("+%#x: packed entry %+v != repack of eager decode %+v", off, *e, pack(&inst))
+		if *e != x86.PackLean(&inst) {
+			t.Fatalf("+%#x: packed entry %+v != repack of eager decode %+v", off, *e, x86.PackLean(&inst))
 		}
 		if int(e.Len) != inst.Len || e.Flow != inst.Flow || e.Op != inst.Op ||
 			e.Tok != inst.TokenID() || e.StackDelta != inst.StackDelta {

@@ -134,12 +134,9 @@ func (l *lazyInfo) at(g *Graph, off int) *Info {
 	}
 	if l.point.Load() {
 		l.points.Add(1)
-		info := new(Info)
-		var inst x86.Inst
-		if x86.DecodeLeanInto(&inst, g.Code[off:], g.Base+uint64(off)) == nil {
-			*info = pack(&inst)
-		}
-		return info
+		info := make([]Info, 1)
+		g.addScanFallbacks(x86.Scan(info, g.Code, g.Base, off, off+1))
+		return &info[0]
 	}
 	blk := l.fault(g, b)
 	return &blk.info[off-(b<<l.shift)]

@@ -59,10 +59,6 @@ const (
 // dispatch tables, without an import cycle or a copy.
 type Info = x86.Info
 
-// pack collapses a decoded instruction into its 16-byte side-table
-// record (the point-read path; bulk construction goes through x86.Scan).
-func pack(inst *x86.Inst) Info { return x86.PackLean(inst) }
-
 // scanFallbackTotal counts offsets where the table-driven scan kernel
 // bailed to the full decoder (VEX/EVEX escapes; see x86.Scan), across
 // all graphs since process start. Exposed as the
@@ -119,7 +115,7 @@ func WithDecodeCacheSlots(n int) BuildOption {
 // ScanFallbackCount returns the number of offsets of this graph that
 // were filled through the scan kernel's DecodeLeanInto fallback rather
 // than its table-driven fast path (lazy graphs accumulate as blocks
-// fault in).
+// fault in and as point reads decode single offsets).
 func (g *Graph) ScanFallbackCount() int64 { return g.scanFB.Load() }
 
 // addScanFallbacks folds a Scan call's fallback count into the graph's

@@ -101,9 +101,10 @@ func Decode(code []byte, addr uint64) (inst Inst, err error) {
 // register-effect fields (DstReg/SrcReg, VecReg/VecRM, MemIsDst,
 // RegsRead/RegsWritten) unpopulated. Everything the superset side-table
 // packs — length, flow, opcode, prefixes, immediates, memory operand,
-// branch target, stack delta — is identical to a full Decode. Bulk
-// per-offset decoding (superset construction) uses this path; consumers
-// that inspect operands materialize a full Decode instead.
+// branch target, stack delta — is identical to a full Decode. Scan
+// falls back to it for the encodings its shape tables cannot classify
+// (VEX/EVEX); consumers that inspect operands materialize a full Decode
+// instead.
 func DecodeLean(code []byte, addr uint64) (inst Inst, err error) {
 	err = decodeInto(&inst, code, addr, true)
 	return
@@ -117,9 +118,8 @@ func DecodeInto(inst *Inst, code []byte, addr uint64) error {
 	return decodeInto(inst, code, addr, false)
 }
 
-// DecodeLeanInto is DecodeLean writing through inst (see DecodeInto).
-// Superset construction decodes at every byte offset, so avoiding one
-// 128-byte copy per offset is a real fraction of the build.
+// DecodeLeanInto is DecodeLean writing through inst (see DecodeInto),
+// sparing Scan's fallback one 128-byte copy per offset.
 func DecodeLeanInto(inst *Inst, code []byte, addr uint64) error {
 	return decodeInto(inst, code, addr, true)
 }
