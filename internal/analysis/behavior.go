@@ -73,10 +73,10 @@ func StatHintsRange(g *superset.Graph, viable []bool, scores []float64, penaltyW
 
 // StatHintsRangeRel is StatHintsRange with a window-relative score
 // buffer: scores[i] holds the score of offset from+i (and must cover
-// to-from entries). The sharded tiered pipeline stores scores per
-// contested window instead of in one section-length slice, so score
-// residency is O(contested bytes) rather than O(section); the emitted
-// hints are identical.
+// to-from entries). The pipeline stores scores per contested window
+// instead of in one section-length slice, so score residency is
+// O(contested bytes) rather than O(section); the emitted hints are
+// identical.
 func StatHintsRangeRel(g *superset.Graph, viable []bool, scores []float64, penaltyWeight, threshold float64, from, to int, dst []Hint) []Hint {
 	return statHintsImpl(g, viable, scores, from, penaltyWeight, threshold, from, to, dst)
 }

@@ -396,6 +396,7 @@ func (d *Disassembler) collectHints(ctx context.Context, g *superset.Graph, viab
 	k := len(shards)
 	var entryPart, dataPart, floatPart []analysis.Hint
 	jtParts := make([][]analysis.JumpTable, k)
+	jtHints := make([][]analysis.Hint, k)
 	ctCounts := make([]map[int]int32, k)
 	proParts := make([][]analysis.Hint, k)
 	litParts := make([][]analysis.Hint, k)
@@ -407,47 +408,62 @@ func (d *Disassembler) collectHints(ctx context.Context, g *superset.Graph, viab
 	// section once per stage and refault every block each time under the
 	// resident cap. Execution order is pure cost: each task writes only its
 	// own slot, and the merge below imposes the canonical stage order.
+	// Each task returns the number of hints it emitted, which its span
+	// records.
 	type task struct {
 		name string
-		fn   func()
+		fn   func() int
 	}
 	tasks := []task{
-		{"entry", func() { entryPart = analysis.EntryHint(g, entry) }},
-		{"datapattern", func() { dataPart = analysis.DataPatternHints(g) }},
+		{"entry", func() int { entryPart = analysis.EntryHint(g, entry); return len(entryPart) }},
+		{"datapattern", func() int { dataPart = analysis.DataPatternHints(g); return len(dataPart) }},
 	}
 	if d.useFloatRuns {
-		tasks = append(tasks, task{"floatrun", func() { floatPart = analysis.FloatRunHints(g) }})
+		tasks = append(tasks, task{"floatrun", func() int { floatPart = analysis.FloatRunHints(g); return len(floatPart) }})
 	}
+	ctTask := -1
 	for i := range shards {
 		i := i
 		if d.useJumpTables {
-			tasks = append(tasks, task{"jumptable", func() {
+			tasks = append(tasks, task{"jumptable", func() int {
 				jtParts[i] = analysis.FindJumpTablesRange(g, viable, shards[i][0], shards[i][1], nil)
+				jtHints[i] = analysis.JumpTableHints(jtParts[i])
+				return len(jtHints[i])
 			}})
 		}
-		tasks = append(tasks, task{"calltarget", func() {
+		if ctTask < 0 {
+			ctTask = len(tasks)
+		}
+		tasks = append(tasks, task{"calltarget", func() int {
 			m := make(map[int]int32)
 			analysis.CallTargetCountsRange(g, viable, shards[i][0], shards[i][1], m)
 			ctCounts[i] = m
+			return 0 // hints exist only after the global count merge
 		}})
-		tasks = append(tasks, task{"prologue", func() {
+		tasks = append(tasks, task{"prologue", func() int {
 			proParts[i] = analysis.PrologueHintsRange(g, viable, shards[i][0], shards[i][1], nil)
+			return len(proParts[i])
 		}})
-		tasks = append(tasks, task{"literalpool", func() {
+		tasks = append(tasks, task{"literalpool", func() int {
 			litParts[i] = analysis.LiteralPoolHintsRange(g, viable, shards[i][0], shards[i][1], nil)
+			return len(litParts[i])
 		}})
 	}
 
+	spans := make([]*obs.Span, len(tasks))
 	pool.run(len(tasks), func(ti int) {
 		if ctxutil.Cancelled(ctx) {
 			return
 		}
 		ssp := sp.StartChild(tasks[ti].name)
-		tasks[ti].fn()
+		ssp.Count("hints", int64(tasks[ti].fn()))
 		ssp.End()
+		spans[ti] = ssp
 	})
 
-	// Merge: canonical stage order, shards ascending within a stage.
+	// Merge: canonical stage order, shards ascending within a stage. Jump
+	// table hints are emitted table by table, so the per-shard hint lists
+	// concatenate to the hints of the concatenated tables.
 	var tables []analysis.JumpTable
 	for _, p := range jtParts {
 		tables = append(tables, p...)
@@ -458,7 +474,11 @@ func (d *Disassembler) collectHints(ctx context.Context, g *superset.Graph, viab
 			counts[t] += n
 		}
 	}
-	parts := [][]analysis.Hint{entryPart, analysis.JumpTableHints(tables), analysis.CallTargetHintsFromCounts(counts)}
+	ctHints := analysis.CallTargetHintsFromCounts(counts)
+	spans[ctTask].Count("hints", int64(len(ctHints)))
+	parts := [][]analysis.Hint{entryPart}
+	parts = append(parts, jtHints...)
+	parts = append(parts, ctHints)
 	parts = append(parts, proParts...)
 	parts = append(parts, dataPart)
 	parts = append(parts, litParts...)

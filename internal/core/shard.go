@@ -117,19 +117,31 @@ type windowScores struct {
 	bufs    [][]float64
 }
 
-// score fills one buffer per contested window on the pool (windows are
+// scoreChunkBytes bounds one scoring task, so a window wider than that —
+// the whole section under WithoutPrioritization — still spreads over the
+// pool instead of scoring on one worker.
+const scoreChunkBytes = 1 << 14
+
+// score fills one buffer per contested window on the pool, one task per
+// window or per scoreChunkBytes piece of a wider one (the pieces are
 // disjoint, so writes never overlap; values are bit-identical to a full
 // pass). The buffers are consecutive slices of one contested-size array.
 func (ws *windowScores) score(d *Disassembler, g *superset.Graph, part *tier.Partition, pool *workPool) {
 	ws.windows = part.Windows
 	ws.bufs = make([][]float64, len(part.Windows))
 	backing := make([]float64, part.ContestedBytes)
+	type piece struct{ win, from, to int }
+	pieces := make([]piece, 0, len(part.Windows))
 	for i, w := range part.Windows {
 		ws.bufs[i], backing = backing[:w[1]-w[0]], backing[w[1]-w[0]:]
+		for from := w[0]; from < w[1]; from += scoreChunkBytes {
+			pieces = append(pieces, piece{i, from, min(from+scoreChunkBytes, w[1])})
+		}
 	}
-	pool.run(len(part.Windows), func(i int) {
-		w := part.Windows[i]
-		d.model.ScoreWindowInto(ws.bufs[i], g, d.window, w[0], w[1])
+	pool.run(len(pieces), func(j int) {
+		p := pieces[j]
+		buf := ws.bufs[p.win][p.from-part.Windows[p.win][0]:]
+		d.model.ScoreWindowInto(buf, g, d.window, p.from, p.to)
 	})
 }
 

@@ -121,13 +121,11 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 // TestShardedMatchesUnshardedAblations covers the configurations the
 // scheduler treats as degenerate cases of the tiered corrector (no stats:
 // no statistical phase; flat priorities: one whole-section window) plus
-// the optional analyses: the sharded run must equal the one-shard run
-// and the single-phase reference.
+// the optional analyses: the sharded run must equal the one-shard run.
 func TestShardedMatchesUnshardedAblations(t *testing.T) {
 	bin := shardTestBins(t)[1]
 	entry := int(bin.Entry - bin.Base)
 	for i, opts := range [][]Option{
-		nil,
 		{WithoutStats()},
 		{WithoutPrioritization()},
 		{WithFloatRuns()},
@@ -138,7 +136,6 @@ func TestShardedMatchesUnshardedAblations(t *testing.T) {
 		want := ref.DisassembleSection(bin.Code, bin.Base, entry, nil)
 		got := ref.Clone(WithShardBytes(777)).DisassembleSection(bin.Code, bin.Base, entry, nil)
 		requireSameDetail(t, label, want, got)
-		requireMatchesSinglePhase(t, label, ref, bin.Code, bin.Base, entry, got)
 	}
 }
 

@@ -111,6 +111,19 @@ func TestTraceSpanTree(t *testing.T) {
 		if !reflect.DeepEqual(an, wantAn) {
 			t.Errorf("analysis spans = %v, want %v", an, wantAn)
 		}
+		// Each analysis span counts the hints it contributed (call
+		// targets after the global count merge), so they add up to the
+		// collected stream.
+		var perAnalysis int64
+		for _, c := range stages["hints"].Children() {
+			perAnalysis += c.Counter("hints")
+			if c.Name == "calltarget" && c.Counter("hints") <= 0 {
+				t.Errorf("section %d: calltarget span recorded no hints", i)
+			}
+		}
+		if total := stages["hints"].Counter("hints"); perAnalysis != total {
+			t.Errorf("section %d: per-analysis hint counters sum to %d, want %d", i, perAnalysis, total)
+		}
 		// Correction sub-phases (tiered: two commit phases bracketing the
 		// contested-window scoring) and outcome counters.
 		cor := stages["correct"]

@@ -43,9 +43,9 @@ type Options struct {
 	// treats unresolvable gaps as data).
 	Scores []float64
 	// ScoreAt is a sparse alternative to Scores, consulted only when
-	// Scores is nil: the sharded tiered pipeline stores scores per
-	// contested window (O(contested) instead of O(section) resident) and
-	// serves point lookups through this callback. Gap fill reads scores
+	// Scores is nil: the pipeline stores scores per contested window
+	// (O(contested) instead of O(section) resident) and serves point
+	// lookups through this callback. Gap fill reads scores
 	// only at gap starts, and every gap is a subset of a contested
 	// window, so the two forms see identical values there.
 	ScoreAt func(off int) float64

@@ -5,9 +5,12 @@ import (
 	"testing"
 
 	"probedis/internal/analysis"
+	"probedis/internal/cfg"
 	"probedis/internal/core"
 	"probedis/internal/correct"
+	"probedis/internal/dis"
 	"probedis/internal/eval"
+	"probedis/internal/stats"
 	"probedis/internal/synth"
 )
 
@@ -74,14 +77,37 @@ func TestDetectsTierByteCountMismatch(t *testing.T) {
 	}
 }
 
+// singlePhaseResult is the single-phase reference for one section: one
+// correct.Run over the full HintsFor stream with whole-section scores,
+// then the pipeline's emit and CFG tail (function seeds from the entry
+// and the call-target, prologue and entry code hints).
+func singlePhaseResult(d *core.Disassembler, model *stats.Model, b *synth.Binary, det *core.Detail) (*dis.Result, *correct.Outcome) {
+	g := det.Graph
+	entry := int(b.Entry - b.Base)
+	hints := d.HintsFor(g, entry)
+	out := correct.Run(g, analysis.Viability(g), hints, correct.Options{Scores: model.ScoreAll(g, 8)})
+	res := dis.NewResult(b.Base, len(b.Code))
+	for i, s := range out.State {
+		res.IsCode[i] = s == correct.Code
+	}
+	copy(res.InstStart, out.InstStart)
+	seeds := []int{entry}
+	for _, h := range hints {
+		if h.Kind == analysis.HintCode &&
+			(h.Src == "calltarget" || h.Src == "prologue" || h.Src == "entry") {
+			seeds = append(seeds, h.Off)
+		}
+	}
+	res.FuncStarts = cfg.Build(g, out.InstStart, seeds).FuncStarts()
+	return res, out
+}
+
 // TestTieredMatchesSinglePhase is the equivalence oracle for the tiered
 // correction pass: over the whole default synthetic corpus, the pipeline
 // (statistics restricted to contested windows) must reach exactly the
-// correction state of the single-phase reference — one correct.Run over
-// the full HintsFor stream with whole-section scores. Function starts
-// follow from the instruction starts and the structural hints, which both
-// runs share. This is the metamorphic guarantee the 2x throughput win
-// rests on.
+// correction state, classification, instruction starts and function
+// starts of the single-phase reference. This is the metamorphic guarantee
+// the 2x throughput win rests on.
 func TestTieredMatchesSinglePhase(t *testing.T) {
 	spec := eval.DefaultCorpus()
 	spec.PerProfile = 2
@@ -98,14 +124,19 @@ func TestTieredMatchesSinglePhase(t *testing.T) {
 		if det.Tier == nil {
 			t.Errorf("corpus binary %d: tiered run recorded no partition", ci)
 		}
-		g := det.Graph
-		single := correct.Run(g, analysis.Viability(g), d.HintsFor(g, entry),
-			correct.Options{Scores: model.ScoreAll(g, 8)})
+		want, single := singlePhaseResult(d, model, b, det)
 		if !reflect.DeepEqual(det.Outcome.State, single.State) {
 			t.Errorf("binary %d: correction state diverges between tiered and single-phase", ci)
 		}
-		if !reflect.DeepEqual(det.Outcome.InstStart, single.InstStart) {
+		got := det.Result
+		if !reflect.DeepEqual(got.IsCode, want.IsCode) {
+			t.Errorf("binary %d: IsCode diverges between tiered and single-phase", ci)
+		}
+		if !reflect.DeepEqual(got.InstStart, want.InstStart) {
 			t.Errorf("binary %d: InstStart diverges between tiered and single-phase", ci)
+		}
+		if !reflect.DeepEqual(got.FuncStarts, want.FuncStarts) {
+			t.Errorf("binary %d: FuncStarts diverge between tiered and single-phase", ci)
 		}
 	}
 }
