@@ -75,9 +75,11 @@ cover:
 		} \
 		END { exit bad }'
 
-# Short coverage-guided fuzz pass over the whole pipeline (CI smoke).
+# Short coverage-guided fuzz passes (CI smoke): the whole pipeline, then
+# the ELF parser, whose zero-copy aliasing serving relies on.
 fuzz-smoke:
 	go test -fuzz=FuzzPipeline -fuzztime=30s .
+	go test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/elfx
 
 # Chaos/load harness against the real serving stack (internal/serve)
 # over a real loopback listener: mixed hostile workloads under -race,

@@ -264,7 +264,7 @@ func BenchmarkF3Convergence(b *testing.B) {
 	g := superset.Build(e.big.Code, e.big.Base)
 	viable := analysis.Viability(g)
 	scores := e.model.ScoreAll(g, 8)
-	hints, _ := d.CollectHints(g, viable, int(e.big.Entry-e.big.Base), scores)
+	hints := d.HintsFor(g, int(e.big.Entry-e.big.Base))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		correct.Run(g, viable, hints, correct.Options{Scores: scores})
@@ -336,7 +336,7 @@ func BenchmarkMultiSectionELF(b *testing.B) {
 			b.SetBytes(total)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := d.DisassembleELFDetail(img); err != nil {
+				if _, err := d.DisassembleELFTraceContext(nil, img, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -355,7 +355,7 @@ func BenchmarkObsDisabled(b *testing.B) {
 	b.SetBytes(int64(len(bin.Code)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.DisassembleSection(bin.Code, bin.Base, int(bin.Entry-bin.Base), nil)
+		d.DisassembleSectionTraceContext(nil, bin.Code, bin.Base, int(bin.Entry-bin.Base), nil, nil)
 	}
 }
 
@@ -370,7 +370,7 @@ func BenchmarkObsEnabled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr := obs.NewTraceTimeOnly("disassemble")
-		d.DisassembleSectionTrace(bin.Code, bin.Base, int(bin.Entry-bin.Base), nil, tr)
+		d.DisassembleSectionTraceContext(nil, bin.Code, bin.Base, int(bin.Entry-bin.Base), nil, tr)
 		tr.End()
 	}
 }
@@ -610,7 +610,7 @@ func BenchmarkLargeSectionSharded(b *testing.B) {
 			var resident float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				det := d.DisassembleDetail(code, base, largeEntry)
+				det, _ := d.DisassembleSectionTraceContext(nil, code, base, largeEntry, nil, nil)
 				blocks, blockBytes := det.Graph.ResidentBlocks()
 				resident = float64(blocks*blockBytes*shardedInfoBytes) / float64(len(code))
 			}
@@ -654,7 +654,7 @@ func BenchmarkE2RewritePipeline(b *testing.B) {
 	b.SetBytes(int64(len(bin.Code)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det := d.DisassembleDetail(bin.Code, bin.Base, int(bin.Entry-bin.Base))
+		det, _ := d.DisassembleSectionTraceContext(nil, bin.Code, bin.Base, int(bin.Entry-bin.Base), nil, nil)
 		out, err := rewrite.Rewrite(det, rewrite.Options{
 			NewBase: 0x600000, Probe: true, Entry: bin.Entry,
 		})

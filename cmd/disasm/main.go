@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -79,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	d := core.New(model, opts...)
 	if *selfcheck {
-		rep, err := oracle.CheckELF(d, img)
+		rep, err := oracle.CheckELF(context.Background(), d, img)
 		if err != nil {
 			return fatal(stderr, err)
 		}
@@ -93,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *trace || *traceJSON {
 		tr = obs.NewTrace("disassemble")
 	}
-	secs, err := d.DisassembleELFTrace(img, tr)
+	secs, err := d.DisassembleELFTraceContext(context.Background(), img, tr)
 	tr.End()
 	if err != nil {
 		return fatal(stderr, err)

@@ -29,7 +29,7 @@
 // worker-pool size); up to -queue more wait for a slot and anything
 // beyond that is shed with 429. Each admitted request runs under its
 // client's context plus the optional -deadline, which the pipeline
-// observes cooperatively (see core.DisassembleELFDetailContext).
+// observes cooperatively (see core.DisassembleELFTraceContext).
 // SIGINT/SIGTERM drain in-flight requests before exit.
 //
 // Uploads are streamed: bodies above -spool-bytes spill to a temp file

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -49,7 +50,10 @@ func main() {
 	}
 
 	d := core.New(core.DefaultModel())
-	det := d.DisassembleDetail(s.Data, s.Addr, entry)
+	det, err := d.DisassembleSectionTraceContext(context.Background(), s.Data, s.Addr, entry, nil, nil)
+	if err != nil {
+		fatal(err)
+	}
 	res, err := rewrite.Rewrite(det, rewrite.Options{
 		NewBase: *newBase,
 		Probe:   true,

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"probedis/internal/core"
@@ -24,7 +25,10 @@ func main() {
 	}
 
 	d := core.New(core.DefaultModel())
-	det := d.DisassembleDetail(bin.Code, bin.Base, int(bin.Entry-bin.Base))
+	det, err := d.DisassembleSectionTraceContext(context.Background(), bin.Code, bin.Base, int(bin.Entry-bin.Base), nil, nil)
+	if err != nil {
+		panic(err)
+	}
 	c := det.CFG
 
 	fmt.Printf("recovered %d functions, %d basic blocks from %d bytes\n\n",

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -31,7 +32,10 @@ func main() {
 
 	// 1. Metadata-free disassembly.
 	d := core.New(core.DefaultModel())
-	det := d.DisassembleDetail(bin.Code, bin.Base, int(bin.Entry-bin.Base))
+	det, err := d.DisassembleSectionTraceContext(context.Background(), bin.Code, bin.Base, int(bin.Entry-bin.Base), nil, nil)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("recovered: %d instructions, %d blocks, %d jump tables\n",
 		det.Result.NumInsts(), det.CFG.NumBlocks(), len(det.Tables))
 

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"probedis/internal/baseline"
@@ -50,7 +51,10 @@ func main() {
 
 	// The metadata-free pipeline.
 	d := core.New(core.DefaultModel())
-	det := d.DisassembleDetail(code, base, 0)
+	det, err := d.DisassembleSectionTraceContext(context.Background(), code, base, 0, nil, nil)
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Printf("assembled %d bytes; table of 4 quads at %#x\n\n", len(code), tableAddr)
 	fmt.Printf("discovered %d jump table(s):\n", len(det.Tables))

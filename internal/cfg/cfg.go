@@ -41,22 +41,17 @@ type CFG struct {
 // call targets, prologue anchors) — they are filtered to committed
 // instruction starts.
 func Build(g *superset.Graph, instStart []bool, seeds []int) *CFG {
-	return BuildTrace(g, instStart, seeds, nil)
-}
-
-// BuildTrace is Build with stage tracing: leader discovery, block
-// formation and function-extent assignment each get a child span of sp.
-// A nil sp runs the exact untraced path.
-func BuildTrace(g *superset.Graph, instStart []bool, seeds []int, sp *obs.Span) *CFG {
-	c, _ := BuildTraceContext(nil, g, instStart, seeds, sp)
+	c, _ := BuildTraceContext(nil, g, instStart, seeds, nil)
 	return c
 }
 
-// BuildTraceContext is BuildTrace with cooperative cancellation,
-// checked at each stage boundary (leaders -> blocks -> funcs): once ctx
-// is done the build aborts and returns (nil, ctx.Err()). Each stage is a
-// single linear scan, so the reaction latency is one stage's worth of
-// work. A nil ctx (what Build/BuildTrace pass) never polls.
+// BuildTraceContext is Build with stage tracing and cooperative
+// cancellation. Leader discovery, block formation and function-extent
+// assignment each get a child span of sp; a nil sp runs the exact
+// untraced path. ctx is checked at each stage boundary (leaders ->
+// blocks -> funcs): once it is done the build aborts and returns (nil,
+// ctx.Err()). Each stage is a single linear scan, so the reaction latency
+// is one stage's worth of work. A nil ctx (what Build passes) never polls.
 func BuildTraceContext(ctx context.Context, g *superset.Graph, instStart []bool, seeds []int, sp *obs.Span) (*CFG, error) {
 	n := g.Len()
 

@@ -21,16 +21,16 @@ func (p *pollCtx) Done() <-chan struct{} {
 }
 
 // TestDisassembleELFContextMatchesNil: a live-but-never-cancelled
-// context must not perturb the pipeline — output identical to the
-// context-free entry point.
+// context must not perturb the pipeline — output identical to a
+// nil-context run.
 func TestDisassembleELFContextMatchesNil(t *testing.T) {
 	img := buildMultiSectionELF(t, 2, 6)
 	d := New(DefaultModel(), WithWorkers(1))
-	want, err := d.DisassembleELFDetail(img)
+	want, err := d.DisassembleELFTraceContext(nil, img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.DisassembleELFDetailContext(context.Background(), img)
+	got, err := d.DisassembleELFTraceContext(context.Background(), img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestDisassembleELFContextPreCancelled(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		d := New(nil, WithWorkers(workers))
-		out, err := d.DisassembleELFDetailContext(ctx, img)
+		out, err := d.DisassembleELFTraceContext(ctx, img, nil)
 		if err != context.Canceled {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -62,7 +62,7 @@ func TestDisassembleELFContextCancelsAtEveryCheckpoint(t *testing.T) {
 	d := New(nil, WithWorkers(1))
 
 	probe := &pollCtx{Context: context.Background()}
-	if _, err := d.DisassembleELFDetailContext(probe, img); err != nil {
+	if _, err := d.DisassembleELFTraceContext(probe, img, nil); err != nil {
 		t.Fatalf("probe run: %v", err)
 	}
 	polls := int(probe.polls.Load())
@@ -76,7 +76,7 @@ func TestDisassembleELFContextCancelsAtEveryCheckpoint(t *testing.T) {
 		stride = polls / 128
 	}
 	for n := 1; n <= polls; n += stride {
-		out, err := d.DisassembleELFDetailContext(ctxutil.CancelAfterChecks(context.Background(), n), img)
+		out, err := d.DisassembleELFTraceContext(ctxutil.CancelAfterChecks(context.Background(), n), img, nil)
 		if err != context.Canceled {
 			t.Fatalf("checkpoint %d/%d: err = %v, want context.Canceled", n, polls, err)
 		}
@@ -85,7 +85,7 @@ func TestDisassembleELFContextCancelsAtEveryCheckpoint(t *testing.T) {
 		}
 	}
 	// Past the final checkpoint the run must complete normally.
-	if _, err := d.DisassembleELFDetailContext(ctxutil.CancelAfterChecks(context.Background(), polls+1), img); err != nil {
+	if _, err := d.DisassembleELFTraceContext(ctxutil.CancelAfterChecks(context.Background(), polls+1), img, nil); err != nil {
 		t.Fatalf("countdown past final checkpoint: %v", err)
 	}
 }
@@ -97,7 +97,7 @@ func TestDisassembleELFContextParallelCancel(t *testing.T) {
 	img := buildMultiSectionELF(t, 4, 6)
 	d := New(nil, WithWorkers(4))
 	for _, n := range []int{1, 2, 5, 17} {
-		out, err := d.DisassembleELFDetailContext(ctxutil.CancelAfterChecks(context.Background(), n), img)
+		out, err := d.DisassembleELFTraceContext(ctxutil.CancelAfterChecks(context.Background(), n), img, nil)
 		if err != context.Canceled {
 			t.Fatalf("n=%d: err = %v, want context.Canceled", n, err)
 		}
@@ -107,11 +107,11 @@ func TestDisassembleELFContextParallelCancel(t *testing.T) {
 	}
 	// And with a context that never fires, the parallel run still matches
 	// the serial one (determinism is unaffected by the polling).
-	got, err := d.DisassembleELFDetailContext(context.Background(), img)
+	got, err := d.DisassembleELFTraceContext(context.Background(), img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := New(nil, WithWorkers(1)).DisassembleELFDetail(img)
+	want, err := New(nil, WithWorkers(1)).DisassembleELFTraceContext(nil, img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestDisassembleSectionContextCancels(t *testing.T) {
 	cancel()
 	// Feed the raw image bytes as a section: content is irrelevant, only
 	// the abort path is under test.
-	out, err := d.DisassembleSectionContext(ctx, img, 0x1000, -1, nil)
+	out, err := d.DisassembleSectionTraceContext(ctx, img, 0x1000, -1, nil, nil)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -149,7 +149,7 @@ func TestShardedSectionCancelsAtEveryCheckpoint(t *testing.T) {
 	d := New(DefaultModel(), WithShardBytes(777), WithWorkers(1))
 
 	probe := &pollCtx{Context: context.Background()}
-	if _, err := d.DisassembleSectionContext(probe, bin.Code, bin.Base, entry, nil); err != nil {
+	if _, err := d.DisassembleSectionTraceContext(probe, bin.Code, bin.Base, entry, nil, nil); err != nil {
 		t.Fatalf("probe run: %v", err)
 	}
 	polls := int(probe.polls.Load())
@@ -161,8 +161,8 @@ func TestShardedSectionCancelsAtEveryCheckpoint(t *testing.T) {
 		stride = polls / 128
 	}
 	for n := 1; n <= polls; n += stride {
-		out, err := d.DisassembleSectionContext(
-			ctxutil.CancelAfterChecks(context.Background(), n), bin.Code, bin.Base, entry, nil)
+		out, err := d.DisassembleSectionTraceContext(
+			ctxutil.CancelAfterChecks(context.Background(), n), bin.Code, bin.Base, entry, nil, nil)
 		if err != context.Canceled {
 			t.Fatalf("checkpoint %d/%d: err = %v, want context.Canceled", n, polls, err)
 		}
@@ -172,12 +172,12 @@ func TestShardedSectionCancelsAtEveryCheckpoint(t *testing.T) {
 	}
 	// Past the final checkpoint the run completes and still matches the
 	// unsharded reference byte for byte.
-	got, err := d.DisassembleSectionContext(
-		ctxutil.CancelAfterChecks(context.Background(), polls+1), bin.Code, bin.Base, entry, nil)
+	got, err := d.DisassembleSectionTraceContext(
+		ctxutil.CancelAfterChecks(context.Background(), polls+1), bin.Code, bin.Base, entry, nil, nil)
 	if err != nil {
 		t.Fatalf("countdown past final checkpoint: %v", err)
 	}
-	want := New(DefaultModel()).DisassembleSection(bin.Code, bin.Base, entry, nil)
+	want, _ := New(DefaultModel()).DisassembleSectionTraceContext(nil, bin.Code, bin.Base, entry, nil, nil)
 	requireSameDetail(t, "past-final countdown", want, got)
 }
 
@@ -191,7 +191,7 @@ func TestShardedELFParallelCancel(t *testing.T) {
 	img := buildMultiSectionELF(t, 4, 10)
 	d := New(DefaultModel(), WithShardBytes(1024), WithWorkers(4))
 	for _, n := range []int{1, 2, 5, 17, 63} {
-		out, err := d.DisassembleELFDetailContext(ctxutil.CancelAfterChecks(context.Background(), n), img)
+		out, err := d.DisassembleELFTraceContext(ctxutil.CancelAfterChecks(context.Background(), n), img, nil)
 		if err != context.Canceled {
 			t.Fatalf("n=%d: err = %v, want context.Canceled", n, err)
 		}
@@ -199,11 +199,11 @@ func TestShardedELFParallelCancel(t *testing.T) {
 			t.Fatalf("n=%d: partial section list returned", n)
 		}
 	}
-	got, err := d.DisassembleELFDetailContext(context.Background(), img)
+	got, err := d.DisassembleELFTraceContext(context.Background(), img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := New(DefaultModel(), WithWorkers(1)).DisassembleELFDetail(img)
+	want, err := New(DefaultModel(), WithWorkers(1)).DisassembleELFTraceContext(nil, img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

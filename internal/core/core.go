@@ -153,20 +153,23 @@ func (d *Disassembler) Clone(opts ...Option) *Disassembler {
 	return &c
 }
 
-// HintsFor returns the combined hint list for one section exactly as the
-// correction stage would consume it (unsorted, priorities flattened under
-// WithoutPrioritization): viability and statistical scores are recomputed
-// from the graph over the whole section. Exposed for the verification
+// HintsFor returns the single-phase hint list for one section (unsorted,
+// priorities flattened under WithoutPrioritization): the structural
+// stream a one-shard run collects, followed by statistical hints over the
+// whole section rather than only its contested windows, with viability
+// and window scores recomputed from the graph. Exposed for the verification
 // oracle, which checks that the hint stream is deterministic and totally
-// ordered and rebuilds the tier partition from it.
+// ordered and rebuilds the tier partition from it, and for the
+// convergence experiment, which replays correction with a bounded hint
+// budget.
 func (d *Disassembler) HintsFor(g *superset.Graph, entry int) []analysis.Hint {
 	viable := analysis.Viability(g)
-	var scores []float64
+	hints, _ := d.collectHints(nil, g, viable, entry, ShardPlan(g.Len(), 0), nil, newWorkPool(d.Workers()))
 	if d.useStats {
-		scores = make([]float64, g.Len())
+		scores := make([]float64, g.Len())
 		d.model.ScoreAllInto(scores, g, d.window)
+		hints = append(hints, analysis.StatHints(g, viable, scores, d.penaltyWeight, d.threshold)...)
 	}
-	hints, _ := d.CollectHints(g, viable, entry, scores)
 	d.flatten(hints)
 	return hints
 }
@@ -210,12 +213,6 @@ type Detail struct {
 	// WithoutPrioritization no hint is structural, so it is one window
 	// covering the whole section.
 	Tier *tier.Partition
-}
-
-// DisassembleDetail is Disassemble plus all intermediate products.
-func (d *Disassembler) DisassembleDetail(code []byte, base uint64, entry int) *Detail {
-	det, _ := d.DisassembleSectionTraceContext(nil, code, base, entry, nil, nil)
-	return det
 }
 
 // run is the section pipeline on a built superset graph. Viability and
@@ -360,20 +357,6 @@ func (d *Disassembler) finish(ctx context.Context, g *superset.Graph, entry int,
 		CFG:     c,
 		Tier:    part,
 	}, nil
-}
-
-// CollectHints runs every enabled analysis over the whole section and
-// returns the combined hint list (unsorted) plus discovered jump tables:
-// the structural stream of a one-shard run, followed by the statistical
-// hints when scores is non-nil and the statistical layer is enabled.
-// Exposed for the convergence experiment, which replays correction with a
-// bounded hint budget.
-func (d *Disassembler) CollectHints(g *superset.Graph, viable []bool, entry int, scores []float64) ([]analysis.Hint, []analysis.JumpTable) {
-	hints, tables := d.collectHints(nil, g, viable, entry, ShardPlan(g.Len(), 0), nil, newWorkPool(d.Workers()))
-	if d.useStats && scores != nil {
-		hints = append(hints, analysis.StatHints(g, viable, scores, d.penaltyWeight, d.threshold)...)
-	}
-	return hints, tables
 }
 
 // collectHints runs the structural analyses over the shard plan: the

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 
 	"probedis/internal/ctxutil"
@@ -29,37 +28,18 @@ type SectionDetail struct {
 	Detail *Detail
 }
 
-// DisassembleSection runs the full pipeline on one text section with an
-// explicit set of external executable ranges (other text sections of the
-// same binary). It is the per-section building block of
-// DisassembleELFDetail, exported for multi-section callers and for the
-// verification oracle, which uses it to replay a section under deliberately
-// wrong extern sets.
-func (d *Disassembler) DisassembleSection(code []byte, base uint64, entry int, extern []superset.Range) *Detail {
-	det, _ := d.DisassembleSectionTraceContext(nil, code, base, entry, extern, nil)
-	return det
-}
-
-// DisassembleSectionContext is DisassembleSection with cooperative
-// cancellation: once ctx is done the pipeline aborts between stages (and
-// within a few thousand offsets inside the superset/correction hot
-// loops) and returns (nil, ctx.Err()).
-func (d *Disassembler) DisassembleSectionContext(ctx context.Context, code []byte, base uint64, entry int, extern []superset.Range) (*Detail, error) {
-	return d.DisassembleSectionTraceContext(ctx, code, base, entry, extern, nil)
-}
-
-// DisassembleSectionTrace is DisassembleSection with stage tracing: every
-// pipeline stage (superset build, viability, statistical scoring, each
-// hint analysis, correction with its sub-phases, CFG recovery) becomes a
-// child span of sp. A nil sp runs the exact untraced path.
-func (d *Disassembler) DisassembleSectionTrace(code []byte, base uint64, entry int, extern []superset.Range, sp *obs.Span) *Detail {
-	det, _ := d.DisassembleSectionTraceContext(nil, code, base, entry, extern, sp)
-	return det
-}
-
-// DisassembleSectionTraceContext combines tracing and cancellation; it
-// is the primitive under every section-level entry point. A nil ctx
-// never cancels; a nil sp traces nothing.
+// DisassembleSectionTraceContext runs the full pipeline on one text
+// section — the section-shaped entry point. extern lists the other
+// executable ranges of the same binary (PLT stubs, .init/.fini), which
+// are legitimate cross-section branch targets; the verification oracle
+// replays sections under deliberately wrong extern sets.
+//
+// Every pipeline stage (superset build, viability, each hint analysis,
+// correction with its sub-phases, CFG recovery) becomes a child span of
+// sp; a nil sp traces nothing. Once ctx is done the pipeline aborts
+// between stages (and within a few thousand offsets inside the superset
+// and correction hot loops) and returns (nil, ctx.Err()). That is the
+// only error: with a nil ctx, which never cancels, the call cannot fail.
 func (d *Disassembler) DisassembleSectionTraceContext(ctx context.Context, code []byte, base uint64, entry int, extern []superset.Range, sp *obs.Span) (*Detail, error) {
 	return d.disassembleSectionPool(ctx, code, base, entry, extern, sp, nil)
 }
@@ -96,43 +76,27 @@ func (d *Disassembler) disassembleSectionPool(ctx context.Context, code []byte, 
 	return d.run(ctx, g, entry, sp, pool)
 }
 
-// DisassembleELFDetail is DisassembleELF returning the full pipeline
-// detail per section. Other executable sections are registered as
-// legitimate cross-section branch targets (PLT stubs, .init/.fini), so
-// inter-section tail calls do not poison viability.
+// DisassembleELFTraceContext parses a (possibly fully stripped) ELF64
+// image and runs the pipeline on every executable section — the
+// image-shaped entry point (the disasmd service calls it with the
+// per-request context and trace). Other executable sections are
+// registered as legitimate cross-section branch targets (PLT stubs,
+// .init/.fini), so inter-section tail calls do not poison viability.
 //
 // Sections are independent pipeline runs, so they are fanned out to the
 // disassembler's worker pool (see WithWorkers) and reassembled in section
 // order; the output is byte-identical to the serial path.
-func (d *Disassembler) DisassembleELFDetail(img []byte) ([]SectionDetail, error) {
-	return d.DisassembleELFTraceContext(nil, img, nil)
-}
-
-// DisassembleELFDetailContext is DisassembleELFDetail with cooperative
-// cancellation: once ctx is done, queued sections are skipped, running
-// sections abort at their next checkpoint (stage boundaries, plus every
-// few thousand offsets inside the superset and correction hot loops),
-// and the call returns (nil, ctx.Err()). No partial section list is ever
-// returned.
-func (d *Disassembler) DisassembleELFDetailContext(ctx context.Context, img []byte) ([]SectionDetail, error) {
-	return d.DisassembleELFTraceContext(ctx, img, nil)
-}
-
-// DisassembleELFTrace is DisassembleELFDetail with stage tracing: ELF
-// parsing and every per-section pipeline run become child spans of sp
-// (one "section" span per executable section, labelled with the section
-// name, with the stage spans nested under it). A nil sp runs the exact
-// untraced path. Under a parallel worker pool the section spans overlap
-// in time, so sibling durations may sum past the root's wall time; run
-// with WithWorkers(1) for an exact serial accounting.
-func (d *Disassembler) DisassembleELFTrace(img []byte, sp *obs.Span) ([]SectionDetail, error) {
-	return d.DisassembleELFTraceContext(nil, img, sp)
-}
-
-// DisassembleELFTraceContext combines tracing and cancellation; it is
-// the primitive under every whole-image entry point (the disasmd service
-// calls it with the per-request context and trace). A nil ctx never
-// cancels; a nil sp traces nothing.
+//
+// ELF parsing and every per-section run become child spans of sp (one
+// "section" span per executable section, labelled with its name, with
+// the stage spans nested under it); a nil sp traces nothing. Under a
+// parallel worker pool the section spans overlap in time, so sibling
+// durations may sum past the root's wall time; run with WithWorkers(1)
+// for an exact serial accounting.
+//
+// Once ctx is done, queued sections are skipped, running sections abort
+// at their next checkpoint and the call returns (nil, ctx.Err()); no
+// partial section list is ever returned. A nil ctx never cancels.
 func (d *Disassembler) DisassembleELFTraceContext(ctx context.Context, img []byte, sp *obs.Span) ([]SectionDetail, error) {
 	psp := sp.StartChild("parse")
 	psp.SetBytes(int64(len(img)))
@@ -141,34 +105,6 @@ func (d *Disassembler) DisassembleELFTraceContext(ctx context.Context, img []byt
 	if err != nil {
 		return nil, err
 	}
-	return d.disassembleFile(ctx, f, sp)
-}
-
-// DisassembleELFAt is DisassembleELFDetail over an io.ReaderAt — the
-// streaming-ingest seam: a spooled upload (memory-mapped or not) is
-// parsed through elfx.ParseAt, zero-copy when the source exposes a
-// resident view (elfx.ByteViewer), piecewise otherwise, so the image
-// never has to exist as one heap buffer.
-func (d *Disassembler) DisassembleELFAt(r io.ReaderAt, n int64) ([]SectionDetail, error) {
-	return d.DisassembleELFAtTraceContext(nil, r, n, nil)
-}
-
-// DisassembleELFAtTraceContext is DisassembleELFAt with tracing and
-// cooperative cancellation (see DisassembleELFTraceContext).
-func (d *Disassembler) DisassembleELFAtTraceContext(ctx context.Context, r io.ReaderAt, n int64, sp *obs.Span) ([]SectionDetail, error) {
-	psp := sp.StartChild("parse")
-	psp.SetBytes(n)
-	f, err := elfx.ParseAt(r, n)
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	return d.disassembleFile(ctx, f, sp)
-}
-
-// disassembleFile runs the per-section pipeline over a parsed image —
-// the shared tail of the byte-slice and ReaderAt entry points.
-func (d *Disassembler) disassembleFile(ctx context.Context, f *elfx.File, sp *obs.Span) ([]SectionDetail, error) {
 	if ctxutil.Cancelled(ctx) {
 		return nil, ctxutil.Err(ctx)
 	}
@@ -276,16 +212,10 @@ func ctxDone(ctx context.Context) <-chan struct{} {
 	return ctx.Done()
 }
 
-// DisassembleELF parses a (possibly fully stripped) ELF64 image and
-// disassembles every executable section.
+// DisassembleELF is DisassembleELFTraceContext without cancellation or
+// tracing, reduced to the per-section classifications.
 func (d *Disassembler) DisassembleELF(img []byte) ([]SectionResult, error) {
-	return d.DisassembleELFContext(nil, img)
-}
-
-// DisassembleELFContext is DisassembleELF with cooperative cancellation
-// (see DisassembleELFDetailContext).
-func (d *Disassembler) DisassembleELFContext(ctx context.Context, img []byte) ([]SectionResult, error) {
-	details, err := d.DisassembleELFTraceContext(ctx, img, nil)
+	details, err := d.DisassembleELFTraceContext(nil, img, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -190,7 +190,7 @@ func TestRealBinarySmoke(t *testing.T) {
 		t.Skip("no /usr/bin/cat on this system")
 	}
 	d := New(DefaultModel())
-	secs, err := d.DisassembleELFDetail(img)
+	secs, err := d.DisassembleELFTraceContext(nil, img, nil)
 	if err != nil {
 		t.Skipf("not a parseable ELF64: %v", err)
 	}

@@ -54,7 +54,7 @@ func FuzzLoadELF(f *testing.F) {
 		if len(img) > 32<<10 {
 			t.Skip("oversized input")
 		}
-		rep, err := oracle.CheckELF(d, img)
+		rep, err := oracle.CheckELF(nil, d, img)
 		if err != nil {
 			// Malformed images must be rejected with an error, never a
 			// panic; nothing further to check.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"probedis/internal/analysis"
 	"probedis/internal/elfx"
 	"probedis/internal/superset"
 	"probedis/internal/synth"
@@ -77,11 +76,11 @@ func TestParallelELFPipelineMatchesSerial(t *testing.T) {
 	img := buildMultiSectionELF(t, 4, 12)
 	model := DefaultModel()
 
-	ser, err := New(model, WithWorkers(1)).DisassembleELFDetail(img)
+	ser, err := New(model, WithWorkers(1)).DisassembleELFTraceContext(nil, img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := New(model, WithWorkers(8)).DisassembleELFDetail(img)
+	par, err := New(model, WithWorkers(8)).DisassembleELFTraceContext(nil, img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +88,7 @@ func TestParallelELFPipelineMatchesSerial(t *testing.T) {
 
 	// Repeated parallel runs must also be identical to each other.
 	for rep := 0; rep < 3; rep++ {
-		again, err := New(model, WithWorkers(8)).DisassembleELFDetail(img)
+		again, err := New(model, WithWorkers(8)).DisassembleELFTraceContext(nil, img, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,10 +124,11 @@ func TestParallelDisassembleMatchesSerialOnCorpus(t *testing.T) {
 	}
 }
 
-// TestCollectHintsDeterministic: the concurrently collected hint slice
+// TestHintsForDeterministic: the concurrently collected hint slice
 // must equal the serial one element-for-element (the canonical merge
-// order), and repeated runs must not reorder it.
-func TestCollectHintsDeterministic(t *testing.T) {
+// order), and repeated runs must not reorder it. Jump-table hints are
+// emitted table by table, so equal streams imply equal tables.
+func TestHintsForDeterministic(t *testing.T) {
 	model := DefaultModel()
 	bin, err := synth.Generate(synth.Config{
 		Seed: 77, Profile: synth.ProfileComplex, NumFuncs: 30,
@@ -137,15 +137,12 @@ func TestCollectHintsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := superset.Build(bin.Code, bin.Base)
-	viable := analysis.Viability(g)
-	scores := model.ScoreAll(g, 8)
 	entry := int(bin.Entry - bin.Base)
 
-	ser := New(model, WithWorkers(1))
+	want := New(model, WithWorkers(1)).HintsFor(g, entry)
 	par := New(model, WithWorkers(8))
-	want, wantTables := ser.CollectHints(g, viable, entry, scores)
 	for rep := 0; rep < 3; rep++ {
-		got, gotTables := par.CollectHints(g, viable, entry, scores)
+		got := par.HintsFor(g, entry)
 		if len(got) != len(want) {
 			t.Fatalf("rep %d: %d hints vs %d", rep, len(got), len(want))
 		}
@@ -153,9 +150,6 @@ func TestCollectHintsDeterministic(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("rep %d: hint %d = %+v, want %+v", rep, i, got[i], want[i])
 			}
-		}
-		if len(gotTables) != len(wantTables) {
-			t.Fatalf("rep %d: %d tables vs %d", rep, len(gotTables), len(wantTables))
 		}
 	}
 }
@@ -203,7 +197,7 @@ func TestMalformedSectionHeaderDoesNotPoisonPipeline(t *testing.T) {
 	le.PutUint64(img[24:], phantomAddr+0x500)
 
 	d := New(DefaultModel())
-	out, err := d.DisassembleELFDetail(img)
+	out, err := d.DisassembleELFTraceContext(nil, img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func TestMatchesSinglePhaseReference(t *testing.T) {
 			d := New(model, c.opts...)
 			for _, shard := range []int{0, 512} {
 				label := fmt.Sprintf("%s/%s/shard=%d", prof.Name, c.name, shard)
-				got := d.Clone(WithShardBytes(shard)).DisassembleSection(bin.Code, bin.Base, entry, nil)
+				got, _ := d.Clone(WithShardBytes(shard)).DisassembleSectionTraceContext(nil, bin.Code, bin.Base, entry, nil, nil)
 				if shard > 0 && len(bin.Code) > shard && !got.Graph.Lazy() {
 					t.Fatalf("%s: sharded run should use the windowed graph", label)
 				}

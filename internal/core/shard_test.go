@@ -106,10 +106,10 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	ref := New(DefaultModel())
 	for bi, bin := range shardTestBins(t) {
 		entry := int(bin.Entry - bin.Base)
-		want := ref.DisassembleSection(bin.Code, bin.Base, entry, nil)
+		want, _ := ref.DisassembleSectionTraceContext(nil, bin.Code, bin.Base, entry, nil, nil)
 		for _, shard := range []int{311, 1024, 4096} {
 			d := ref.Clone(WithShardBytes(shard))
-			got := d.DisassembleSection(bin.Code, bin.Base, entry, nil)
+			got, _ := d.DisassembleSectionTraceContext(nil, bin.Code, bin.Base, entry, nil, nil)
 			requireSameDetail(t, fmt.Sprintf("bin %d shard %d", bi, shard), want, got)
 			if len(bin.Code) > shard && !got.Graph.Lazy() {
 				t.Fatalf("bin %d shard %d: sharded run should use the windowed graph", bi, shard)
@@ -133,8 +133,8 @@ func TestShardedMatchesUnshardedAblations(t *testing.T) {
 	} {
 		label := fmt.Sprintf("ablation %d", i)
 		ref := New(DefaultModel(), opts...)
-		want := ref.DisassembleSection(bin.Code, bin.Base, entry, nil)
-		got := ref.Clone(WithShardBytes(777)).DisassembleSection(bin.Code, bin.Base, entry, nil)
+		want, _ := ref.DisassembleSectionTraceContext(nil, bin.Code, bin.Base, entry, nil, nil)
+		got, _ := ref.Clone(WithShardBytes(777)).DisassembleSectionTraceContext(nil, bin.Code, bin.Base, entry, nil, nil)
 		requireSameDetail(t, label, want, got)
 	}
 }
@@ -188,11 +188,11 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	bin := shardTestBins(t)[1]
 	entry := int(bin.Entry - bin.Base)
 	ref := New(DefaultModel(), WithShardBytes(777), WithWorkers(1))
-	want := ref.DisassembleSection(bin.Code, bin.Base, entry, nil)
+	want, _ := ref.DisassembleSectionTraceContext(nil, bin.Code, bin.Base, entry, nil, nil)
 	for _, workers := range []int{1, 4, 8} {
 		d := New(DefaultModel(), WithShardBytes(777), WithWorkers(workers))
 		for rep := 0; rep < 2; rep++ {
-			got := d.DisassembleSection(bin.Code, bin.Base, entry, nil)
+			got, _ := d.DisassembleSectionTraceContext(nil, bin.Code, bin.Base, entry, nil, nil)
 			requireSameDetail(t, fmt.Sprintf("workers=%d rep=%d", workers, rep), want, got)
 		}
 	}
@@ -204,11 +204,11 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 func TestShardedELFMatchesUnsharded(t *testing.T) {
 	img := buildMultiSectionELF(t, 4, 10)
 	ref := New(DefaultModel(), WithWorkers(4))
-	want, err := ref.DisassembleELFDetail(img)
+	want, err := ref.DisassembleELFTraceContext(nil, img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ref.Clone(WithShardBytes(1024)).DisassembleELFDetail(img)
+	got, err := ref.Clone(WithShardBytes(1024)).DisassembleELFTraceContext(nil, img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestShardedResidencyBounded(t *testing.T) {
 	}
 
 	d := New(DefaultModel(), WithWorkers(1), WithShardBytes(64<<10))
-	det := d.DisassembleDetail(code, base, 0)
+	det, _ := d.DisassembleSectionTraceContext(nil, code, base, 0, nil, nil)
 	if !det.Graph.Lazy() {
 		t.Fatal("expected lazy graph on sharded run")
 	}

@@ -20,12 +20,12 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 	img := traceELF(t)
 	d := New(DefaultModel(), WithWorkers(1))
 
-	plain, err := d.DisassembleELFDetail(img)
+	plain, err := d.DisassembleELFTraceContext(nil, img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace("disassemble")
-	traced, err := d.DisassembleELFTrace(img, tr)
+	traced, err := d.DisassembleELFTraceContext(nil, img, tr)
 	tr.End()
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestTraceSpanTree(t *testing.T) {
 	img := traceELF(t)
 	d := New(DefaultModel(), WithWorkers(1))
 	tr := obs.NewTrace("disassemble")
-	secs, err := d.DisassembleELFTrace(img, tr)
+	secs, err := d.DisassembleELFTraceContext(nil, img, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,13 +173,13 @@ func TestTraceParallelWorkers(t *testing.T) {
 	img := traceELF(t)
 	d := New(DefaultModel())
 	tr := obs.NewTrace("disassemble")
-	secs, err := d.Clone(WithWorkers(4)).DisassembleELFTrace(img, tr)
+	secs, err := d.Clone(WithWorkers(4)).DisassembleELFTraceContext(nil, img, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr.End()
 
-	serial, err := d.Clone(WithWorkers(1)).DisassembleELFDetail(img)
+	serial, err := d.Clone(WithWorkers(1)).DisassembleELFTraceContext(nil, img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,8 @@ import (
 )
 
 // cancelFixture builds a small but real correction workload: a code
-// chain, a data hint and a gap for the fill phase.
+// chain, a data hint and a gap for the fill phase. The proof hint comes
+// first; runTiered splits the stream after it.
 func cancelFixture(t *testing.T) (g *superset.Graph, viable []bool, hints []analysis.Hint) {
 	t.Helper()
 	// nop sled; ret; unclaimed tail (gap fill); data region.
@@ -23,12 +24,20 @@ func cancelFixture(t *testing.T) (g *superset.Graph, viable []bool, hints []anal
 	}
 }
 
+// runTiered runs the fixture the way the pipeline splits a hint stream:
+// the proof hint in phase A, the rest in phase B.
+func runTiered(ctx context.Context, g *superset.Graph, v []bool, hints []analysis.Hint) (*Outcome, error) {
+	return RunTieredContext(ctx, g, v, hints[:1], func(*Outcome) []analysis.Hint { return hints[1:] }, Options{})
+}
+
+// TestRunContextNilMatchesRun: a tiered run under a live-but-never-
+// cancelled context matches the single-phase reference Run.
 func TestRunContextNilMatchesRun(t *testing.T) {
 	g, v, hints := cancelFixture(t)
 	want := Run(g, v, hints, Options{})
-	got, err := RunContext(context.Background(), g, v, hints, Options{})
+	got, err := runTiered(context.Background(), g, v, hints)
 	if err != nil {
-		t.Fatalf("RunContext: %v", err)
+		t.Fatalf("RunTieredContext: %v", err)
 	}
 	for i := range want.State {
 		if got.State[i] != want.State[i] || got.InstStart[i] != want.InstStart[i] {
@@ -44,7 +53,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 	g, v, hints := cancelFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, err := RunContext(ctx, g, v, hints, Options{})
+	out, err := runTiered(ctx, g, v, hints)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -54,13 +63,14 @@ func TestRunContextPreCancelled(t *testing.T) {
 }
 
 // TestRunContextCancelsAtEveryCheckpoint sweeps a deterministic
-// countdown across every cancellation poll of a correction run: each
-// must abort with (nil, context.Canceled), and the pool must stay usable
-// (a fresh uncancelled run still succeeds).
+// countdown across every cancellation poll of a tiered correction run —
+// both commit phases, the check between them, retraction and gap fill:
+// each must abort with (nil, context.Canceled), and the pool must stay
+// usable (a fresh uncancelled run still succeeds).
 func TestRunContextCancelsAtEveryCheckpoint(t *testing.T) {
 	g, v, hints := cancelFixture(t)
 	probe := &pollCounter{Context: context.Background()}
-	if _, err := RunContext(probe, g, v, hints, Options{}); err != nil {
+	if _, err := runTiered(probe, g, v, hints); err != nil {
 		t.Fatalf("probe run: %v", err)
 	}
 	polls := int(probe.polls.Load())
@@ -68,7 +78,7 @@ func TestRunContextCancelsAtEveryCheckpoint(t *testing.T) {
 		t.Fatal("correction made no cancellation polls")
 	}
 	for n := 1; n <= polls; n++ {
-		out, err := RunContext(ctxutil.CancelAfterChecks(context.Background(), n), g, v, hints, Options{})
+		out, err := runTiered(ctxutil.CancelAfterChecks(context.Background(), n), g, v, hints)
 		if err != context.Canceled {
 			t.Fatalf("checkpoint %d/%d: err = %v, want context.Canceled", n, polls, err)
 		}

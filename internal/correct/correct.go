@@ -91,32 +91,21 @@ func (o *Outcome) SrcName(i int) string {
 }
 
 // commitCheckInterval is the number of hint commits between cancellation
-// polls in RunContext's commit loop. Commits are orders of magnitude
+// polls in the commit loop. Commits are orders of magnitude
 // heavier than offset scans, so the interval is correspondingly smaller
 // than ctxutil.CheckInterval.
 const commitCheckInterval = 256
 
-// Run executes prioritized error correction over the superset graph.
-// hints are consumed in SortHints order; viable gates all code commits.
+// Run executes single-phase prioritized error correction over the
+// superset graph: hints are consumed in SortHints order; viable gates all
+// code commits. It is the uncancellable reference for RunTieredContext
+// (which the pipeline runs) and the only path that honours MaxHints.
 func Run(g *superset.Graph, viable []bool, hints []analysis.Hint, opts Options) *Outcome {
-	out, _ := RunContext(nil, g, viable, hints, opts)
-	return out
-}
-
-// RunContext is Run with cooperative cancellation: the commit loop polls
-// ctx every commitCheckInterval hints and the retract/gap-fill scans every
-// ctxutil.CheckInterval offsets. Once the context is done the run aborts
-// and returns (nil, ctx.Err()) — the partial outcome is discarded, never
-// returned, so callers can't mistake an aborted classification for a
-// complete one. A nil ctx (what Run passes) keeps the exact uncancellable
-// instruction sequence.
-func RunContext(ctx context.Context, g *superset.Graph, viable []bool, hints []analysis.Hint, opts Options) (*Outcome, error) {
 	c := newCorrector(g, viable)
 	defer c.release()
-	if err := c.commitHints(ctx, hints, opts.MaxHints, opts.Trace, ""); err != nil {
-		return nil, err
-	}
-	return c.finish(ctx, opts)
+	c.commitHints(nil, hints, opts.MaxHints, opts.Trace, "") // a nil ctx never cancels
+	out, _ := c.finish(nil, opts)
+	return out
 }
 
 // PhaseHintsFunc produces the second-phase hint stream of a tiered run,
@@ -130,8 +119,8 @@ type PhaseHintsFunc func(o *Outcome) []analysis.Hint
 // returns the remaining (statistical and weak) hints, which phase two
 // commits; retraction and gap fill run once, after both phases.
 //
-// The result is byte-identical to a single RunContext over the combined
-// hint stream whenever (a) every structural hint outranks every hint
+// The result is byte-identical to a single Run over the combined hint
+// stream whenever (a) every structural hint outranks every hint
 // rest returns (the priority-first sort then concatenates the two phases
 // exactly as the single sorted stream would), and (b) rest returns the
 // hints the single run would have carried at offsets still undecided —
@@ -142,6 +131,13 @@ type PhaseHintsFunc func(o *Outcome) []analysis.Hint
 //
 // MaxHints is not supported on this path (the budget experiment replays
 // single-phase runs) and is ignored.
+//
+// Cancellation is cooperative: the commit loops poll ctx every
+// commitCheckInterval hints and the retract/gap-fill scans every
+// ctxutil.CheckInterval offsets. Once the context is done the run aborts
+// and returns (nil, ctx.Err()) — the partial outcome is discarded, never
+// returned, so callers can't mistake an aborted classification for a
+// complete one. A nil ctx never cancels.
 func RunTieredContext(ctx context.Context, g *superset.Graph, viable []bool, structural []analysis.Hint, rest PhaseHintsFunc, opts Options) (*Outcome, error) {
 	c := newCorrector(g, viable)
 	defer c.release()

@@ -6,7 +6,7 @@ import (
 )
 
 // baseImage builds a small valid image to mutate: one executable section.
-func baseImage(t *testing.T) []byte {
+func baseImage(t testing.TB) []byte {
 	t.Helper()
 	var b Builder
 	b.Entry = 0x401000
@@ -32,16 +32,16 @@ func put16(img []byte, off int, v uint16) []byte {
 	return out
 }
 
-// namedImage is one corpus case shared between the Parse malformed
-// tests and the ParseAt differential tests.
+// namedImage is one case of the hostile-image corpus, shared between
+// TestParseMalformed and FuzzParse's seeds.
 type namedImage struct {
 	name string
 	img  []byte
 }
 
 // malformedImages builds the hostile-image corpus: every case must be
-// rejected by Parse (and, identically, by ParseAt).
-func malformedImages(t *testing.T) []namedImage {
+// rejected by Parse.
+func malformedImages(t testing.TB) []namedImage {
 	t.Helper()
 	img := baseImage(t)
 	// ELF header field offsets.

@@ -290,7 +290,7 @@ func (r *Runner) F3Convergence() (Table, error) {
 	g := superset.Build(b.Code, b.Base)
 	viable := analysis.Viability(g)
 	scores := r.Model.ScoreAll(g, 8)
-	hints, _ := d.CollectHints(g, viable, int(b.Entry-b.Base), scores)
+	hints := d.HintsFor(g, int(b.Entry-b.Base))
 
 	budgets := []int{1, 10, 100, 1000, 5000, 20000, len(hints)}
 	prev := -1
@@ -396,7 +396,7 @@ func (r *Runner) T9TierSettlement() Table {
 		var bytes, settled, windows, hintsTiered, hintsSingle int
 		for _, b := range byProfile[name] {
 			entry := int(b.Entry - b.Base)
-			det := d.DisassembleSection(b.Code, b.Base, entry, nil)
+			det, _ := d.DisassembleSectionTraceContext(nil, b.Code, b.Base, entry, nil, nil)
 			bytes += det.Tier.Total
 			settled += det.Tier.SettledBytes
 			windows += len(det.Tier.Windows)

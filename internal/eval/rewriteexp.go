@@ -46,7 +46,7 @@ func (r *Runner) E2Rewrite() (Table, error) {
 			entry := int(b.Entry - b.Base)
 			var det *core.Detail
 			if e.Name() == coreEngine.Name() {
-				det = coreEngine.DisassembleDetail(b.Code, b.Base, entry)
+				det, _ = coreEngine.DisassembleSectionTraceContext(nil, b.Code, b.Base, entry, nil, nil)
 			} else {
 				det = detailFor(e.Disassemble(b.Code, b.Base, entry), b)
 			}

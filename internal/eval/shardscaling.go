@@ -47,7 +47,7 @@ func (r *Runner) T10ShardScaling() (Table, error) {
 
 	ref := core.New(r.Model, core.WithWorkers(1))
 	refStart := time.Now()
-	want := ref.DisassembleDetail(code, base, 0)
+	want, _ := ref.DisassembleSectionTraceContext(nil, code, base, 0, nil, nil)
 	refDur := time.Since(refStart)
 	mbps := func(d time.Duration) string {
 		return fmt.Sprintf("%.1f", float64(len(code))/1e6/d.Seconds())
@@ -59,7 +59,7 @@ func (r *Runner) T10ShardScaling() (Table, error) {
 	for _, shard := range []int{1 << 20, 256 << 10, 64 << 10} {
 		d := core.New(r.Model, core.WithWorkers(1), core.WithShardBytes(shard))
 		start := time.Now()
-		got := d.DisassembleDetail(code, base, 0)
+		got, _ := d.DisassembleSectionTraceContext(nil, code, base, 0, nil, nil)
 		dur := time.Since(start)
 		faults, evictions := got.Graph.LazyStats()
 		blocks, blockBytes := got.Graph.ResidentBlocks()

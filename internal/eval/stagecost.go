@@ -46,7 +46,7 @@ func (r *Runner) T8StageCost() Table {
 	for _, b := range r.Corpus {
 		corpusBytes += int64(len(b.Code))
 		tr := obs.NewTraceTimeOnly("disassemble")
-		d.DisassembleSectionTrace(b.Code, b.Base, int(b.Entry-b.Base), nil, tr)
+		d.DisassembleSectionTraceContext(nil, b.Code, b.Base, int(b.Entry-b.Base), nil, tr)
 		tr.End()
 		total += tr.Dur
 		// Fold the span tree into path-keyed aggregates; the root span is

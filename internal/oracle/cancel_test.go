@@ -49,14 +49,16 @@ func (p *countingCtx) Done() <-chan struct{} {
 	return nil
 }
 
+// TestCheckELFContextNilMatchesCheckELF: a live-but-never-cancelled
+// context reports exactly what a nil-context CheckELF reports.
 func TestCheckELFContextNilMatchesCheckELF(t *testing.T) {
 	img := oracleELF(t)
 	d := core.New(nil)
-	want, err := CheckELF(d, img)
+	want, err := CheckELF(nil, d, img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CheckELFContext(context.Background(), d, img)
+	got, err := CheckELF(context.Background(), d, img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func TestCheckELFContextPreCancelled(t *testing.T) {
 	img := oracleELF(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := CheckELFContext(ctx, core.New(nil), img)
+	rep, err := CheckELF(ctx, core.New(nil), img)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -94,7 +96,7 @@ func TestCheckELFContextCancelsAtEveryStage(t *testing.T) {
 	img := oracleELF(t)
 	d := core.New(nil)
 	probe := &countingCtx{Context: context.Background()}
-	if _, err := CheckELFContext(probe, d, img); err != nil {
+	if _, err := CheckELF(probe, d, img); err != nil {
 		t.Fatalf("probe run: %v", err)
 	}
 	polls := int(probe.polls.Load())
@@ -106,7 +108,7 @@ func TestCheckELFContextCancelsAtEveryStage(t *testing.T) {
 		stride = polls / 96
 	}
 	for n := 1; n <= polls; n += stride {
-		rep, err := CheckELFContext(ctxutil.CancelAfterChecks(context.Background(), n), d, img)
+		rep, err := CheckELF(ctxutil.CancelAfterChecks(context.Background(), n), d, img)
 		if err == nil {
 			// The countdown outlived this run's polls (parallel-leg
 			// interleaving can shift the trip point past the end): a run
@@ -134,12 +136,12 @@ func TestCheckELFContextPastFinalCheckpoint(t *testing.T) {
 	img := oracleELF(t)
 	d := core.New(nil)
 	probe := &countingCtx{Context: context.Background()}
-	if _, err := CheckELFContext(probe, d, img); err != nil {
+	if _, err := CheckELF(probe, d, img); err != nil {
 		t.Fatal(err)
 	}
 	// Parallel-leg interleaving can add polls run-to-run; leave margin.
 	budget := int(probe.polls.Load())*2 + 64
-	rep, err := CheckELFContext(ctxutil.CancelAfterChecks(context.Background(), budget), d, img)
+	rep, err := CheckELF(ctxutil.CancelAfterChecks(context.Background(), budget), d, img)
 	if err != nil {
 		t.Fatalf("uncancelled countdown run failed: %v", err)
 	}

@@ -203,7 +203,7 @@ func abs(x int) int {
 // stitched in address order, against truth. Every listed section must be
 // present; together they must cover exactly len(truth.Classes) bytes.
 func ScoreImage(d *core.Disassembler, img []byte, secNames []string, truth *synth.Truth) (eval.Metrics, error) {
-	secs, err := d.DisassembleELFDetail(img)
+	secs, err := d.DisassembleELFTraceContext(nil, img, nil)
 	if err != nil {
 		return eval.Metrics{}, err
 	}
@@ -255,7 +255,7 @@ func Metamorphic(d *core.Disassembler, cfg synth.Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := CheckELF(d, img)
+	rep, err := CheckELF(nil, d, img)
 	if err != nil {
 		return nil, err
 	}

@@ -32,7 +32,7 @@ func TestColdNobitsCatchesPhantomExtern(t *testing.T) {
 	}
 	d := testDis()
 	entry := int(bin.Entry - bin.Base)
-	clean := d.DisassembleSection(bin.Code, bin.Base, entry, nil)
+	clean, _ := d.DisassembleSectionTraceContext(nil, bin.Code, bin.Base, entry, nil, nil)
 	m0 := eval.ScoreTruth(bin.Truth, clean.Result)
 
 	// What the pre-fix code computed for the cold-nobits variant: the
@@ -41,7 +41,7 @@ func TestColdNobitsCatchesPhantomExtern(t *testing.T) {
 		Start: bin.Base + 0x200000,
 		End:   bin.Base + 0x200000 + coldNobitsSize,
 	}}
-	buggy := d.DisassembleSection(bin.Code, bin.Base, entry, phantom)
+	buggy, _ := d.DisassembleSectionTraceContext(nil, bin.Code, bin.Base, entry, phantom, nil)
 	mBug := eval.ScoreTruth(bin.Truth, buggy.Result)
 
 	if mBug == m0 {
@@ -71,8 +71,8 @@ func TestSplitCatchesMissingBoundaryEscape(t *testing.T) {
 		entry = -1
 	}
 	hi := superset.Range{Start: bin.Base + uint64(cut), End: bin.Base + uint64(len(bin.Code))}
-	good := d.DisassembleSection(lo, bin.Base, entry, []superset.Range{hi})
-	bad := d.DisassembleSection(lo, bin.Base, entry, nil)
+	good, _ := d.DisassembleSectionTraceContext(nil, lo, bin.Base, entry, []superset.Range{hi}, nil)
+	bad, _ := d.DisassembleSectionTraceContext(nil, lo, bin.Base, entry, nil, nil)
 
 	diff := 0
 	for i := range lo {

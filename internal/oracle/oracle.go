@@ -460,22 +460,18 @@ const parallelWorkers = 4
 // parallel pipeline run must agree, and every section must satisfy the
 // structural and hint-stream invariants. The error return is a parse or
 // pipeline failure, not a violation.
-func CheckELF(d *core.Disassembler, img []byte) (*Report, error) {
-	return CheckELFContext(nil, d, img)
-}
-
-// CheckELFContext is CheckELF under cooperative cancellation. Once ctx
-// is done, whichever pipeline run is active aborts at its next
+//
+// Once ctx is done, whichever pipeline run is active aborts at its next
 // checkpoint and the call returns ctx.Err() with a nil report — a
 // truncated run never reaches the invariant checks, so cancellation can
 // never manufacture partial-result violations. A nil ctx never cancels.
-func CheckELFContext(ctx context.Context, d *core.Disassembler, img []byte) (*Report, error) {
+func CheckELF(ctx context.Context, d *core.Disassembler, img []byte) (*Report, error) {
 	rep := &Report{}
-	serial, err := d.Clone(core.WithWorkers(1)).DisassembleELFDetailContext(ctx, img)
+	serial, err := d.Clone(core.WithWorkers(1)).DisassembleELFTraceContext(ctx, img, nil)
 	if err != nil {
 		return nil, err
 	}
-	par, err := d.Clone(core.WithWorkers(parallelWorkers)).DisassembleELFDetailContext(ctx, img)
+	par, err := d.Clone(core.WithWorkers(parallelWorkers)).DisassembleELFTraceContext(ctx, img, nil)
 	if err != nil {
 		if cerr := ctxutil.Err(ctx); cerr != nil {
 			return nil, cerr
@@ -497,8 +493,8 @@ func CheckELFContext(ctx context.Context, d *core.Disassembler, img []byte) (*Re
 // CheckSection is CheckELF for one bare text section (no ELF container).
 func CheckSection(d *core.Disassembler, code []byte, base uint64, entry int) *Report {
 	rep := &Report{}
-	serial := d.Clone(core.WithWorkers(1)).DisassembleSection(code, base, entry, nil)
-	par := d.Clone(core.WithWorkers(parallelWorkers)).DisassembleSection(code, base, entry, nil)
+	serial, _ := d.Clone(core.WithWorkers(1)).DisassembleSectionTraceContext(nil, code, base, entry, nil, nil)
+	par, _ := d.Clone(core.WithWorkers(parallelWorkers)).DisassembleSectionTraceContext(nil, code, base, entry, nil, nil)
 	CheckAgreement(rep, "section", []core.SectionDetail{
 		{Name: ".text", Addr: base, Data: code, Entry: entry, Detail: serial},
 	}, []core.SectionDetail{
@@ -516,7 +512,7 @@ func CheckSection(d *core.Disassembler, code []byte, base uint64, entry int) *Re
 // test with one error per violation.
 func Check(t testing.TB, d *core.Disassembler, img []byte) {
 	t.Helper()
-	rep, err := CheckELF(d, img)
+	rep, err := CheckELF(nil, d, img)
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}

@@ -19,7 +19,7 @@ func freshDetail(t *testing.T) ([]byte, *core.Detail) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det := testDis().DisassembleSection(bin.Code, bin.Base, int(bin.Entry-bin.Base), nil)
+	det, _ := testDis().DisassembleSectionTraceContext(nil, bin.Code, bin.Base, int(bin.Entry-bin.Base), nil, nil)
 	return bin.Code, det
 }
 

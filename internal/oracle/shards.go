@@ -103,8 +103,8 @@ func CheckShardAgreement(rep *Report, sec string, plan [][2]int, want, got *core
 func CheckShards(d *core.Disassembler, code []byte, base uint64, entry int, shardBytes int) *Report {
 	rep := &Report{}
 	sharded := d.Clone(core.WithShardBytes(shardBytes))
-	want := d.Clone(core.WithShardBytes(0)).DisassembleSection(code, base, entry, nil)
-	got := sharded.DisassembleSection(code, base, entry, nil)
+	want, _ := d.Clone(core.WithShardBytes(0)).DisassembleSectionTraceContext(nil, code, base, entry, nil, nil)
+	got, _ := sharded.DisassembleSectionTraceContext(nil, code, base, entry, nil, nil)
 	plan := core.ShardPlan(len(code), sharded.ShardBytes())
 	CheckShardAgreement(rep, ".text", plan, want, got)
 	CheckDetail(rep, ".text", code, got)

@@ -46,7 +46,7 @@ func TestCheckShardsFiresOnSeamTiling(t *testing.T) {
 	d := core.New(core.DefaultModel())
 	bin := shardOracleBin(t, 97, synth.ProfileAdversarial)
 	entry := int(bin.Entry - bin.Base)
-	want := d.DisassembleSection(bin.Code, bin.Base, entry, nil)
+	want, _ := d.DisassembleSectionTraceContext(nil, bin.Code, bin.Base, entry, nil, nil)
 
 	const shard = 311
 	plan := core.ShardPlan(len(bin.Code), shard)

@@ -24,7 +24,7 @@ func tierDetail(t *testing.T) (d *core.Disassembler, entry int, code []byte, det
 	}
 	d = testDis()
 	entry = int(bin.Entry - bin.Base)
-	det = d.DisassembleSection(bin.Code, bin.Base, entry, nil)
+	det, _ = d.DisassembleSectionTraceContext(nil, bin.Code, bin.Base, entry, nil, nil)
 	if det.Tier == nil {
 		t.Fatal("precondition: default pipeline should record a tier partition")
 	}
@@ -120,7 +120,7 @@ func TestTieredMatchesSinglePhase(t *testing.T) {
 	d := core.New(model)
 	for ci, b := range corpus {
 		entry := int(b.Entry - b.Base)
-		det := d.DisassembleSection(b.Code, b.Base, entry, nil)
+		det, _ := d.DisassembleSectionTraceContext(nil, b.Code, b.Base, entry, nil, nil)
 		if det.Tier == nil {
 			t.Errorf("corpus binary %d: tiered run recorded no partition", ci)
 		}

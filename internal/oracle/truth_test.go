@@ -53,7 +53,7 @@ func TestAdversarialProfilesPassOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := CheckELF(d, img)
+			rep, err := CheckELF(nil, d, img)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -18,7 +18,7 @@ func TestRewriteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := core.New(core.DefaultModel())
-	det := d.DisassembleDetail(b.Code, b.Base, int(b.Entry-b.Base))
+	det, _ := d.DisassembleSectionTraceContext(nil, b.Code, b.Base, int(b.Entry-b.Base), nil, nil)
 	out, err := Rewrite(det, Options{Entry: b.Entry})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestProbeCountsMatchExecution(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			det := d.DisassembleDetail(b.Code, b.Base, int(b.Entry-b.Base))
+			det, _ := d.DisassembleSectionTraceContext(nil, b.Code, b.Base, int(b.Entry-b.Base), nil, nil)
 			out, err := Rewrite(det, Options{
 				NewBase: 0x600000,
 				Probe:   true,
@@ -145,7 +145,7 @@ func TestLoopFamilyExpansion(t *testing.T) {
 		0xc3, // ret
 	}
 	d := core.New(core.DefaultModel())
-	det := d.DisassembleDetail(code, 0x1000, 0)
+	det, _ := d.DisassembleSectionTraceContext(nil, code, 0x1000, 0, nil, nil)
 	if !det.Result.InstStart[0] || !det.Result.InstStart[10] {
 		t.Fatalf("loop program misclassified: %v", det.Result.InstStart)
 	}
@@ -173,7 +173,7 @@ func TestLoopFamilyExpansion(t *testing.T) {
 		0xb8, 0x2a, 0x00, 0x00, 0x00, // mov eax, 42
 		0xc3, // ret
 	}
-	det2 := d.DisassembleDetail(code2, 0x1000, 0)
+	det2, _ := d.DisassembleSectionTraceContext(nil, code2, 0x1000, 0, nil, nil)
 	out2, err := Rewrite(det2, Options{NewBase: 0x9000, Probe: true})
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestLoopEExpansion(t *testing.T) {
 	if orig.Stop != emu.StopRet || orig.Regs[0] != 0 {
 		t.Fatalf("original loope run: %+v", orig)
 	}
-	det := d.DisassembleDetail(code, 0x1000, 0)
+	det, _ := d.DisassembleSectionTraceContext(nil, code, 0x1000, 0, nil, nil)
 	out, err := Rewrite(det, Options{NewBase: 0x9000})
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestBranchWidening(t *testing.T) {
 		0xc3, // ret
 	}
 	d := core.New(core.DefaultModel())
-	det := d.DisassembleDetail(code, 0x1000, 0)
+	det, _ := d.DisassembleSectionTraceContext(nil, code, 0x1000, 0, nil, nil)
 	out, err := Rewrite(det, Options{NewBase: 0x2000, Probe: true})
 	if err != nil {
 		t.Fatal(err)

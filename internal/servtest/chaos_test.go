@@ -412,7 +412,7 @@ func TestGiantSectionShardCancelDoesNotLeak(t *testing.T) {
 	// cancellation depths across the full schedule — first poll, early
 	// shard fan-out, mid-run, and just before the merge/finish.
 	probe := &countingDone{Context: context.Background()}
-	if _, err := inner.DisassembleELFDetailContext(probe, img); err != nil {
+	if _, err := inner.DisassembleELFTraceContext(probe, img, nil); err != nil {
 		t.Fatal(err)
 	}
 	polls := int(probe.polls.Load())

@@ -29,8 +29,8 @@ func TestInstAtConcurrent(t *testing.T) {
 			want[off] = g.InstAt(off) // warm-up doubles as the reference decode
 		}
 	}
-	if len(valid) < defaultDecodeCacheSlots*2 {
-		t.Fatalf("only %d valid offsets; need enough to thrash the %d-slot cache", len(valid), defaultDecodeCacheSlots)
+	if len(valid) < decodeCacheSlots*2 {
+		t.Fatalf("only %d valid offsets; need enough to thrash the %d-slot cache", len(valid), decodeCacheSlots)
 	}
 
 	const (

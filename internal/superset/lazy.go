@@ -54,12 +54,12 @@ type infoBlock struct {
 // no decoding up front — construction is O(1) in the section size — and
 // Graph.Info stays nil: every read must go through Graph.At (or the
 // accessors built on it), which the pipeline does.
-func BuildLazy(code []byte, base uint64, blockShift uint, maxResidentBlocks int, opts ...BuildOption) *Graph {
+func BuildLazy(code []byte, base uint64, blockShift uint, maxResidentBlocks int) *Graph {
 	if blockShift < minBlockShift {
 		blockShift = minBlockShift
 	}
 	nblocks := (len(code) + (1 << blockShift) - 1) >> blockShift
-	g := &Graph{
+	return &Graph{
 		Base: base,
 		Code: code,
 		lazy: &lazyInfo{
@@ -68,10 +68,6 @@ func BuildLazy(code []byte, base uint64, blockShift uint, maxResidentBlocks int,
 			maxResident: int64(maxResidentBlocks),
 		},
 	}
-	for _, opt := range opts {
-		opt(g)
-	}
-	return g
 }
 
 // minBlockShift bounds block granularity below: 4 KiB blocks keep the

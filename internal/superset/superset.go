@@ -99,19 +99,6 @@ type Graph struct {
 	scanFB atomic.Int64
 }
 
-// A BuildOption tunes graph construction (Build, BuildContext, BuildLazy).
-type BuildOption func(*Graph)
-
-// WithDecodeCacheSlots sets the InstAt decode-cache slot count for the
-// graph being built. n is rounded up to a power of two and clamped to
-// [minDecodeCacheSlots, maxDecodeCacheSlots]; n <= 0 keeps the default
-// (defaultDecodeCacheSlots). Callers whose InstAt working set scales
-// with the section — jump-table shape checks, listing emission over big
-// sections — can size the cache accordingly, e.g. len(code)/256 slots.
-func WithDecodeCacheSlots(n int) BuildOption {
-	return func(g *Graph) { g.dc.slots = clampCacheSlots(n) }
-}
-
 // ScanFallbackCount returns the number of offsets of this graph that
 // were filled through the scan kernel's DecodeLeanInto fallback rather
 // than its table-driven fast path (lazy graphs accumulate as blocks
@@ -170,8 +157,8 @@ func (g *Graph) ExternTarget(addr uint64) bool {
 // result into the 16-byte side-table in the same pass via the x86.Scan
 // length-only kernel. Decoding at each offset is independent, so large
 // sections are decoded in parallel; the result is deterministic.
-func Build(code []byte, base uint64, opts ...BuildOption) *Graph {
-	g, _ := BuildContext(nil, code, base, opts...)
+func Build(code []byte, base uint64) *Graph {
+	g, _ := BuildContext(nil, code, base)
 	return g
 }
 
@@ -181,14 +168,11 @@ func Build(code []byte, base uint64, opts ...BuildOption) *Graph {
 // so a cancelled request stops burning CPU within a few thousand decodes.
 // The poll sits outside the per-offset loop — the nil-ctx path (what
 // Build uses) runs the exact pre-cancellation instruction sequence.
-func BuildContext(ctx context.Context, code []byte, base uint64, opts ...BuildOption) (*Graph, error) {
+func BuildContext(ctx context.Context, code []byte, base uint64) (*Graph, error) {
 	g := &Graph{
 		Base: base,
 		Code: code,
 		Info: make([]Info, len(code)),
-	}
-	for _, opt := range opts {
-		opt(g)
 	}
 	// decodeRange is a top-level function (not a closure) and each
 	// branch declares its own stop flag, so the serial path allocates
@@ -271,49 +255,22 @@ func (g *Graph) At(off int) *Info {
 // fits within the section.
 func (g *Graph) Valid(off int) bool { return g.At(off).Flags&FlagValid != 0 }
 
-// Decode-cache sizing (entry counts are direct-mapped by offset and
-// must be powers of two). 128 entries cover the working set of the
+// decodeCacheSlots sizes the InstAt decode cache (direct-mapped by
+// offset, so a power of two). 128 entries cover the working set of the
 // dispatch-idiom and listing scans, which revisit a small neighbourhood
-// of offsets, at ~17 KiB per graph; WithDecodeCacheSlots widens it for
-// InstAt-heavy consumers. The upper clamp keeps a misconfigured caller
-// from allocating gigabytes of Inst backing (~128 B per slot).
-const (
-	defaultDecodeCacheSlots = 128
-	minDecodeCacheSlots     = 8
-	maxDecodeCacheSlots     = 1 << 20
-)
-
-// clampCacheSlots rounds n up to a power of two within the slot bounds;
-// n <= 0 selects the default.
-func clampCacheSlots(n int) int {
-	if n <= 0 {
-		return defaultDecodeCacheSlots
-	}
-	if n < minDecodeCacheSlots {
-		return minDecodeCacheSlots
-	}
-	if n > maxDecodeCacheSlots {
-		return maxDecodeCacheSlots
-	}
-	p := minDecodeCacheSlots
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
+// of offsets, at ~17 KiB per graph.
+const decodeCacheSlots = 128
 
 // instCache is a small direct-mapped cache of materialized
 // instructions, so hot InstAt consumers (jump-table shape checks, CFG
 // details, listing/rewrite emission, the oracle) stop paying the lazy
 // re-decode tax when they revisit offsets. Embedded by value in Graph:
 // the zero value is ready to use (the backing arrays are allocated on
-// first InstAt, sized by slots or the default), so Graph literals in
-// tests keep working. Guarded by a mutex because analyses sharing one
+// first InstAt), so Graph literals in tests keep working. Guarded by a mutex because analyses sharing one
 // graph run concurrently; the lock is uncontended in the serial pipeline
 // and far cheaper than a re-decode.
 type instCache struct {
 	mu    sync.Mutex
-	slots int        // power-of-two entry count; 0 = default on first use
 	tags  []int32    // offset+1; 0 = empty slot
 	insts []x86.Inst // nil until the first InstAt
 }
@@ -335,17 +292,6 @@ func ResetDecodeCacheStats() {
 	dcMisses.Store(0)
 }
 
-// DecodeCacheSlots returns the graph's effective InstAt decode-cache
-// slot count (the default when none was configured).
-func (g *Graph) DecodeCacheSlots() int {
-	g.dc.mu.Lock()
-	defer g.dc.mu.Unlock()
-	if g.dc.slots == 0 {
-		return defaultDecodeCacheSlots
-	}
-	return g.dc.slots
-}
-
 // InstAt materializes the full decoded instruction at off, re-decoding
 // the bytes through a small per-graph cache. Offsets without a valid
 // decode return a zero instruction with Flow == FlowInvalid. This is the
@@ -360,13 +306,10 @@ func (g *Graph) InstAt(off int) x86.Inst {
 	c := &g.dc
 	c.mu.Lock()
 	if c.tags == nil {
-		if c.slots == 0 {
-			c.slots = defaultDecodeCacheSlots
-		}
-		c.tags = make([]int32, c.slots)
-		c.insts = make([]x86.Inst, c.slots)
+		c.tags = make([]int32, decodeCacheSlots)
+		c.insts = make([]x86.Inst, decodeCacheSlots)
 	}
-	slot := off & (c.slots - 1)
+	slot := off & (decodeCacheSlots - 1)
 	if c.tags[slot] == int32(off)+1 {
 		inst := c.insts[slot]
 		c.mu.Unlock()

@@ -106,7 +106,7 @@ func TestShardSeamBoundarySweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		entry := int(bin.Entry - bin.Base)
-		want := d.DisassembleSection(bin.Code, bin.Base, entry, nil)
+		want, _ := d.DisassembleSectionTraceContext(nil, bin.Code, bin.Base, entry, nil, nil)
 		for _, class := range sweepClasses {
 			anchor, ok := constructAnchors(bin.Truth)[class]
 			if !ok {
@@ -115,7 +115,7 @@ func TestShardSeamBoundarySweep(t *testing.T) {
 			covered[class] = true
 			for delta := -sweepMargin; delta <= sweepMargin; delta += step {
 				sb := anchor + delta
-				got := d.Clone(probedis.WithShardBytes(sb)).DisassembleSection(bin.Code, bin.Base, entry, nil)
+				got, _ := d.Clone(probedis.WithShardBytes(sb)).DisassembleSectionTraceContext(nil, bin.Code, bin.Base, entry, nil, nil)
 				if diff := diffDetail(want, got); diff != "" {
 					t.Errorf("seed %d: seam at %s%+d (shard-bytes %d): %s",
 						cfg.Seed, class, delta, sb, diff)
