@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"probedis/internal/superset"
@@ -66,6 +68,28 @@ func TestViabilityLoopIsViable(t *testing.T) {
 	g := superset.Build([]byte{0xeb, 0xfe}, 0x1000)
 	if v := Viability(g); !v[0] {
 		t.Error("self-loop marked non-viable")
+	}
+}
+
+// TestViabilityRetainsOnlyMask pins Viability's retained heap: once the
+// call returns and a GC runs, only the one-byte-per-offset mask stays
+// live. The predecessor index is transient and must not outlive the call.
+func TestViabilityRetainsOnlyMask(t *testing.T) {
+	code := make([]byte, 1<<20)
+	rand.New(rand.NewSource(1)).Read(code)
+	g := superset.Build(code, 0x400000)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	viable := Viability(g)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(viable)
+	runtime.KeepAlive(g)
+	perByte := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(len(code))
+	t.Logf("retained %.1f B per section byte", perByte)
+	if perByte >= 2 {
+		t.Fatalf("Viability retains %.1f B per section byte after GC, want < 2 (the mask alone is 1)", perByte)
 	}
 }
 

@@ -197,7 +197,11 @@ func scanOffsetTable(g *superset.Graph, viable []bool, site, tbl int) (JumpTable
 
 // JumpTableHints converts discovered tables into proof-priority hints.
 func JumpTableHints(tables []JumpTable) []Hint {
-	var hs []Hint
+	n := 0
+	for _, jt := range tables {
+		n += 2 + len(jt.Targets)
+	}
+	hs := make([]Hint, 0, n)
 	for _, jt := range tables {
 		hs = append(hs, Hint{
 			Kind: HintData, Off: jt.Table, Len: jt.Entries * jt.EntrySz,

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -50,25 +51,86 @@ func tile(n, shard int) [][2]int {
 	return out
 }
 
-// TestViabilityRangesMatchesGlobal proves the sharded fixpoint lands on
-// exactly the mask Viability computes, for shard sizes from absurdly
-// small (every fallthrough crosses a seam) to larger than the section.
-func TestViabilityRangesMatchesGlobal(t *testing.T) {
-	for gi, g := range rangeTestGraphs(t) {
-		want := Viability(g)
+// naiveViability is the viability definition run literally, as an
+// independent reference for the CSR routine behind Viability and
+// ViabilityRanges: start from every valid offset, then clear any offset
+// with an impossible or non-viable forced successor, sweeping the whole
+// section until a sweep clears nothing.
+func naiveViability(g *superset.Graph) []bool {
+	viable := make([]bool, g.Len())
+	for off := range viable {
+		viable[off] = g.Valid(off)
+	}
+	var succs []int
+	for changed := true; changed; {
+		changed = false
+		for off := range viable {
+			if !viable[off] {
+				continue
+			}
+			succs = g.ForcedSuccs(succs[:0], off)
+			for _, s := range succs {
+				if s < 0 || !viable[s] {
+					viable[off] = false
+					changed = true
+					break
+				}
+			}
+		}
+	}
+	return viable
+}
+
+// TestViabilityMatchesNaive checks Viability, and ViabilityRanges at
+// shard sizes from absurdly small (every fallthrough crosses a seam) to
+// larger than the section, against naiveViability on the range-test
+// graphs, more byte soup and crafted edge cases.
+func TestViabilityMatchesNaive(t *testing.T) {
+	gs := rangeTestGraphs(t)
+	for _, seed := range []int64{8, 9, 10} {
+		soup := make([]byte, 6000)
+		rand.New(rand.NewSource(seed)).Read(soup)
+		gs = append(gs, superset.Build(soup, 0x400000))
+	}
+	// Backward jmp rel8 hops, each to the one before, ending on an
+	// invalid byte (0x06) at offset 0, then a ret: the poison climbs every
+	// hop against ascending order, crossing seams at the small shard
+	// sizes, and must reach the last hop.
+	chain := []byte{0x06}
+	for i := 0; i < 200; i++ {
+		chain = append(chain, 0xeb, 0xfc)
+	}
+	chain[2] = 0xfd // the first hop jumps back 3 bytes, onto offset 0
+	chain = append(chain, 0xc3)
+	if naiveViability(superset.Build(chain, 0x1000))[len(chain)-3] {
+		t.Fatal("naiveViability left the jmp chain's last hop viable")
+	}
+	for _, code := range [][]byte{
+		{},     // empty section
+		{0xc3}, // ret: viable
+		{0x90}, // nop falling off the section end: not viable
+		chain,
+	} {
+		gs = append(gs, superset.Build(code, 0x1000))
+	}
+	for gi, g := range gs {
+		want := naiveViability(g)
+		check := func(what string, got []bool) {
+			t.Helper()
+			for off := range want {
+				if want[off] != got[off] {
+					t.Fatalf("graph %d %s: viability diverges first at offset %d (want %v)",
+						gi, what, off, want[off])
+				}
+			}
+		}
+		check("Viability", Viability(g))
 		for _, shard := range []int{64, 1000, 4096, 1 << 20} {
 			got, err := ViabilityRanges(nil, g, tile(g.Len(), shard), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(want, got) {
-				for off := range want {
-					if want[off] != got[off] {
-						t.Fatalf("graph %d shard %d: viability diverges first at offset %d (want %v)",
-							gi, shard, off, want[off])
-					}
-				}
-			}
+			check(fmt.Sprintf("shard %d", shard), got)
 		}
 	}
 }

@@ -2,24 +2,12 @@ package analysis
 
 import (
 	"context"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"probedis/internal/ctxutil"
 	"probedis/internal/superset"
 )
-
-// viaScratch holds the per-run working set of Viability. Pooled because
-// the predecessor table (one slice header per offset plus many small
-// appends) dominates the analysis' allocation churn, and the parallel ELF
-// pipeline runs one Viability per section per binary.
-type viaScratch struct {
-	preds [][]int32
-	work  []int
-	succs []int
-}
-
-var viaPool = sync.Pool{New: func() any { return new(viaScratch) }}
 
 // Viability computes, for every offset, whether an instruction starting
 // there could possibly execute without derailing: an offset is non-viable
@@ -38,62 +26,8 @@ var viaPool = sync.Pool{New: func() any { return new(viaScratch) }}
 // out-of-section direct branches are treated as non-viable, which matches
 // the static-executable corpus this repository evaluates on.
 func Viability(g *superset.Graph) []bool {
-	n := g.Len()
-	viable := make([]bool, n)
-
-	sc := viaPool.Get().(*viaScratch)
-	if cap(sc.preds) < n {
-		sc.preds = make([][]int32, n)
-	}
-	// preds[s] lists offsets having s as a forced successor. Entries keep
-	// their backing arrays between runs; only the lengths are reset.
-	preds := sc.preds[:n]
-	for i := range preds {
-		preds[i] = preds[i][:0]
-	}
-	work := sc.work[:0] // non-viable worklist seeds
-
-	succs := sc.succs
-	for off := 0; off < n; off++ {
-		if !g.Valid(off) {
-			work = append(work, off)
-			continue
-		}
-		viable[off] = true
-		succs = g.ForcedSuccs(succs[:0], off)
-		bad := false
-		for _, s := range succs {
-			if s < 0 {
-				bad = true
-				break
-			}
-		}
-		if bad {
-			viable[off] = false
-			work = append(work, off)
-			continue
-		}
-		for _, s := range succs {
-			preds[s] = append(preds[s], int32(off))
-		}
-	}
-
-	// Propagate non-viability backwards: if any forced successor of p is
-	// non-viable, p is non-viable.
-	for len(work) > 0 {
-		s := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, p32 := range preds[s] {
-			p := int(p32)
-			if viable[p] {
-				viable[p] = false
-				work = append(work, p)
-			}
-		}
-	}
-
-	sc.work, sc.succs = work, succs
-	viaPool.Put(sc)
+	viable := make([]bool, g.Len())
+	localViability(g, viable, 0, g.Len())
 	return viable
 }
 
@@ -101,12 +35,13 @@ func Viability(g *superset.Graph) []bool {
 // over the given shard ranges (a sorted, disjoint tiling of [0, g.Len()))
 // so the working set stays O(shard) and the first round parallelizes:
 //
-//  1. Round one runs localViability per shard — the same seed-and-poison
-//     pass Viability does, with the predecessor table (the O(n) item in
-//     Viability's footprint) built only for intra-shard edges and pooled
-//     per shard. Writes are confined to the shard's own slice of the
-//     mask, so shards are data-race-free side by side; edges crossing a
-//     seam are simply not propagated yet.
+//  1. Round one runs localViability per shard — the seed-and-poison
+//     pass Viability runs over the whole section, with the predecessor
+//     index (the O(n) item in its footprint) built only for intra-shard
+//     edges and allocated per shard, so each index lives only as long as
+//     its shard's pass. Writes are confined to the shard's own slice of
+//     the mask, so shards are data-race-free side by side; edges crossing
+//     a seam are simply not propagated yet.
 //  2. Cascade sweeps then re-check every still-viable offset against the
 //     current global mask, right-to-left and descending inside each
 //     shard (poison flows backwards, mostly along ascending fallthrough
@@ -114,10 +49,10 @@ func Viability(g *superset.Graph) []bool {
 //     until a full pass flips nothing. A single range has no seam edges,
 //     so round one alone reaches the fixpoint and the sweeps are skipped.
 //
-// Both Viability and this routine are chaotic iterations of the same
-// monotone equation system, and such iterations converge to its unique
-// greatest fixpoint regardless of evaluation order — so the result is
-// byte-identical to Viability for every shard tiling. par, when non-nil,
+// Round one plus the cascade is a chaotic iteration of the monotone
+// equation system Viability solves, and any such iteration converges to
+// its unique greatest fixpoint regardless of evaluation order — so the
+// result is byte-identical to Viability for every shard tiling. par, when non-nil,
 // runs round one's shard passes concurrently (core passes its
 // work-stealing pool); the cascade is serial either way. ctx is polled
 // once per shard per round; on cancellation the partial mask is
@@ -178,58 +113,83 @@ func ViabilityRanges(ctx context.Context, g *superset.Graph, ranges [][2]int, pa
 	return viable, nil
 }
 
-// localViability is Viability restricted to [from, to): it seeds
-// non-viability from invalid decodes and impossible successors, then
-// propagates backwards along forced edges that stay inside the shard.
-// Cross-shard edges are left to the caller's cascade sweeps.
+// localViability computes the viability fixpoint of [from, to) over the
+// forced edges that stay inside it. It fills viable[from:to], which must
+// be all false on entry, and writes nothing else: non-viability is seeded
+// from invalid decodes and impossible successors, then propagated
+// backwards along intra-range edges; edges crossing the range's ends are
+// left to ViabilityRanges' cascade sweeps.
+//
+// The predecessor table is a CSR index (each offset's predecessors stored
+// contiguously in one array): pos, n+1 offsets into preds, and preds, one
+// int32 per intra-range edge, 4(n+1)+4E bytes. Neither holds a pointer,
+// so the GC never scans them, and both die on return. The index is built
+// by walking the range twice, counting edges and then filling rows:
+// buffering the successors between the walks would save the second walk
+// but add n+4E transient bytes.
 func localViability(g *superset.Graph, viable []bool, from, to int) {
 	n := to - from
-	sc := viaPool.Get().(*viaScratch)
-	if cap(sc.preds) < n {
-		sc.preds = make([][]int32, n)
-	}
-	preds := sc.preds[:n] // indexed shard-relative: preds[s-from]
-	for i := range preds {
-		preds[i] = preds[i][:0]
-	}
-	work := sc.work[:0]
-	succs := sc.succs
+	pos := make([]uint32, n+1)
+	var succs []int
 	for off := from; off < to; off++ {
 		if !g.Valid(off) {
-			work = append(work, off)
+			continue
+		}
+		succs = g.ForcedSuccs(succs[:0], off)
+		if slices.Contains(succs, -1) {
 			continue
 		}
 		viable[off] = true
-		succs = g.ForcedSuccs(succs[:0], off)
-		bad := false
-		for _, s := range succs {
-			if s < 0 {
-				bad = true
-				break
-			}
-		}
-		if bad {
-			viable[off] = false
-			work = append(work, off)
-			continue
-		}
 		for _, s := range succs {
 			if s >= from && s < to {
-				preds[s-from] = append(preds[s-from], int32(off))
+				pos[s-from]++
 			}
 		}
 	}
-	for len(work) > 0 {
-		s := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, p32 := range preds[s-from] {
-			p := int(p32)
-			if viable[p] {
-				viable[p] = false
-				work = append(work, p)
+	// Inclusive prefix sum: pos[i] is the end of offset from+i's row. The
+	// fill decrements it back to the row's start, so row i ends up as
+	// preds[pos[i]:pos[i+1]], and pos[n] stays the edge count.
+	var sum uint32
+	for i, c := range pos {
+		sum += c
+		pos[i] = sum
+	}
+	preds := make([]int32, pos[n])
+	for off := from; off < to; off++ {
+		if !viable[off] {
+			continue
+		}
+		succs = g.ForcedSuccs(succs[:0], off)
+		for _, s := range succs {
+			if s >= from && s < to {
+				pos[s-from]--
+				preds[pos[s-from]] = int32(off)
 			}
 		}
 	}
-	sc.work, sc.succs = work, succs
-	viaPool.Put(sc)
+
+	// Propagate non-viability backwards: if any forced successor of p is
+	// non-viable, p is non-viable. Each non-viable offset, seed or not,
+	// poisons its predecessors depth-first. An offset's row is read when
+	// the stack pops it and again when the outer loop reaches it, so every
+	// edge is read at most twice. Walking upwards saves most second reads:
+	// poison mostly flows back along fallthrough edges, to offsets the
+	// loop has already passed.
+	var stack []int32
+	for i := from; i < to; i++ {
+		if viable[i] {
+			continue
+		}
+		stack = append(stack[:0], int32(i))
+		for len(stack) > 0 {
+			s := int(stack[len(stack)-1]) - from
+			stack = stack[:len(stack)-1]
+			for _, p := range preds[pos[s]:pos[s+1]] {
+				if viable[p] {
+					viable[p] = false
+					stack = append(stack, p)
+				}
+			}
+		}
+	}
 }

@@ -296,7 +296,9 @@ func (d *Disassembler) run(ctx context.Context, g *superset.Graph, entry int, sp
 		ssp.Count("scored", int64(part.ContestedBytes))
 		ssp.End()
 		shsp := csp.StartChild("stathints")
-		var stat []analysis.Hint
+		// At most one stat hint per contested offset, and room for the
+		// weak hints appended after them: the buffer never regrows.
+		stat := make([]analysis.Hint, 0, part.ContestedBytes+len(weak))
 		for i, w := range part.Windows {
 			stat = analysis.StatHintsRangeRel(g, viable, ws.bufs[i],
 				d.penaltyWeight, d.threshold, w[0], w[1], stat)
