@@ -75,10 +75,12 @@ cover:
 		} \
 		END { exit bad }'
 
-# Short coverage-guided fuzz passes (CI smoke): the whole pipeline, then
-# the ELF parser, whose zero-copy aliasing serving relies on.
+# Short coverage-guided fuzz passes (CI smoke): the whole pipeline, the
+# shard seams (sharded output must equal unsharded on fuzzed bytes and
+# tilings), then the ELF parser, whose zero-copy aliasing serving relies on.
 fuzz-smoke:
 	go test -fuzz=FuzzPipeline -fuzztime=30s .
+	go test -run '^$$' -fuzz=FuzzShardSplit -fuzztime=20s .
 	go test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/elfx
 
 # Chaos/load harness against the real serving stack (internal/serve)

@@ -577,20 +577,14 @@ func BenchmarkLargeSectionPipeline(b *testing.B) {
 	writeAllocReport(b, tr)
 }
 
-// shardedInfoBytes is the heap the windowed superset side table retains
-// per entry (superset.Info is a packed 16-byte record).
-const shardedInfoBytes = 16
-
 // BenchmarkLargeSectionSharded runs the sharded pipeline over the >= 8
 // MiB single section at 256 KiB shards, serial (workers=1) vs the full
-// worker pool. The resident_x metric is the windowed graph's retained
-// Info heap per section byte after the run — the O(shard) residency
-// claim made concrete: the eager side table costs a flat 16x
-// (BenchmarkLargeSectionSuperset's resident_x), the windowed one is
-// capped at workers*(shard/block+1)+4 blocks regardless of section
-// size, so resident_x must come out well under 16 and must not grow
-// with the section. Output stays byte-identical to the unsharded run
-// (core.TestShardedMatchesUnsharded, TestShardSeamBoundarySweep).
+// worker pool. Sharding splits the anchored hint analyses into
+// per-shard tasks over the section's one superset graph, so at
+// workers=1 its ns/op and allocs/op should track
+// BenchmarkLargeSectionPipeline's. Output stays byte-identical to the
+// unsharded run (core.TestShardedMatchesUnsharded,
+// TestShardSeamBoundarySweep).
 func BenchmarkLargeSectionSharded(b *testing.B) {
 	e := benchSetup(b)
 	code, base := largeSection(b)
@@ -607,15 +601,10 @@ func BenchmarkLargeSectionSharded(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			d := core.New(e.model, core.WithWorkers(w), core.WithShardBytes(shardBytes))
 			b.SetBytes(int64(len(code)))
-			var resident float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				det, _ := d.DisassembleSectionTraceContext(nil, code, base, largeEntry, nil, nil)
-				blocks, blockBytes := det.Graph.ResidentBlocks()
-				resident = float64(blocks*blockBytes*shardedInfoBytes) / float64(len(code))
+				d.DisassembleSectionTraceContext(nil, code, base, largeEntry, nil, nil)
 			}
-			b.StopTimer()
-			b.ReportMetric(resident, "resident_x")
 		})
 	}
 }

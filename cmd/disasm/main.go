@@ -40,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	modelPath := fs.String("model", "", "load a trained model (see cmd/train); default trains in-process")
 	workers := fs.Int("workers", 0, "pipeline worker goroutines: sections and analyses run concurrently (0 = GOMAXPROCS, 1 = serial; output is identical)")
 	selfcheck := fs.Bool("selfcheck", false, "run the verification oracle on this binary: re-disassemble serially and in parallel, check every structural invariant, and exit nonzero on any violation")
-	shardBytes := fs.Int("shard-bytes", 0, "split sections larger than this into shards analysed on the worker pool with O(shard) resident memory (0 = one shard per section; output is identical)")
+	shardBytes := fs.Int("shard-bytes", 0, "split sections larger than this into shards whose hint analyses run as separate tasks on the worker pool (0 = one shard per section; output is identical)")
 	trace := fs.Bool("trace", false, "print the per-stage span tree (wall time, bytes, allocs, counters) after the summary; runs serially unless -workers is set so stage durations account for total wall time")
 	traceJSON := fs.Bool("trace-json", false, "emit the span tree as JSON on stdout instead of any other output")
 	if err := fs.Parse(args); err != nil {

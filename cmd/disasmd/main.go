@@ -68,7 +68,7 @@ func main() {
 	cacheEntries := flag.Int("cache-entries", 128, "result cache capacity in entries (0 = disable cache)")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result cache capacity in body bytes")
 	modelPath := flag.String("model", "", "load a trained model (see cmd/train); default trains in-process")
-	shardBytes := flag.Int("shard-bytes", 0, "split sections larger than this into shards analysed on the request's worker pool with O(shard) resident memory (0 = one shard per section; output is identical)")
+	shardBytes := flag.Int("shard-bytes", 0, "split sections larger than this into shards whose hint analyses run as separate tasks on the request's worker pool (0 = one shard per section; output is identical)")
 	spoolBytes := flag.Int64("spool-bytes", 0, "largest upload kept in memory; larger bodies spool to a mmap-ed temp file (0 = 512 KiB, negative = buffer whole bodies)")
 	storeDir := flag.String("store-dir", "", "persistent content-addressed result store root, shareable between replicas (empty = disabled)")
 	storeBytes := flag.Int64("store-bytes", 0, "result store byte budget, LRU-swept past it (0 = 1 GiB)")

@@ -1,7 +1,8 @@
 package analysis
 
 import (
-	"fmt"
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -52,10 +53,10 @@ func tile(n, shard int) [][2]int {
 }
 
 // naiveViability is the viability definition run literally, as an
-// independent reference for the CSR routine behind Viability and
-// ViabilityRanges: start from every valid offset, then clear any offset
-// with an impossible or non-viable forced successor, sweeping the whole
-// section until a sweep clears nothing.
+// independent reference for Viability's CSR routine: start from every
+// valid offset, then clear any offset with an impossible or non-viable
+// forced successor, sweeping the whole section until a sweep clears
+// nothing.
 func naiveViability(g *superset.Graph) []bool {
 	viable := make([]bool, g.Len())
 	for off := range viable {
@@ -81,10 +82,8 @@ func naiveViability(g *superset.Graph) []bool {
 	return viable
 }
 
-// TestViabilityMatchesNaive checks Viability, and ViabilityRanges at
-// shard sizes from absurdly small (every fallthrough crosses a seam) to
-// larger than the section, against naiveViability on the range-test
-// graphs, more byte soup and crafted edge cases.
+// TestViabilityMatchesNaive checks Viability against naiveViability on
+// the range-test graphs, more byte soup and crafted edge cases.
 func TestViabilityMatchesNaive(t *testing.T) {
 	gs := rangeTestGraphs(t)
 	for _, seed := range []int64{8, 9, 10} {
@@ -94,8 +93,7 @@ func TestViabilityMatchesNaive(t *testing.T) {
 	}
 	// Backward jmp rel8 hops, each to the one before, ending on an
 	// invalid byte (0x06) at offset 0, then a ret: the poison climbs every
-	// hop against ascending order, crossing seams at the small shard
-	// sizes, and must reach the last hop.
+	// hop against ascending order and must reach the last hop.
 	chain := []byte{0x06}
 	for i := 0; i < 200; i++ {
 		chain = append(chain, 0xeb, 0xfc)
@@ -105,32 +103,53 @@ func TestViabilityMatchesNaive(t *testing.T) {
 	if naiveViability(superset.Build(chain, 0x1000))[len(chain)-3] {
 		t.Fatal("naiveViability left the jmp chain's last hop viable")
 	}
+	// jmp rel32 hops that zig-zag across the section, ret filler
+	// elsewhere: hop i sits in 64-byte block 0, 15, 1, 14, ... on a first
+	// pass at byte 8 of the block and again on a second pass at byte 40,
+	// each jumping to the next, and the last jumps onto an invalid byte at
+	// offset 0. Poison climbs the chain against the hop order, alternately
+	// up and down the section, so it must reach offsets on both sides of
+	// the one it pops.
+	const zigBlocks = 16
+	zig := bytes.Repeat([]byte{0xc3}, zigBlocks*64)
+	zig[0] = 0x06
+	var hops []int
+	for _, slot := range []int{8, 40} {
+		for i := 0; i < zigBlocks; i++ {
+			b := i / 2
+			if i%2 == 1 {
+				b = zigBlocks - 1 - i/2
+			}
+			hops = append(hops, b*64+slot)
+		}
+	}
+	for i, at := range hops {
+		dst := 0
+		if i+1 < len(hops) {
+			dst = hops[i+1]
+		}
+		zig[at] = 0xe9
+		binary.LittleEndian.PutUint32(zig[at+1:], uint32(int32(dst-(at+5))))
+	}
+	if naiveViability(superset.Build(zig, 0x1000))[hops[0]] {
+		t.Fatal("naiveViability left the zig-zag chain's first hop viable")
+	}
 	for _, code := range [][]byte{
 		{},     // empty section
 		{0xc3}, // ret: viable
 		{0x90}, // nop falling off the section end: not viable
 		chain,
+		zig,
 	} {
 		gs = append(gs, superset.Build(code, 0x1000))
 	}
 	for gi, g := range gs {
-		want := naiveViability(g)
-		check := func(what string, got []bool) {
-			t.Helper()
-			for off := range want {
-				if want[off] != got[off] {
-					t.Fatalf("graph %d %s: viability diverges first at offset %d (want %v)",
-						gi, what, off, want[off])
-				}
+		want, got := naiveViability(g), Viability(g)
+		for off := range want {
+			if want[off] != got[off] {
+				t.Fatalf("graph %d: viability diverges first at offset %d (want %v)",
+					gi, off, want[off])
 			}
-		}
-		check("Viability", Viability(g))
-		for _, shard := range []int{64, 1000, 4096, 1 << 20} {
-			got, err := ViabilityRanges(nil, g, tile(g.Len(), shard), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(fmt.Sprintf("shard %d", shard), got)
 		}
 	}
 }

@@ -140,9 +140,9 @@ func TestDisassembleSectionContextCancels(t *testing.T) {
 // every cancellation poll of a sharded serial section run. With
 // workers=1 the shard pool runs every task inline, so the poll sequence
 // is deterministic and n=1..polls lands a cancellation inside every
-// phase the shard scheduler has — per-shard viability, the per-shard
-// hint tasks, the merge, tiered correction and the finish — each of
-// which must yield (nil, context.Canceled) and never a partial Detail.
+// phase the shard scheduler has — viability, the per-shard hint tasks,
+// the merge, tiered correction and the finish — each of which must
+// yield (nil, context.Canceled) and never a partial Detail.
 func TestShardedSectionCancelsAtEveryCheckpoint(t *testing.T) {
 	bin := shardTestBins(t)[1]
 	entry := int(bin.Entry - bin.Base)

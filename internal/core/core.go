@@ -74,18 +74,17 @@ func WithWindow(w int) Option { return func(d *Disassembler) { d.window = w } }
 func WithWorkers(n int) Option { return func(d *Disassembler) { d.workers = n } }
 
 // WithShardBytes splits sections larger than n bytes into ~n-byte shards
-// for the analysis stages: the superset side table becomes a windowed
-// on-demand structure (resident working set O(shard x workers) instead
-// of ~16x the section), viability and the anchored hint analyses run per
-// shard on the worker pool — stealing slots across shards and sections
-// within one request — and the per-shard outputs merge deterministically
-// into the exact stream a one-shard run produces, so the final
-// classification is byte-identical for every shard size (enforced by
-// oracle.CheckShards and the seam boundary-sweep suite). n <= 0 (the
-// default) runs every section as a single shard over the eager graph;
-// positive values are clamped to a 256-byte floor. Production guidance:
-// a few MiB; tests sweep tiny values to park seams on adversarial
-// constructs.
+// for the anchored hint analyses: each runs as one task per shard on the
+// worker pool — stealing slots across shards and sections within one
+// request — over the section's one superset graph, and the per-shard
+// outputs merge deterministically into the exact stream a one-shard run
+// produces, so the final classification is byte-identical for every
+// shard size (enforced by oracle.CheckShards and the seam boundary-sweep
+// suite). Viability and every later stage run over the whole section.
+// Sharding splits work, not memory: the graph's 16-byte-per-offset side
+// table is resident either way. n <= 0 (the default) runs every section
+// as a single shard; positive values are clamped to a 256-byte floor.
+// Tests sweep tiny values to park seams on adversarial constructs.
 func WithShardBytes(n int) Option {
 	return func(d *Disassembler) {
 		if n > 0 && n < minShardBytes {
@@ -215,28 +214,24 @@ type Detail struct {
 	Tier *tier.Partition
 }
 
-// run is the section pipeline on a built superset graph. Viability and
-// the per-shard hint analyses fan out over the shard plan on the
-// work-stealing pool (pool may be nil: a section-level call gets its own);
-// without sharding the plan is the single shard [0, n). The per-shard
-// outputs merge into one canonical hint stream (each analysis emits in
-// ascending anchor order, so concatenation in shard order reproduces the
-// whole-section scan; call-target counts merge globally before emission),
-// and the tiered corrector consumes it under its usual total order — which
-// is the whole seam-resolution rule: no seam-local tie-breaking exists to
-// get wrong, so the output is byte-identical for every shard size
-// (enforced by oracle.CheckShards and the boundary-sweep suite).
+// run is the section pipeline on a built superset graph. Viability runs
+// over the whole section; the per-shard hint analyses fan out over the
+// shard plan on the work-stealing pool (pool may be nil: a section-level
+// call gets its own); without sharding the plan is the single shard
+// [0, n). The per-shard outputs merge into one canonical hint stream
+// (each analysis emits in ascending anchor order, so concatenation in
+// shard order reproduces the whole-section scan; call-target counts merge
+// globally before emission), and the tiered corrector consumes it under
+// its usual total order — which is the whole seam-resolution rule: no
+// seam-local tie-breaking exists to get wrong, so the output is
+// byte-identical for every shard size (enforced by oracle.CheckShards
+// and the boundary-sweep suite).
 //
 // sp is the enclosing (per-section) trace span, or nil when tracing is
 // off; every stage is a direct child of sp, so a rendered trace accounts
 // for the whole run. ctx is polled at every stage boundary and inside the
 // per-shard and correction loops; once it is done the run returns
 // (nil, ctx.Err()) and partial stage output is discarded, never surfaced.
-//
-// Statistical scores live in per-contested-window buffers (see
-// windowScores), so with a windowed graph (superset.BuildLazy) pipeline
-// residency beyond the unavoidable O(section) output arrays is
-// O(shard x workers).
 func (d *Disassembler) run(ctx context.Context, g *superset.Graph, entry int, sp *obs.Span, pool *workPool) (*Detail, error) {
 	if pool == nil {
 		pool = newWorkPool(d.Workers())
@@ -244,12 +239,12 @@ func (d *Disassembler) run(ctx context.Context, g *superset.Graph, entry int, sp
 	shards := ShardPlan(g.Len(), d.shardBytes)
 	sp.Count("shards", int64(len(shards)))
 
-	vsp := sp.StartChild("viability")
-	viable, err := analysis.ViabilityRanges(ctx, g, shards, pool.run)
-	vsp.End()
-	if err != nil {
-		return nil, err
+	if ctxutil.Cancelled(ctx) {
+		return nil, ctxutil.Err(ctx)
 	}
+	vsp := sp.StartChild("viability")
+	viable := analysis.Viability(g)
+	vsp.End()
 
 	hsp := sp.StartChild("hints")
 	hints, tables := d.collectHints(ctx, g, viable, entry, shards, hsp, pool)
@@ -263,14 +258,6 @@ func (d *Disassembler) run(ctx context.Context, g *superset.Graph, entry int, sp
 	// Flattened priorities leave no hint above PrioStat, so the split
 	// below puts the whole stream in phase B over one whole-section window.
 	d.flatten(hints)
-
-	// The sequential per-shard scans are done; everything from here on —
-	// hint commits in priority order, contested-window scoring, gap fill,
-	// the CFG walk — reads the graph in scattered order, where faulting a
-	// whole block to serve one offset would thrash the resident-block cap.
-	// Point reads serve those misses at single-decode cost instead, keeping
-	// residency frozen at its scan-phase bound (no-op on an eager graph).
-	g.SetPointReads(true)
 
 	csp := sp.StartChild("correct")
 	structural, weak := tier.SplitHints(hints)
@@ -388,13 +375,10 @@ func (d *Disassembler) collectHints(ctx context.Context, g *superset.Graph, viab
 
 	// Task order is shard-major — the whole-section tasks first, then every
 	// per-shard analysis for shard 0, then shard 1, ... — so consecutive
-	// tasks read the same windowed-graph blocks. Stage-major order (all
-	// jump-table shards, then all call-target shards, ...) would sweep the
-	// section once per stage and refault every block each time under the
-	// resident cap. Execution order is pure cost: each task writes only its
-	// own slot, and the merge below imposes the canonical stage order.
-	// Each task returns the number of hints it emitted, which its span
-	// records.
+	// tasks read the same stretch of the graph while it is still in cache.
+	// Execution order buys locality only: each task writes only its own
+	// slot, and the merge below imposes the canonical stage order. Each
+	// task returns the number of hints it emitted, which its span records.
 	type task struct {
 		name string
 		fn   func() int

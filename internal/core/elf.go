@@ -46,31 +46,21 @@ func (d *Disassembler) DisassembleSectionTraceContext(ctx context.Context, code 
 
 // disassembleSectionPool is DisassembleSectionTraceContext with an
 // optional request-scoped work pool shared across sections (see
-// workPool). Sections split into several shards get a windowed graph
-// (superset.BuildLazy, O(1) construction — decode cost is paid block by
-// block inside the stages that fault them in, so no "superset" span is
-// recorded); everything else keeps the eager parallel build.
+// workPool). Every section, sharded or not, runs over the eager graph
+// that superset.BuildContext decodes up front.
 func (d *Disassembler) disassembleSectionPool(ctx context.Context, code []byte, base uint64, entry int, extern []superset.Range, sp *obs.Span, pool *workPool) (*Detail, error) {
 	sp.SetBytes(int64(len(code)))
-	var g *superset.Graph
-	if d.shardedFor(len(code)) {
-		g = superset.BuildLazy(code, base, d.lazyBlockShift(), d.maxResidentBlocks())
-	} else {
-		bsp := sp.StartChild("superset")
-		var err error
-		g, err = superset.BuildContext(ctx, code, base)
-		if err != nil {
-			if bsp != nil {
-				bsp.End()
-			}
-			return nil, err
-		}
-		if bsp != nil {
-			bsp.SetBytes(int64(len(code)))
-			bsp.Count("valid_insts", int64(g.ValidCount()))
-			bsp.Count("scan_fallbacks", g.ScanFallbackCount())
-			bsp.End()
-		}
+	bsp := sp.StartChild("superset")
+	g, err := superset.BuildContext(ctx, code, base)
+	if err != nil {
+		bsp.End()
+		return nil, err
+	}
+	if bsp != nil {
+		bsp.SetBytes(int64(len(code)))
+		bsp.Count("valid_insts", int64(g.ValidCount()))
+		bsp.Count("scan_fallbacks", g.ScanFallbackCount())
+		bsp.End()
 	}
 	g.SetExtern(extern)
 	return d.run(ctx, g, entry, sp, pool)

@@ -10,10 +10,9 @@ import (
 // minShardBytes floors the configurable shard size. It exceeds the widest
 // structural reach of any per-shard analysis — the 15-byte maximum
 // instruction length, the 24-byte bounds-check lookback and the ~120-byte
-// dispatch/literal chain walks (8 steps x 15 bytes) — so a shard's work
-// is mostly local even though correctness never depends on it: every
-// analysis reads the section through the global windowed graph, which
-// serves any offset, seam or not.
+// dispatch/literal chain walks (8 steps x 15 bytes) — so a shard's reads
+// mostly stay near its own bytes. Correctness never depends on it: every
+// analysis reads the section's one graph, seam or not.
 const minShardBytes = 256
 
 // ShardPlan tiles [0, n) into consecutive shards of at most shardBytes
@@ -34,36 +33,6 @@ func ShardPlan(n, shardBytes int) [][2]int {
 		out = append(out, [2]int{from, to})
 	}
 	return out
-}
-
-// shardedFor reports whether a section of n bytes is split into at least
-// two shards under this configuration, which is what moves it onto the
-// windowed graph backend (superset.BuildLazy).
-func (d *Disassembler) shardedFor(n int) bool {
-	return d.shardBytes > 0 && n > d.shardBytes
-}
-
-// lazyBlockShift picks the windowed graph's block granularity: the
-// largest power of two not exceeding the shard size, clamped to
-// [4 KiB, 1 MiB] so tiny test shards still exercise real faulting and
-// huge shards do not decode megabytes per point lookup.
-func (d *Disassembler) lazyBlockShift() uint {
-	shift := uint(12)
-	for shift < 20 && 1<<(shift+1) <= d.shardBytes {
-		shift++
-	}
-	return shift
-}
-
-// maxResidentBlocks caps the windowed graph's working set: every worker
-// gets its shard's worth of blocks plus one for cross-seam reads, plus
-// slack for the serial correction/CFG phases' locality. The cap scales
-// with shard size and worker count, never with section size — that is
-// the O(shard) residency claim, and the sharded benchmark measures it.
-func (d *Disassembler) maxResidentBlocks() int {
-	blockBytes := 1 << d.lazyBlockShift()
-	perShard := (d.shardBytes + blockBytes - 1) / blockBytes
-	return d.Workers()*(perShard+1) + 4
 }
 
 // workPool is the request-scoped work-stealing pool: every section of one

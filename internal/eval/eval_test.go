@@ -235,6 +235,23 @@ func TestE2RewriteOrdering(t *testing.T) {
 	}
 }
 
+// TestT8AccountsForTotal: the top-level stages must account for the
+// traced wall time, leaving at most 5% to T8's unattributed row.
+func TestT8AccountsForTotal(t *testing.T) {
+	tab := smallRunner(t).T8StageCost()
+	last := tab.Rows[len(tab.Rows)-1]
+	if last[0] != "unattributed" {
+		t.Fatalf("last T8 row = %q, want unattributed", last[0])
+	}
+	pct, err := strconv.ParseFloat(strings.TrimSuffix(last[3], "%"), 64)
+	if err != nil {
+		t.Fatalf("unattributed share %q: %v", last[3], err)
+	}
+	if pct > 5 {
+		t.Errorf("unattributed = %s of the traced total, want at most 5%%", last[3])
+	}
+}
+
 // TestAllExperimentsRun smoke-tests every experiment runner on a small
 // corpus: each must produce a non-empty, well-formed table.
 func TestAllExperimentsRun(t *testing.T) {

@@ -2,6 +2,8 @@ package eval
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"time"
 
 	"probedis/internal/core"
@@ -11,21 +13,22 @@ import (
 
 // T10ShardScaling measures the sharded pipeline (core.WithShardBytes)
 // against the whole-section run on one giant synthetic section: wall
-// time, throughput, windowed-graph activity (block faults, evictions,
-// point reads) and the resident Info side table relative to the eager
-// backend's 16 bytes per section byte. Every sharded row's output is
-// verified byte-identical to the unsharded reference before it is
-// reported — the table is a cost profile of an exactness-preserving
-// transformation, not an accuracy trade-off.
+// time, throughput, and the heap allocations each run makes (count and
+// MiB, deltas of runtime.MemStats). Every sharded run reads the same
+// eager superset graph as the whole-section run, so its allocations
+// should match it; only the split of work into per-shard tasks differs.
+// Every sharded row's output is verified byte-identical to the unsharded
+// reference before it is reported — the table is a cost profile of an
+// exactness-preserving transformation, not an accuracy trade-off.
 func (r *Runner) T10ShardScaling() (Table, error) {
 	t := Table{
 		ID:      "T10",
-		Title:   "Sharded pipeline: shard size vs throughput and residency",
-		Columns: []string{"shard", "shards", "time", "MB/s", "faults", "evict", "point-reads", "resident_x", "identical"},
+		Title:   "Sharded pipeline: shard size vs throughput and allocation",
+		Columns: []string{"shard", "shards", "time", "MB/s", "allocs", "MiB", "identical"},
 	}
 
 	// One giant section, concatenated from per-profile synthetic binaries
-	// at consecutive addresses (the same construction the residency
+	// at consecutive addresses (the same construction the sharded cost
 	// regression test uses).
 	const targetBytes = 2 << 20
 	base := uint64(0x401000)
@@ -45,39 +48,31 @@ func (r *Runner) T10ShardScaling() (Table, error) {
 		addr += uint64(len(b.Code))
 	}
 
-	ref := core.New(r.Model, core.WithWorkers(1))
-	refStart := time.Now()
-	want, _ := ref.DisassembleSectionTraceContext(nil, code, base, 0, nil, nil)
-	refDur := time.Since(refStart)
-	mbps := func(d time.Duration) string {
-		return fmt.Sprintf("%.1f", float64(len(code))/1e6/d.Seconds())
-	}
-	t.AddRow("whole-section", "1", refDur.Round(time.Millisecond).String(),
-		mbps(refDur), "0", "0", "0", "16.0", "-")
-
-	const infoBytes = 16
-	for _, shard := range []int{1 << 20, 256 << 10, 64 << 10} {
+	run := func(shard int) (*core.Detail, []string) {
 		d := core.New(r.Model, core.WithWorkers(1), core.WithShardBytes(shard))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		start := time.Now()
-		got, _ := d.DisassembleSectionTraceContext(nil, code, base, 0, nil, nil)
+		det, _ := d.DisassembleSectionTraceContext(nil, code, base, 0, nil, nil)
 		dur := time.Since(start)
-		faults, evictions := got.Graph.LazyStats()
-		blocks, blockBytes := got.Graph.ResidentBlocks()
-		residentBytes := blocks * blockBytes
-		if residentBytes > len(code) {
-			// The tail block is allocated short; blocks*blockBytes
-			// overcounts it when the cap covers the whole section.
-			residentBytes = len(code)
+		runtime.ReadMemStats(&after)
+		return det, []string{
+			itoa(len(core.ShardPlan(len(code), shard))),
+			dur.Round(time.Millisecond).String(),
+			fmt.Sprintf("%.1f", float64(len(code))/1e6/dur.Seconds()),
+			fmt.Sprintf("%d", after.Mallocs-before.Mallocs),
+			fmt.Sprintf("%.1f", float64(after.TotalAlloc-before.TotalAlloc)/(1<<20)),
 		}
-		resident := float64(residentBytes*infoBytes) / float64(len(code))
-		t.AddRow(fmt.Sprintf("%dK", shard>>10), itoa(len(core.ShardPlan(len(code), shard))),
-			dur.Round(time.Millisecond).String(), mbps(dur),
-			fmt.Sprintf("%d", faults), fmt.Sprintf("%d", evictions),
-			fmt.Sprintf("%d", got.Graph.PointReads()), fmt.Sprintf("%.1f", resident),
-			identical(want.Result, got.Result))
+	}
+	want, cells := run(0)
+	t.AddRow(slices.Concat([]string{"whole-section"}, cells, []string{"-"})...)
+	for _, shard := range []int{1 << 20, 256 << 10, 64 << 10} {
+		got, cells := run(shard)
+		t.AddRow(slices.Concat([]string{fmt.Sprintf("%dK", shard>>10)}, cells,
+			[]string{identical(want.Result, got.Result)})...)
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("section: %d bytes; resident_x = retained Info bytes / section byte (eager backend: 16.0)", len(code)),
+		fmt.Sprintf("section: %d bytes; allocs and MiB are the heap allocations of one run", len(code)),
 		"sharded output is byte-identical to whole-section by construction (oracle.CheckShards); 'identical' re-verifies it here")
 	return t, nil
 }

@@ -1,7 +1,7 @@
 package eval
 
 import (
-	"strings"
+	"strconv"
 	"testing"
 
 	"probedis/internal/dis"
@@ -31,23 +31,24 @@ func TestT10ShardScaling(t *testing.T) {
 		t.Fatalf("missing column %q", name)
 		return -1
 	}
-	ident, res, points := idx("identical"), idx("resident_x"), idx("point-reads")
+	ident, allocs := idx("identical"), idx("allocs")
+	whole, err := strconv.ParseFloat(tab.Rows[0][allocs], 64)
+	if err != nil {
+		t.Fatalf("whole-section allocs %q: %v", tab.Rows[0][allocs], err)
+	}
+	// Every shard size reads the same eager graph as the whole-section
+	// run, so sharding must not multiply allocations.
 	for _, row := range tab.Rows[1:] {
 		if row[ident] != "yes" {
 			t.Errorf("shard %s: identical = %q, want yes", row[0], row[ident])
 		}
-	}
-	// Residency must shrink as shards do: the smallest shard size's
-	// resident_x is the table's point, well under the eager 16x.
-	last := tab.Rows[len(tab.Rows)-1]
-	if !strings.HasPrefix(last[0], "64K") {
-		t.Fatalf("last row = %s, want the 64K shard", last[0])
-	}
-	if v := last[res]; !(strings.HasPrefix(v, "2.") || strings.HasPrefix(v, "3.") || strings.HasPrefix(v, "4.")) {
-		t.Errorf("64K resident_x = %s, want ~3x (well under 16)", v)
-	}
-	if last[points] == "0" {
-		t.Error("64K shards: expected point reads in the post-scan phases")
+		got, err := strconv.ParseFloat(row[allocs], 64)
+		if err != nil {
+			t.Fatalf("shard %s allocs %q: %v", row[0], row[allocs], err)
+		}
+		if got > 1.3*whole {
+			t.Errorf("shard %s: %.0f allocs, want within 1.3x of whole-section's %.0f", row[0], got, whole)
+		}
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // disassembled under a trace span, and the spans are folded into a
 // per-stage cost table (aggregated by span path, e.g. "hints/calltarget").
 // Runs are serial so stage durations are additive and the percentages
-// meaningful.
+// meaningful. A closing "unattributed" row is the root spans' time that
+// no top-level stage accounts for.
 func (r *Runner) T8StageCost() Table {
 	t := Table{
 		ID:      "T8",
@@ -29,7 +30,7 @@ func (r *Runner) T8StageCost() Table {
 	}
 	stages := map[string]*agg{}
 	var order []string
-	var total time.Duration
+	var total, staged time.Duration
 	record := func(path string, dur time.Duration) {
 		a := stages[path]
 		if a == nil {
@@ -57,6 +58,8 @@ func (r *Runner) T8StageCost() Table {
 				path := c.Name
 				if prefix != "" {
 					path = prefix + "/" + c.Name
+				} else {
+					staged += c.Dur
 				}
 				record(path, c.Dur)
 				walk(c, path)
@@ -74,6 +77,8 @@ func (r *Runner) T8StageCost() Table {
 		}
 		return stages[order[i]].dur > stages[order[j]].dur
 	})
+	stages["unattributed"] = &agg{dur: total - staged, calls: len(r.Corpus)}
+	order = append(order, "unattributed")
 	for _, path := range order {
 		a := stages[path]
 		pct := 0.0

@@ -386,7 +386,7 @@ func TestSlowAndAbortiveClientsDontLeak(t *testing.T) {
 // scenario: a single ~100 KiB text section is served by a sharded
 // multi-worker disassembler, and a countdown context cancels each
 // request mid-shard — at different depths into the shard schedule, from
-// the first viability poll to deep inside the per-shard hint fan-out.
+// the first poll to deep inside the per-shard hint fan-out.
 // Cancelling between the scheduler's phases must (a) never leak a shard
 // worker goroutine, (b) release every shard slot (the follow-up clean
 // request reuses the same server and must complete), and (c) drain the

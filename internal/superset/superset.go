@@ -74,15 +74,10 @@ type Graph struct {
 	Base uint64
 	Code []byte
 
-	// Info[i] is the packed decode record at offset i; check
+	// Info[i] is the packed decode record at offset i, 16 bytes per
+	// section byte, decoded up front by Build for every offset; check
 	// Info[i].Valid() (or Graph.Valid(i)) before using the other fields.
-	// Nil on lazily built graphs (BuildLazy) — all pipeline reads go
-	// through At, which serves both backends.
 	Info []Info
-
-	// lazy is the windowed on-demand backend (see BuildLazy); nil for
-	// eagerly built graphs, whose At reduces to an Info index.
-	lazy *lazyInfo
 
 	// extern lists other executable ranges of the binary: direct branches
 	// landing there are legitimate (cross-section tail calls, PLT stubs)
@@ -100,19 +95,9 @@ type Graph struct {
 }
 
 // ScanFallbackCount returns the number of offsets of this graph that
-// were filled through the scan kernel's DecodeLeanInto fallback rather
-// than its table-driven fast path (lazy graphs accumulate as blocks
-// fault in and as point reads decode single offsets).
+// Build filled through the scan kernel's DecodeLeanInto fallback rather
+// than its table-driven fast path.
 func (g *Graph) ScanFallbackCount() int64 { return g.scanFB.Load() }
-
-// addScanFallbacks folds a Scan call's fallback count into the graph's
-// and the process-wide counters.
-func (g *Graph) addScanFallbacks(n int) {
-	if n != 0 {
-		g.scanFB.Add(int64(n))
-		scanFallbackTotal.Add(int64(n))
-	}
-}
 
 // SetExtern registers additional executable ranges (see Graph.extern).
 // The input is copied, sorted and merged into disjoint ascending ranges.
@@ -232,24 +217,19 @@ func decodeRange(ctx context.Context, g *Graph, stop *atomic.Bool, from, to int)
 			break
 		}
 	}
-	g.addScanFallbacks(fallbacks)
+	if fallbacks != 0 {
+		g.scanFB.Add(int64(fallbacks))
+		scanFallbackTotal.Add(int64(fallbacks))
+	}
 }
 
 // Len returns the section size.
 func (g *Graph) Len() int { return len(g.Code) }
 
-// At returns the packed decode record at offset off. On eagerly built
-// graphs it is a plain index into the Info side table; on lazy graphs
-// (BuildLazy) it faults the enclosing block in on demand. The returned
-// pointer stays valid for the caller's lifetime either way — lazy-block
-// eviction only unlinks a block, it never mutates one. Callers must not
-// write through it.
-func (g *Graph) At(off int) *Info {
-	if g.lazy == nil {
-		return &g.Info[off]
-	}
-	return g.lazy.at(g, off)
-}
+// At returns the packed decode record at offset off: a pointer into the
+// Info side table, so a read never allocates. Callers must not write
+// through it.
+func (g *Graph) At(off int) *Info { return &g.Info[off] }
 
 // Valid reports whether offset off decodes to a valid instruction that
 // fits within the section.
@@ -455,8 +435,7 @@ func (g *Graph) Occupies(off int) (from, to int) {
 }
 
 // ValidCount returns the number of offsets with a valid decode (useful as
-// a superset-density diagnostic). On lazy graphs it faults every block in
-// — diagnostic use only; the sharded pipeline never calls it.
+// a superset-density diagnostic).
 func (g *Graph) ValidCount() int {
 	n := 0
 	for i := 0; i < g.Len(); i++ {
