@@ -14,8 +14,11 @@ vet:
 test:
 	go test ./...
 
+# The second pass runs core's scheduler tests at 1 and 4 procs, so the one
+# work pool races at 4 whatever the machine's CPU count.
 race:
 	go test -race ./...
+	go test -race -cpu 1,4 -run 'Parallel|Cancel|Workers|Deterministic|Trace|Shard' ./internal/core/
 
 # The repo benchmark (bench/, run by bench/run.sh) is its own Go module,
 # so the root go test ./... never builds it. Its tests include the

@@ -38,10 +38,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	summaryOnly := fs.Bool("summary", false, "print only the per-section summary")
 	showRegions := fs.Bool("regions", false, "print data regions with the analysis that proved each")
 	modelPath := fs.String("model", "", "load a trained model (see cmd/train); default trains in-process")
-	workers := fs.Int("workers", 0, "pipeline worker goroutines: sections and analyses run concurrently (0 = GOMAXPROCS, 1 = serial; output is identical)")
+	workers := fs.Int("workers", 0, "size of the one work pool that sections, superset decode, hint analyses and scoring share (0 = GOMAXPROCS, 1 = the whole run on one goroutine; output is identical)")
 	selfcheck := fs.Bool("selfcheck", false, "run the verification oracle on this binary: re-disassemble serially and in parallel, check every structural invariant, and exit nonzero on any violation")
 	shardBytes := fs.Int("shard-bytes", 0, "split sections larger than this into shards whose hint analyses run as separate tasks on the worker pool (0 = one shard per section; output is identical)")
-	trace := fs.Bool("trace", false, "print the per-stage span tree (wall time, bytes, allocs, counters) after the summary; runs serially unless -workers is set so stage durations account for total wall time")
+	trace := fs.Bool("trace", false, "print the per-stage span tree (wall time, bytes, allocs, counters) after the summary; runs at -workers 1 unless -workers is set, so the whole run stays on one goroutine and stage durations account for total wall time")
 	traceJSON := fs.Bool("trace-json", false, "emit the span tree as JSON on stdout instead of any other output")
 	if err := fs.Parse(args); err != nil {
 		return 2

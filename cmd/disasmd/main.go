@@ -12,7 +12,9 @@
 //
 //	POST /disassemble        body = one ELF64 image; JSON per-section
 //	                         summary. Append ?trace=1 for the per-stage
-//	                         span tree (bypasses the result cache).
+//	                         span tree (bypasses the result cache; above
+//	                         -workers 1, concurrent spans may sum past
+//	                         the request's wall time).
 //	                         Malformed ELF -> 400, oversized -> 413,
 //	                         saturated -> 429 (+Retry-After), deadline
 //	                         exceeded -> 504, spool/store space
@@ -60,7 +62,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8421", "listen address")
-	workers := flag.Int("workers", 0, "per-request pipeline worker goroutines (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "size of each request's work pool, which runs its sections, superset decode, hint analyses and scoring (0 = GOMAXPROCS, 1 = serial)")
 	batch := flag.Int("batch", 0, "max concurrent disassembly requests (0 = worker-pool size)")
 	queue := flag.Int("queue", 0, "max requests queued for a slot before shedding 429 (0 = 2*batch)")
 	maxBytes := flag.Int64("max-bytes", 64<<20, "max accepted ELF image size in bytes")

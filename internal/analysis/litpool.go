@@ -34,39 +34,6 @@ func looksLikeDouble(b []byte) bool {
 	return exp >= 0x300 && exp <= 0x4ff
 }
 
-// FloatRunHints flags unreferenced constant pools: 8-aligned runs of two
-// or more plausible float64 literals.
-//
-// Experimental — NOT part of the default pipeline: the plausible-exponent
-// byte range overlaps common code bytes (REX prefixes 0x40-0x4f land
-// exactly in the double-exponent band), so on code-dense sections this
-// detector misclassifies real instructions far more often than it
-// recovers unreferenced pools. It is retained for the ablation discussion
-// and enabled via core.WithFloatRuns.
-func FloatRunHints(g *superset.Graph) []Hint {
-	var hs []Hint
-	n := g.Len()
-	for off := 0; off+16 <= n; off += 8 {
-		if !looksLikeDouble(g.Code[off:]) {
-			continue
-		}
-		end := off + 8
-		for end+8 <= n && looksLikeDouble(g.Code[end:]) {
-			end += 8
-		}
-		if end-off >= 16 {
-			from := off
-			for pad := 0; pad < 7 && from > 0 && g.Code[from-1] == 0; pad++ {
-				from--
-			}
-			hs = append(hs, Hint{Kind: HintData, Off: from, Len: end - from,
-				Prio: PrioMedium, Score: float64(end-off) / 8, Src: "floatrun"})
-		}
-		off = end - 8 // loop's += 8 moves past the run
-	}
-	return hs
-}
-
 // LiteralPoolHints proves embedded floating-point constant pools: a
 // RIP-relative memory operand on an SSE/x87 instruction, or a RIP-relative
 // lea whose register is then dereferenced by an SSE/x87 load, pins the

@@ -85,39 +85,6 @@ func TestLooksLikeDouble(t *testing.T) {
 	}
 }
 
-func TestFloatRunHints(t *testing.T) {
-	a := xasm.New(0)
-	a.Ret()
-	for a.Len()%8 != 0 {
-		a.Raw(0)
-	}
-	start := a.Len()
-	a.U64(math.Float64bits(1.5))
-	a.U64(math.Float64bits(99.25))
-	a.U64(math.Float64bits(-0.125))
-	a.Ret()
-	code, err := a.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := superset.Build(code, 0)
-	hints := FloatRunHints(g)
-	found := false
-	for _, h := range hints {
-		if h.Src == "floatrun" && h.Off <= start && h.Off+h.Len >= start+24 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("float run at [%d,%d) not flagged: %+v", start, start+24, hints)
-	}
-	// No hint on a pure-code section.
-	codeOnly := superset.Build([]byte{0x55, 0x48, 0x89, 0xe5, 0x5d, 0xc3, 0x90, 0x90}, 0)
-	if hs := FloatRunHints(codeOnly); len(hs) != 0 {
-		t.Errorf("float run flagged in pure code: %+v", hs)
-	}
-}
-
 func TestDataPatternHints(t *testing.T) {
 	a := xasm.New(0x2000)
 	a.Ret()

@@ -59,18 +59,16 @@ func WithoutPrioritization() Option { return func(d *Disassembler) { d.flatPrio 
 // WithThreshold shifts the statistical decision boundary (F4 sweep).
 func WithThreshold(t float64) Option { return func(d *Disassembler) { d.threshold = t } }
 
-// WithFloatRuns enables the experimental unreferenced-constant-pool
-// detector (see analysis.FloatRunHints for why it is off by default).
-func WithFloatRuns() Option { return func(d *Disassembler) { d.useFloatRuns = true } }
-
 // WithWindow sets the scoring window in instructions (default 8).
 func WithWindow(w int) Option { return func(d *Disassembler) { d.window = w } }
 
-// WithWorkers bounds the pipeline's worker pool: ELF section fan-out and
-// the concurrent hint analyses use at most n goroutines. n <= 0 (the
-// default) means GOMAXPROCS; n == 1 forces the fully serial path. The
-// result is byte-identical for every n — parallelism only changes
-// wall-clock time.
+// WithWorkers sizes the one work pool each call runs on. Sections,
+// superset decode chunks, hint analyses and statistical scoring pieces
+// are all tasks on that pool: a task runs on a new goroutine while one of
+// the n slots is free, and on the goroutine that submitted it otherwise.
+// n <= 0 (the default) means GOMAXPROCS; n == 1 runs the whole pipeline
+// on the calling goroutine. The result is byte-identical for every n —
+// parallelism only changes wall-clock time.
 func WithWorkers(n int) Option { return func(d *Disassembler) { d.workers = n } }
 
 // WithShardBytes splits sections larger than n bytes into ~n-byte shards
@@ -105,7 +103,6 @@ type Disassembler struct {
 
 	useStats      bool
 	useJumpTables bool
-	useFloatRuns  bool
 	flatPrio      bool
 	penaltyWeight float64
 	threshold     float64
@@ -163,11 +160,14 @@ func (d *Disassembler) Clone(opts ...Option) *Disassembler {
 // budget.
 func (d *Disassembler) HintsFor(g *superset.Graph, entry int) []analysis.Hint {
 	viable := analysis.Viability(g)
-	hints, _ := d.collectHints(nil, g, viable, entry, ShardPlan(g.Len(), 0), nil, newWorkPool(d.Workers()))
+	pool := newWorkPool(d.Workers())
+	hints, _ := d.collectHints(nil, g, viable, entry, ShardPlan(g.Len(), 0), nil, pool)
 	if d.useStats {
-		scores := make([]float64, g.Len())
-		d.model.ScoreAllInto(scores, g, d.window)
-		hints = append(hints, analysis.StatHints(g, viable, scores, d.penaltyWeight, d.threshold)...)
+		// One contested window covering the section: the partition a
+		// WithoutPrioritization run scores.
+		ws := &windowScores{}
+		ws.score(d, g, &tier.Partition{Windows: [][2]int{{0, g.Len()}}, Total: g.Len(), ContestedBytes: g.Len()}, pool)
+		hints = append(hints, analysis.StatHints(g, viable, ws.bufs[0], d.penaltyWeight, d.threshold)...)
 	}
 	d.flatten(hints)
 	return hints
@@ -216,8 +216,8 @@ type Detail struct {
 
 // run is the section pipeline on a built superset graph. Viability runs
 // over the whole section; the per-shard hint analyses fan out over the
-// shard plan on the work-stealing pool (pool may be nil: a section-level
-// call gets its own); without sharding the plan is the single shard
+// shard plan on the work-stealing pool, and so do the scoring pieces of
+// the contested windows; without sharding the plan is the single shard
 // [0, n). The per-shard outputs merge into one canonical hint stream
 // (each analysis emits in ascending anchor order, so concatenation in
 // shard order reproduces the whole-section scan; call-target counts merge
@@ -233,9 +233,6 @@ type Detail struct {
 // per-shard and correction loops; once it is done the run returns
 // (nil, ctx.Err()) and partial stage output is discarded, never surfaced.
 func (d *Disassembler) run(ctx context.Context, g *superset.Graph, entry int, sp *obs.Span, pool *workPool) (*Detail, error) {
-	if pool == nil {
-		pool = newWorkPool(d.Workers())
-	}
 	shards := ShardPlan(g.Len(), d.shardBytes)
 	sp.Count("shards", int64(len(shards)))
 
@@ -352,10 +349,10 @@ func (d *Disassembler) finish(ctx context.Context, g *superset.Graph, entry int,
 // anchored analyses (jump tables, call targets, prologues, literal pools)
 // run once per shard as independent tasks on the pool, while the
 // inherently global stages (entry; the raw-byte data-pattern runs, whose
-// fill/string/pointer runs are unbounded and must not be split; float
-// runs) stay whole-section tasks riding the same pool. Outputs merge in
-// the fixed canonical stage order — entry, jump tables, call targets,
-// prologues, data patterns, literal pools, float runs — with shards
+// fill/string/pointer runs are unbounded and must not be split) stay
+// whole-section tasks riding the same pool. Outputs merge in the fixed
+// canonical stage order — entry, jump tables, call targets, prologues,
+// data patterns, literal pools — with shards
 // ascending inside each stage, which reproduces the whole-section
 // analyses' stream element for element, whatever the tiling or the
 // order tasks finished in.
@@ -366,7 +363,7 @@ func (d *Disassembler) finish(ctx context.Context, g *superset.Graph, entry int,
 // check.
 func (d *Disassembler) collectHints(ctx context.Context, g *superset.Graph, viable []bool, entry int, shards [][2]int, sp *obs.Span, pool *workPool) ([]analysis.Hint, []analysis.JumpTable) {
 	k := len(shards)
-	var entryPart, dataPart, floatPart []analysis.Hint
+	var entryPart, dataPart []analysis.Hint
 	jtParts := make([][]analysis.JumpTable, k)
 	jtHints := make([][]analysis.Hint, k)
 	ctCounts := make([]map[int]int32, k)
@@ -386,9 +383,6 @@ func (d *Disassembler) collectHints(ctx context.Context, g *superset.Graph, viab
 	tasks := []task{
 		{"entry", func() int { entryPart = analysis.EntryHint(g, entry); return len(entryPart) }},
 		{"datapattern", func() int { dataPart = analysis.DataPatternHints(g); return len(dataPart) }},
-	}
-	if d.useFloatRuns {
-		tasks = append(tasks, task{"floatrun", func() int { floatPart = analysis.FloatRunHints(g); return len(floatPart) }})
 	}
 	ctTask := -1
 	for i := range shards {
@@ -451,6 +445,5 @@ func (d *Disassembler) collectHints(ctx context.Context, g *superset.Graph, viab
 	parts = append(parts, proParts...)
 	parts = append(parts, dataPart)
 	parts = append(parts, litParts...)
-	parts = append(parts, floatPart)
 	return slices.Concat(parts...), tables
 }

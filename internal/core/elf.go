@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"probedis/internal/ctxutil"
 	"probedis/internal/dis"
@@ -41,20 +40,30 @@ type SectionDetail struct {
 // and correction hot loops) and returns (nil, ctx.Err()). That is the
 // only error: with a nil ctx, which never cancels, the call cannot fail.
 func (d *Disassembler) DisassembleSectionTraceContext(ctx context.Context, code []byte, base uint64, entry int, extern []superset.Range, sp *obs.Span) (*Detail, error) {
-	return d.disassembleSectionPool(ctx, code, base, entry, extern, sp, nil)
+	return d.disassembleSectionPool(ctx, code, base, entry, extern, sp, newWorkPool(d.Workers()))
 }
 
-// disassembleSectionPool is DisassembleSectionTraceContext with an
-// optional request-scoped work pool shared across sections (see
-// workPool). Every section, sharded or not, runs over the eager graph
-// that superset.BuildContext decodes up front.
+// decodeChunkBytes is the superset decode task size. Chunks this large
+// keep the per-task goroutine and closure cost out of the allocation
+// profile, while a multi-MiB section still spreads over every worker.
+const decodeChunkBytes = 256 << 10
+
+// disassembleSectionPool is DisassembleSectionTraceContext on a work
+// pool the caller supplies (one per request, shared across sections; see
+// workPool). The superset graph is decoded up front, one task per
+// decodeChunkBytes range, and every section, sharded or not, runs over
+// it.
 func (d *Disassembler) disassembleSectionPool(ctx context.Context, code []byte, base uint64, entry int, extern []superset.Range, sp *obs.Span, pool *workPool) (*Detail, error) {
 	sp.SetBytes(int64(len(code)))
 	bsp := sp.StartChild("superset")
-	g, err := superset.BuildContext(ctx, code, base)
-	if err != nil {
+	g := superset.New(code, base)
+	pool.run((len(code)+decodeChunkBytes-1)/decodeChunkBytes, func(i int) {
+		from := i * decodeChunkBytes
+		g.Decode(ctx, from, min(from+decodeChunkBytes, len(code)))
+	})
+	if ctxutil.Cancelled(ctx) {
 		bsp.End()
-		return nil, err
+		return nil, ctxutil.Err(ctx)
 	}
 	if bsp != nil {
 		bsp.SetBytes(int64(len(code)))
@@ -73,9 +82,10 @@ func (d *Disassembler) disassembleSectionPool(ctx context.Context, code []byte, 
 // registered as legitimate cross-section branch targets (PLT stubs,
 // .init/.fini), so inter-section tail calls do not poison viability.
 //
-// Sections are independent pipeline runs, so they are fanned out to the
-// disassembler's worker pool (see WithWorkers) and reassembled in section
-// order; the output is byte-identical to the serial path.
+// Sections are independent pipeline runs, so each is one task on the
+// request's work pool (see WithWorkers), whose decode chunks, hint tasks
+// and scoring pieces ride the same pool; results land in section order,
+// and the output is byte-identical to the serial path.
 //
 // ELF parsing and every per-section run become child spans of sp (one
 // "section" span per executable section, labelled with its name, with
@@ -124,14 +134,17 @@ func (d *Disassembler) DisassembleELFTraceContext(ctx context.Context, img []byt
 		}
 	}
 
-	// One work-stealing pool per request: shard tasks from any section
-	// can claim a slot freed by another section finishing, so a giant
-	// section no longer serializes on a single section worker.
+	// One work-stealing pool per request: sections, and the decode,
+	// hint and scoring tasks inside them, all claim its slots, so a giant
+	// section's tasks drain onto workers that finished their own sections.
 	pool := newWorkPool(d.Workers())
 	out := make([]SectionDetail, len(secs))
-	runSection := func(i int) error {
+	pool.run(len(secs), func(i int) {
+		// A section's only error is the context's, which the check after
+		// the pool reports; a section queued behind a cancellation is
+		// skipped here.
 		if ctxutil.Cancelled(ctx) {
-			return ctxutil.Err(ctx)
+			return
 		}
 		s := &secs[i]
 		ssp := sp.StartChild("section")
@@ -139,7 +152,7 @@ func (d *Disassembler) DisassembleELFTraceContext(ctx context.Context, img []byt
 		det, err := d.disassembleSectionPool(ctx, s.Data, s.Addr, entries[i], externs[i], ssp, pool)
 		ssp.End()
 		if err != nil {
-			return err
+			return
 		}
 		out[i] = SectionDetail{
 			Name:   s.Name,
@@ -148,58 +161,11 @@ func (d *Disassembler) DisassembleELFTraceContext(ctx context.Context, img []byt
 			Entry:  entries[i],
 			Detail: det,
 		}
-		return nil
-	}
-
-	workers := d.Workers()
-	if workers > len(secs) {
-		workers = len(secs)
-	}
-	if workers <= 1 {
-		for i := range secs {
-			if err := runSection(i); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				// Per-section errors are cancellations only; runSection
-				// also short-circuits once the context is done, so
-				// remaining queued sections drain without work.
-				runSection(i)
-			}
-		}()
-	}
-feed:
-	for i := range secs {
-		select {
-		case idx <- i:
-		case <-ctxDone(ctx):
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
+	})
 	if ctxutil.Cancelled(ctx) {
 		return nil, ctxutil.Err(ctx)
 	}
 	return out, nil
-}
-
-// ctxDone is ctx.Done() for possibly-nil contexts (a nil channel never
-// receives, so the select above reduces to the plain send).
-func ctxDone(ctx context.Context) <-chan struct{} {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Done()
 }
 
 // DisassembleELF is DisassembleELFTraceContext without cancellation or

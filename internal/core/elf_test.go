@@ -128,7 +128,6 @@ func TestOptionVariants(t *testing.T) {
 		{WithoutPrioritization()},
 		{WithThreshold(2)},
 		{WithWindow(4)},
-		{WithFloatRuns()},
 		{WithoutStats(), WithoutJumpTables()},
 	} {
 		d := New(DefaultModel(), opts...)

@@ -1,8 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
+	"math/rand"
+	"runtime"
+	"strconv"
+	"sync"
 	"testing"
 
 	"probedis/internal/elfx"
@@ -127,14 +133,20 @@ func TestParallelDisassembleMatchesSerialOnCorpus(t *testing.T) {
 // TestHintsForDeterministic: the concurrently collected hint slice
 // must equal the serial one element-for-element (the canonical merge
 // order), and repeated runs must not reorder it. Jump-table hints are
-// emitted table by table, so equal streams imply equal tables.
+// emitted table by table, so equal streams imply equal tables, and the
+// statistical hints pin the scores computed piecewise on the pool.
 func TestHintsForDeterministic(t *testing.T) {
 	model := DefaultModel()
 	bin, err := synth.Generate(synth.Config{
-		Seed: 77, Profile: synth.ProfileComplex, NumFuncs: 30,
+		Seed: 77, Profile: synth.ProfileComplex, NumFuncs: 120,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Past one scoring piece, so the whole-section window scores as
+	// several pool tasks.
+	if len(bin.Code) <= scoreChunkBytes {
+		t.Fatalf("section is %d bytes, want more than one %d-byte scoring piece", len(bin.Code), scoreChunkBytes)
 	}
 	g := superset.Build(bin.Code, bin.Base)
 	entry := int(bin.Entry - bin.Base)
@@ -150,6 +162,103 @@ func TestHintsForDeterministic(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("rep %d: hint %d = %+v, want %+v", rep, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestParallelDecodeMatchesBuild: a section decoded on a four-slot pool,
+// one task per decodeChunkBytes range, reads the same superset graph as
+// the serial superset.Build, entry for entry, with the same scan-fallback
+// count.
+func TestParallelDecodeMatchesBuild(t *testing.T) {
+	code := make([]byte, 1<<20+12345) // four whole chunks and a short one
+	rand.New(rand.NewSource(71)).Read(code)
+	want := superset.Build(code, 0x400000)
+	if want.ScanFallbackCount() == 0 {
+		t.Fatal("precondition: random bytes hit no scan fallback")
+	}
+	det, err := New(DefaultModel(), WithWorkers(4)).DisassembleSectionTraceContext(nil, code, 0x400000, -1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := det.Graph
+	for off := range want.Info {
+		if got.Info[off] != want.Info[off] {
+			t.Fatalf("Info[+%#x] = %+v, want %+v", off, got.Info[off], want.Info[off])
+		}
+	}
+	if got.ScanFallbackCount() != want.ScanFallbackCount() {
+		t.Fatalf("scan fallbacks %d, want %d", got.ScanFallbackCount(), want.ScanFallbackCount())
+	}
+}
+
+// goid returns the calling goroutine's ID, parsed from the header line
+// of its stack trace ("goroutine 18 [running]:").
+func goid() int64 {
+	var buf [64]byte
+	line := buf[:runtime.Stack(buf[:], false)]
+	line = bytes.TrimPrefix(line, []byte("goroutine "))
+	id, err := strconv.ParseInt(string(line[:bytes.IndexByte(line, ' ')]), 10, 64)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+// pollerCtx never cancels; it counts the cancellation polls (Done
+// fetches) each goroutine makes.
+type pollerCtx struct {
+	context.Context
+	mu    sync.Mutex
+	polls map[int64]int
+}
+
+func (p *pollerCtx) Done() <-chan struct{} {
+	id := goid()
+	p.mu.Lock()
+	p.polls[id]++
+	p.mu.Unlock()
+	return nil
+}
+
+// TestWorkersOneRunsOnCaller pins WithWorkers(1) as the fully serial run
+// its doc promises, whatever GOMAXPROCS says: every cancellation poll of
+// a section run and of a two-section ELF run (superset decode, hint
+// tasks, scoring and correction all poll) comes from the calling
+// goroutine.
+func TestWorkersOneRunsOnCaller(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	rng := rand.New(rand.NewSource(72))
+	code := make([]byte, 256<<10)
+	rng.Read(code)
+	var bld elfx.Builder
+	bld.Entry = 0x401000
+	for i, addr := range []uint64{0x401000, 0x421000} {
+		sec := make([]byte, 64<<10)
+		rng.Read(sec)
+		bld.AddSection(fmt.Sprintf(".text%d", i), addr, elfx.SHFAlloc|elfx.SHFExecinstr, sec)
+	}
+	img, err := bld.Write()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d := New(DefaultModel(), WithWorkers(1))
+	ctx := &pollerCtx{Context: context.Background(), polls: map[int64]int{}}
+	if _, err := d.DisassembleSectionTraceContext(ctx, code, 0x400000, -1, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.DisassembleELFTraceContext(ctx, img, nil); err != nil {
+		t.Fatal(err)
+	}
+	caller := goid()
+	if ctx.polls[caller] == 0 {
+		t.Fatal("the calling goroutine never polled the context")
+	}
+	for id, n := range ctx.polls {
+		if id != caller {
+			t.Errorf("goroutine %d polled %d times; only the caller (%d) may", id, n, caller)
 		}
 	}
 }

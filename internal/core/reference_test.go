@@ -22,8 +22,7 @@ func singlePhase(d *Disassembler, code []byte, base uint64, entry int) (*dis.Res
 	viable := analysis.Viability(g)
 	var scores []float64
 	if d.useStats {
-		scores = make([]float64, g.Len())
-		d.model.ScoreAllInto(scores, g, d.window)
+		scores = d.model.ScoreAll(g, d.window)
 	}
 	hints := d.HintsFor(g, entry)
 	out := correct.Run(g, viable, hints, correct.Options{Scores: scores})
@@ -91,7 +90,6 @@ func TestMatchesSinglePhaseReference(t *testing.T) {
 		{"noprio", []Option{WithoutPrioritization()}},
 		{"nobehav", []Option{WithoutBehavior()}},
 		{"nojt", []Option{WithoutJumpTables()}},
-		{"floatruns", []Option{WithFloatRuns()}},
 		{"threshold", []Option{WithThreshold(0.5)}},
 		{"nostats+noprio", []Option{WithoutStats(), WithoutPrioritization()}},
 	}

@@ -35,13 +35,15 @@ func ShardPlan(n, shardBytes int) [][2]int {
 	return out
 }
 
-// workPool is the request-scoped work-stealing pool: every section of one
-// request shares its slots, so shard tasks from a giant section drain
-// onto workers that finished their own (small) sections instead of
-// serializing behind the section fan-out. A task that cannot get a slot
+// workPool is the request-scoped work-stealing pool and the pipeline's
+// only scheduler: sections, superset decode chunks, hint tasks and
+// scoring pieces are all its tasks, and every section of one request
+// shares its slots, so tasks from a giant section drain onto workers that
+// finished their own (small) sections. A task that cannot get a slot
 // runs inline on the submitter, so progress never deadlocks on a
-// saturated pool and a workers<=1 configuration degenerates to the exact
-// serial order (which the cancellation sweep relies on).
+// saturated pool (a task may submit tasks of its own) and a workers<=1
+// configuration degenerates to the exact serial order on the calling
+// goroutine (which the cancellation sweep relies on).
 type workPool struct {
 	sem chan struct{} // nil: always run inline (serial)
 }
@@ -87,8 +89,8 @@ type windowScores struct {
 }
 
 // scoreChunkBytes bounds one scoring task, so a window wider than that —
-// the whole section under WithoutPrioritization — still spreads over the
-// pool instead of scoring on one worker.
+// the whole section under WithoutPrioritization and in HintsFor — still
+// spreads over the pool instead of scoring on one worker.
 const scoreChunkBytes = 1 << 14
 
 // score fills one buffer per contested window on the pool, one task per

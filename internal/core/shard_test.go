@@ -119,14 +119,13 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 // TestShardedMatchesUnshardedAblations covers the configurations the
 // scheduler treats as degenerate cases of the tiered corrector (no stats:
 // no statistical phase; flat priorities: one whole-section window) plus
-// the optional analyses: the sharded run must equal the one-shard run.
+// the jump-table ablation: the sharded run must equal the one-shard run.
 func TestShardedMatchesUnshardedAblations(t *testing.T) {
 	bin := shardTestBins(t)[1]
 	entry := int(bin.Entry - bin.Base)
 	for i, opts := range [][]Option{
 		{WithoutStats()},
 		{WithoutPrioritization()},
-		{WithFloatRuns()},
 		{WithoutJumpTables()},
 	} {
 		label := fmt.Sprintf("ablation %d", i)

@@ -15,7 +15,6 @@ import (
 	"context"
 	"math"
 	"math/bits"
-	"sync"
 
 	"probedis/internal/analysis"
 	"probedis/internal/ctxutil"
@@ -102,7 +101,6 @@ const commitCheckInterval = 256
 // (which the pipeline runs) and the only path that honours MaxHints.
 func Run(g *superset.Graph, viable []bool, hints []analysis.Hint, opts Options) *Outcome {
 	c := newCorrector(g, viable)
-	defer c.release()
 	c.commitHints(nil, hints, opts.MaxHints, opts.Trace, "") // a nil ctx never cancels
 	out, _ := c.finish(nil, opts)
 	return out
@@ -140,7 +138,6 @@ type PhaseHintsFunc func(o *Outcome) []analysis.Hint
 // complete one. A nil ctx never cancels.
 func RunTieredContext(ctx context.Context, g *superset.Graph, viable []bool, structural []analysis.Hint, rest PhaseHintsFunc, opts Options) (*Outcome, error) {
 	c := newCorrector(g, viable)
-	defer c.release()
 	if err := c.commitHints(ctx, structural, 0, opts.Trace, "-structural"); err != nil {
 		return nil, err
 	}
@@ -154,9 +151,8 @@ func RunTieredContext(ctx context.Context, g *superset.Graph, viable []bool, str
 	return c.finish(ctx, opts)
 }
 
-// newCorrector allocates the outcome and wires up pooled scratch buffers.
-// release must run on every exit, including cancellation aborts, so a
-// cancelled run never leaks the (grown) buffers.
+// newCorrector allocates the outcome; the work buffers grow from nil on
+// first use and live for one run.
 func newCorrector(g *superset.Graph, viable []bool) *corrector {
 	n := g.Len()
 	o := &Outcome{
@@ -169,16 +165,7 @@ func newCorrector(g *superset.Graph, viable []bool) *corrector {
 	for i := range o.Owner {
 		o.Owner[i] = -1
 	}
-	sc := scratchPool.Get().(*scratch)
-	return &corrector{g: g, viable: viable, out: o, srcIdx: map[string]uint8{"": 0},
-		sc: sc, stack: sc.stack, succs: sc.succs, chain: sc.chain}
-}
-
-// release returns the (possibly grown) scratch buffers to the pool.
-func (c *corrector) release() {
-	c.sc.stack, c.sc.succs, c.sc.chain = c.stack[:0], c.succs[:0], c.chain[:0]
-	scratchPool.Put(c.sc)
-	c.sc = nil
+	return &corrector{g: g, viable: viable, out: o, srcIdx: map[string]uint8{"": 0}}
 }
 
 // commitHints sorts one hint stream into commit order and consumes it.
@@ -255,16 +242,6 @@ func (c *corrector) finish(ctx context.Context, opts Options) (*Outcome, error) 
 	}
 	return o, nil
 }
-
-// scratch bundles the corrector's reusable work buffers. Pooled: one
-// correction run per section, and the commit/retract loops call
-// ForcedSuccs for every committed instruction, so recycling the buffers
-// removes the hot path's steady allocation churn.
-type scratch struct {
-	stack, succs, chain []int
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // retract is the error-correction fixpoint: committed instructions whose
 // forced successor turned out to be data (or the middle of another
@@ -529,10 +506,11 @@ type corrector struct {
 	g      *superset.Graph
 	viable []bool
 	out    *Outcome
-	sc     *scratch // pool entry backing stack/succs/chain; see release
-	stack  []int
-	succs  []int
-	chain  []int // commitChain's successor buffer (stack and succs are live there)
+	// Work buffers, reused across the run's commits and scans so the
+	// per-instruction ForcedSuccs calls append without allocating.
+	stack []int
+	succs []int
+	chain []int // commitChain's successor buffer (stack and succs are live there)
 
 	srcIdx map[string]uint8
 	curSrc uint8

@@ -38,7 +38,6 @@ func assertNoCommitIntoData(t *testing.T, g *superset.Graph, out *Outcome) {
 func TestNopTilesEmptyGap(t *testing.T) {
 	g, v := buildGraph([]byte{0x90, 0x90, 0xc3})
 	c := newCorrector(g, v)
-	defer c.release()
 	if c.nopTiles(1, 1) {
 		t.Error("nopTiles reported an empty range as NOP padding")
 	}

@@ -11,8 +11,6 @@ package stats
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"probedis/internal/superset"
 	"probedis/internal/x86"
@@ -206,30 +204,16 @@ func (m *Model) LogOdds(g *superset.Graph, off, window int) (score float64, step
 }
 
 // ScoreAll computes the per-offset normalized log-odds (score/steps) for
-// every offset; invalid offsets get large negative values. Offsets are
-// independent, so large sections are scored in parallel (deterministic).
+// every offset; invalid offsets get large negative values. It runs
+// serially on the calling goroutine: the pipeline splits scoring into
+// ScoreWindowInto pieces on its own work pool.
 func (m *Model) ScoreAll(g *superset.Graph, window int) []float64 {
 	out := make([]float64, g.Len())
-	m.ScoreAllInto(out, g, window)
+	m.ScoreWindowInto(out, g, window, 0, g.Len())
 	return out
 }
 
-// ScoreAllInto is ScoreAll writing into out, which must have length
-// g.Len().
-func (m *Model) ScoreAllInto(out []float64, g *superset.Graph, window int) {
-	if len(out) != g.Len() {
-		panic("stats: ScoreAllInto buffer length mismatch")
-	}
-	const parallelThreshold = 1 << 14
-	workers := runtime.GOMAXPROCS(0)
-	if g.Len() < parallelThreshold || workers == 1 {
-		m.ScoreWindowInto(out, g, window, 0, g.Len())
-		return
-	}
-	m.scoreAllParallel(out, g, window, workers)
-}
-
-// ScoreRangesInto computes the same per-offset values ScoreAllInto would
+// ScoreRangesInto computes the same per-offset values ScoreAll would
 // (each offset's LogOdds depends only on the graph, never on neighbouring
 // scores) restricted to the half-open windows [w[0], w[1]); offsets
 // outside every window are left untouched. The values at those offsets
@@ -250,7 +234,7 @@ func (m *Model) ScoreRangesInto(out []float64, g *superset.Graph, window int, wi
 // window-relative buffer: out[i] receives the score of offset from+i.
 // Values are bit-identical to the corresponding slice of a full scoring
 // pass (LogOdds reads only the graph). It is the one scoring loop behind
-// ScoreAllInto and ScoreRangesInto, and the pipeline calls it directly to
+// ScoreAll and ScoreRangesInto, and the pipeline calls it directly to
 // keep one small buffer per contested window instead of a section-length
 // slice. len(out) must be at least to-from.
 func (m *Model) ScoreWindowInto(out []float64, g *superset.Graph, window, from, to int) {
@@ -268,23 +252,4 @@ func (m *Model) ScoreWindowInto(out []float64, g *superset.Graph, window, from, 
 		}
 		out[off-from] = s / float64(n)
 	}
-}
-
-// scoreAllParallel fans ScoreAllInto's per-offset loop out over the
-// worker count (offsets are independent, so chunking is deterministic).
-func (m *Model) scoreAllParallel(out []float64, g *superset.Graph, window, workers int) {
-	var wg sync.WaitGroup
-	chunk := (g.Len() + workers - 1) / workers
-	for from := 0; from < g.Len(); from += chunk {
-		to := from + chunk
-		if to > g.Len() {
-			to = g.Len()
-		}
-		wg.Add(1)
-		go func(a, b int) {
-			defer wg.Done()
-			m.ScoreWindowInto(out[a:b], g, window, a, b)
-		}(from, to)
-	}
-	wg.Wait()
 }

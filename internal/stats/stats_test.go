@@ -3,7 +3,6 @@ package stats
 import (
 	"encoding/binary"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"probedis/internal/superset"
@@ -265,31 +264,5 @@ func BenchmarkScoreAll(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.ScoreAll(g, 8)
-	}
-}
-
-// TestScoreAllParallelMatchesSerial forces the parallel scoring path and
-// requires identical output with the serial path.
-func TestScoreAllParallelMatchesSerial(t *testing.T) {
-	m := trainModel(t)
-	b, err := synth.Generate(synth.Config{Seed: 55, Profile: synth.ProfileComplex, NumFuncs: 120})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Code) < 1<<14 {
-		t.Fatalf("binary too small to exercise the parallel path: %d", len(b.Code))
-	}
-	g := superset.Build(b.Code, b.Base)
-
-	prev := runtime.GOMAXPROCS(4)
-	par := m.ScoreAll(g, 8)
-	runtime.GOMAXPROCS(1)
-	ser := m.ScoreAll(g, 8)
-	runtime.GOMAXPROCS(prev)
-
-	for i := range par {
-		if par[i] != ser[i] {
-			t.Fatalf("score differs at +%#x: %v vs %v", i, par[i], ser[i])
-		}
 	}
 }

@@ -84,7 +84,7 @@ func TestBuildContextCancelsAtEveryCheckpoint(t *testing.T) {
 }
 
 // pollCounter counts Done() fetches (i.e. cancellation polls) without
-// ever cancelling. Polls may come from parallel build workers.
+// ever cancelling.
 type pollCounter struct {
 	context.Context
 	polls atomic.Int32

@@ -7,15 +7,19 @@
 // The per-offset decode result is stored packed (see Info): a full
 // x86.Inst is ~128 bytes and the superset needs one record per byte, so
 // storing instructions eagerly costs >100x the section size and turns
-// every downstream scan into a cache-miss parade. Instead Build keeps the
-// 16 bytes of properties the hot analyses actually read, and InstAt
+// every downstream scan into a cache-miss parade. Instead Decode keeps
+// the 16 bytes of properties the hot analyses actually read, and InstAt
 // lazily re-decodes the full instruction at the few offsets cold paths
 // (rewriting, listings, jump-table shape checks) inspect in detail.
+//
+// The package starts no goroutines. Build decodes serially; a caller
+// that wants a parallel decode allocates the graph with New and runs
+// Decode over disjoint ranges on its own scheduler (internal/core puts
+// them on the request's work pool).
 package superset
 
 import (
 	"context"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -75,7 +79,7 @@ type Graph struct {
 	Code []byte
 
 	// Info[i] is the packed decode record at offset i, 16 bytes per
-	// section byte, decoded up front by Build for every offset; check
+	// section byte, filled by Decode for every offset; check
 	// Info[i].Valid() (or Graph.Valid(i)) before using the other fields.
 	Info []Info
 
@@ -90,12 +94,13 @@ type Graph struct {
 	// field, so zero-value Graphs built by struct literal keep working.
 	dc instCache
 
-	// scanFB counts this graph's scan-kernel fallbacks (see ScanFallbacks).
+	// scanFB counts this graph's scan-kernel fallbacks (see
+	// ScanFallbacks). Atomic, since Decode ranges may run concurrently.
 	scanFB atomic.Int64
 }
 
 // ScanFallbackCount returns the number of offsets of this graph that
-// Build filled through the scan kernel's DecodeLeanInto fallback rather
+// Decode filled through the scan kernel's DecodeLeanInto fallback rather
 // than its table-driven fast path.
 func (g *Graph) ScanFallbackCount() int64 { return g.scanFB.Load() }
 
@@ -140,80 +145,46 @@ func (g *Graph) ExternTarget(addr uint64) bool {
 
 // Build decodes an instruction at every offset of code, packing each
 // result into the 16-byte side-table in the same pass via the x86.Scan
-// length-only kernel. Decoding at each offset is independent, so large
-// sections are decoded in parallel; the result is deterministic.
+// length-only kernel. It runs serially on the calling goroutine; the
+// pipeline instead splits Decode into ranges on its own work pool.
 func Build(code []byte, base uint64) *Graph {
 	g, _ := BuildContext(nil, code, base)
 	return g
 }
 
-// BuildContext is Build with cooperative cancellation: the decode loop
-// polls ctx every ctxutil.CheckInterval offsets (per worker on the
-// parallel path) and returns (nil, ctx.Err()) once the context is done,
-// so a cancelled request stops burning CPU within a few thousand decodes.
-// The poll sits outside the per-offset loop — the nil-ctx path (what
-// Build uses) runs the exact pre-cancellation instruction sequence.
+// BuildContext is Build with cooperative cancellation: New plus one
+// Decode over the whole section. It returns (nil, ctx.Err()) once the
+// context is done, so a cancelled request stops burning CPU within a few
+// thousand decodes.
 func BuildContext(ctx context.Context, code []byte, base uint64) (*Graph, error) {
-	g := &Graph{
-		Base: base,
-		Code: code,
-		Info: make([]Info, len(code)),
-	}
-	// decodeRange is a top-level function (not a closure) and each
-	// branch declares its own stop flag, so the serial path allocates
-	// nothing beyond the Graph itself: the flag only escapes to the
-	// heap on the parallel path, where goroutine closures capture it.
-	const parallelThreshold = 1 << 14
-	workers := runtime.GOMAXPROCS(0)
-	cancelled := false
-	if len(code) < parallelThreshold || workers == 1 {
-		var stop atomic.Bool
-		decodeRange(ctx, g, &stop, 0, len(code))
-		cancelled = stop.Load()
-	} else {
-		// stop fans one worker's cancellation observation out to its
-		// peers: they stop at their own next checkpoint without
-		// touching the (possibly contended) context again.
-		var stop atomic.Bool
-		var wg sync.WaitGroup
-		chunk := (len(code) + workers - 1) / workers
-		for from := 0; from < len(code); from += chunk {
-			to := from + chunk
-			if to > len(code) {
-				to = len(code)
-			}
-			wg.Add(1)
-			go func(a, b int) {
-				defer wg.Done()
-				decodeRange(ctx, g, &stop, a, b)
-			}(from, to)
-		}
-		wg.Wait()
-		cancelled = stop.Load()
-	}
-	if cancelled || ctxutil.Cancelled(ctx) {
+	g := New(code, base)
+	g.Decode(ctx, 0, len(code))
+	if ctxutil.Cancelled(ctx) {
 		return nil, ctxutil.Err(ctx)
 	}
 	return g, nil
 }
 
-// decodeRange decodes offsets [from, to) into g.Info through the
-// x86.Scan table-driven kernel, polling ctx (and the shared stop flag)
-// every ctxutil.CheckInterval offsets — one Scan call per checkpoint
-// chunk, so cancellation latency is unchanged from the per-offset loop
-// it replaced.
-func decodeRange(ctx context.Context, g *Graph, stop *atomic.Bool, from, to int) {
-	code, base := g.Code, g.Base
+// New returns the graph of code with its side table allocated but not
+// yet decoded: every offset reads as invalid until Decode fills it.
+func New(code []byte, base uint64) *Graph {
+	return &Graph{Base: base, Code: code, Info: make([]Info, len(code))}
+}
+
+// Decode fills g.Info over offsets [from, to) through the x86.Scan
+// table-driven kernel. Offsets decode independently, so disjoint ranges
+// may be decoded concurrently, and any tiling yields the same table as
+// one whole-section pass. ctx is polled every ctxutil.CheckInterval
+// offsets, outside the per-offset loop; once it is done Decode returns
+// with the rest of the range unfilled, and the caller must check ctx and
+// discard the graph.
+func (g *Graph) Decode(ctx context.Context, from, to int) {
 	fallbacks := 0
 	for off := from; off < to; {
-		chunkEnd := off + ctxutil.CheckInterval
-		if chunkEnd > to {
-			chunkEnd = to
-		}
-		fallbacks += x86.Scan(g.Info[off:chunkEnd], code, base, off, chunkEnd)
+		chunkEnd := min(off+ctxutil.CheckInterval, to)
+		fallbacks += x86.Scan(g.Info[off:chunkEnd], g.Code, g.Base, off, chunkEnd)
 		off = chunkEnd
-		if off < to && (stop.Load() || ctxutil.Cancelled(ctx)) {
-			stop.Store(true)
+		if off < to && ctxutil.Cancelled(ctx) {
 			break
 		}
 	}
@@ -297,7 +268,7 @@ func (g *Graph) InstAt(off int) x86.Inst {
 		return inst
 	}
 	if x86.DecodeInto(&c.insts[slot], g.Code[off:], g.Base+uint64(off)) != nil {
-		// Unreachable: Build decoded these very bytes successfully.
+		// Unreachable: Decode decoded these very bytes successfully.
 		c.tags[slot] = 0
 		c.mu.Unlock()
 		return x86.Inst{Flow: x86.FlowInvalid}

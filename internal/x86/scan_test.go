@@ -305,7 +305,8 @@ func min(a, b int) int {
 	return b
 }
 
-// TestScanChunkedMatchesWhole pins the property decodeRange relies on:
+// TestScanChunkedMatchesWhole pins the property superset.Graph.Decode
+// relies on, within one range and across the ranges a caller tiles:
 // scanning a range in arbitrary chunk splits yields the same records as
 // one whole-range call, because every offset decodes against the full
 // remaining section regardless of chunking.
