@@ -1,9 +1,14 @@
 # Tier-1 verification (see ROADMAP.md). The pipeline is concurrent
 # end-to-end, so vet and the race detector are part of the baseline gate;
 # cover enforces the per-package statement-coverage floor.
-.PHONY: verify build test race vet bench bench-smoke cover fuzz-smoke servtest storetest acc acc-baseline benchtest
+.PHONY: verify fmt build test race vet bench bench-smoke cover fuzz-smoke servtest storetest acc acc-baseline benchtest
 
-verify: build vet test race cover acc servtest storetest benchtest
+verify: fmt build vet test race cover acc servtest storetest benchtest
+
+# Fails, listing the files, when any tracked Go file is not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+		if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	go build ./...

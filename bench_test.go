@@ -403,11 +403,11 @@ func BenchmarkScan(b *testing.B) {
 	b.ReportMetric(float64(fb)/float64(len(code))*100, "scan_fallback_pct")
 }
 
-// BenchmarkScanDecodeLeanBaseline is the pre-kernel reference for
+// BenchmarkScanDecodeBaseline is the pre-kernel reference for
 // BenchmarkScan: the same per-offset pass through the general decoder
-// (DecodeLeanInto + PackLean). The ratio of the two is the fast-path
+// (DecodeInto + PackLean). The ratio of the two is the fast-path
 // speedup on the superset substrate.
-func BenchmarkScanDecodeLeanBaseline(b *testing.B) {
+func BenchmarkScanDecodeBaseline(b *testing.B) {
 	code, base := largeSection(b)
 	dst := make([]x86.Info, len(code))
 	b.SetBytes(int64(len(code)))
@@ -416,7 +416,7 @@ func BenchmarkScanDecodeLeanBaseline(b *testing.B) {
 		var inst x86.Inst
 		for off := range code {
 			dst[off] = x86.Info{}
-			if x86.DecodeLeanInto(&inst, code[off:], base+uint64(off)) == nil {
+			if x86.DecodeInto(&inst, code[off:], base+uint64(off)) == nil {
 				dst[off] = x86.PackLean(&inst)
 			}
 		}

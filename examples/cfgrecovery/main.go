@@ -8,7 +8,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"slices"
 
+	"probedis/internal/cfg"
 	"probedis/internal/core"
 	"probedis/internal/synth"
 	"probedis/internal/x86"
@@ -48,37 +50,21 @@ func main() {
 	fmt.Printf("function entries matching ground truth: %d/%d\n\n", hits, len(bin.Truth.FuncStarts))
 
 	// Detail the three largest functions.
-	type fi struct{ entry, blocks int }
-	var fis []fi
-	for _, f := range c.Funcs {
-		fis = append(fis, fi{f.Entry, len(f.Blocks)})
-	}
-	for i := 0; i < len(fis); i++ {
-		for j := i + 1; j < len(fis); j++ {
-			if fis[j].blocks > fis[i].blocks {
-				fis[i], fis[j] = fis[j], fis[i]
+	fns := slices.Clone(c.Funcs)
+	size := func(f cfg.Func) int { return f.End - f.First }
+	for i := 0; i < len(fns); i++ {
+		for j := i + 1; j < len(fns); j++ {
+			if size(fns[j]) > size(fns[i]) {
+				fns[i], fns[j] = fns[j], fns[i]
 			}
 		}
 	}
-	for i := 0; i < 3 && i < len(fis); i++ {
-		entry := fis[i].entry
-		fmt.Printf("func at %#x (%d blocks):\n", bin.Base+uint64(entry), fis[i].blocks)
-		var fn *struct {
-			Entry  int
-			Blocks []int
-		}
-		for _, f := range c.Funcs {
-			if f.Entry == entry {
-				fn = &struct {
-					Entry  int
-					Blocks []int
-				}{f.Entry, f.Blocks}
-			}
-		}
-		for _, bOff := range fn.Blocks {
-			blk := c.BlockAt(bOff)
+	for _, f := range fns[:min(3, len(fns))] {
+		fmt.Printf("func at %#x (%d blocks):\n", bin.Base+uint64(f.Entry), size(f))
+		for i := f.First; i < f.End; i++ {
+			blk := &c.Blocks[i]
 			succs := ""
-			for _, s := range blk.Succs {
+			for _, s := range blk.Succs() {
 				succs += fmt.Sprintf(" %#x", bin.Base+uint64(s))
 			}
 			term := blk.Terminator

@@ -78,9 +78,9 @@ func main() {
 	}
 	sort.Slice(hots, func(i, j int) bool { return hots[i].n > hots[j].n })
 	fmt.Printf("%d of %d blocks executed; hottest:\n", len(hots), out.Probes)
-	starts := det.CFG.Starts()
+	blocks := det.CFG.Blocks
 	for i := 0; i < 8 && i < len(hots); i++ {
 		fmt.Printf("  block at %#x: %d executions\n",
-			bin.Base+uint64(starts[hots[i].block]), hots[i].n)
+			bin.Base+uint64(blocks[hots[i].block].Start), hots[i].n)
 	}
 }

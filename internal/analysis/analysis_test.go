@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"probedis/internal/superset"
@@ -143,6 +145,92 @@ func TestJumpTableRecall(t *testing.T) {
 	t.Logf("jump-table byte recall: %d/%d = %.3f", got, tot, recall)
 	if recall < 0.85 {
 		t.Errorf("jump-table recall too low: %.3f", recall)
+	}
+}
+
+// TestJumpTableTargetsFromEntries: a table's Targets are ascending and
+// distinct, and are exactly the set of offsets its entries decode to —
+// absolute pointers for 8-byte entries, PIC offsets relative to the
+// table for 4-byte ones. A hand-built PIC table lists its targets out of
+// order and twice; the generated corpus covers both entry sizes.
+func TestJumpTableTargetsFromEntries(t *testing.T) {
+	code := []byte{
+		0x48, 0x8d, 0x05, 0x0d, 0x00, 0x00, 0x00, // 0: lea rax, [rip+0xd] (table at 20)
+		0x48, 0x63, 0x14, 0x88, // 7: movsxd rdx, dword [rax+rcx*4]
+		0x48, 0x01, 0xc2, // 11: add rdx, rax
+		0xff, 0xe2, // 14: jmp rdx
+		0xc3, 0xc3, 0xc3, // 16, 17, 18: ret
+		0xcc,                   // 19: int3
+		0xfe, 0xff, 0xff, 0xff, // 20: -> 18
+		0xfc, 0xff, 0xff, 0xff, // -> 16
+		0xfe, 0xff, 0xff, 0xff, // -> 18
+		0xfd, 0xff, 0xff, 0xff, // -> 17
+	}
+	g := superset.Build(code, 0x1000)
+	tables := FindJumpTables(g, Viability(g))
+	checkTableTargets(t, g, tables)
+	found := false
+	for _, jt := range tables {
+		if jt.Table == 20 {
+			found = true
+			if jt.Entries != 4 || !slices.Equal(jt.Targets, []int{16, 17, 18}) {
+				t.Errorf("hand-built table: %d entries, targets %v; want 4 and [16 17 18]", jt.Entries, jt.Targets)
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("hand-built table not found: %+v", tables)
+	}
+
+	_, g = genBin(t, 34, synth.ProfileComplex, 80)
+	tables = FindJumpTables(g, Viability(g))
+	checkTableTargets(t, g, tables)
+	sizes := map[int]int{}
+	for _, jt := range tables {
+		sizes[jt.EntrySz]++
+	}
+	if sizes[4] == 0 || sizes[8] == 0 {
+		t.Fatalf("want tables of both entry sizes, got %v", sizes)
+	}
+}
+
+func checkTableTargets(t *testing.T, g *superset.Graph, tables []JumpTable) {
+	t.Helper()
+	for _, jt := range tables {
+		want := map[int]bool{}
+		for i := 0; i < jt.Entries; i++ {
+			at := jt.Table + i*jt.EntrySz
+			if jt.EntrySz == 8 {
+				want[g.OffsetOf(binary.LittleEndian.Uint64(g.Code[at:]))] = true
+			} else {
+				want[jt.Table+int(int32(binary.LittleEndian.Uint32(g.Code[at:])))] = true
+			}
+		}
+		for i, tgt := range jt.Targets {
+			if i > 0 && tgt <= jt.Targets[i-1] {
+				t.Fatalf("table at +%#x: targets %v not ascending and distinct", jt.Table, jt.Targets)
+			}
+			if !want[tgt] {
+				t.Fatalf("table at +%#x: target +%#x is no entry's target", jt.Table, tgt)
+			}
+		}
+		if len(jt.Targets) != len(want) {
+			t.Fatalf("table at +%#x: %d targets, entries decode to %d", jt.Table, len(jt.Targets), len(want))
+		}
+	}
+}
+
+// TestFindJumpTablesAllocs: discovery allocates one Targets slice per
+// accepted table plus the output's growth, never per candidate or per
+// entry.
+func TestFindJumpTablesAllocs(t *testing.T) {
+	_, g := genBin(t, 34, synth.ProfileComplex, 80)
+	viable := Viability(g)
+	var tables []JumpTable
+	allocs := testing.AllocsPerRun(5, func() { tables = FindJumpTables(g, viable) })
+	t.Logf("%d tables: %.0f allocations", len(tables), allocs)
+	if limit := float64(len(tables) + 16); allocs > limit {
+		t.Errorf("FindJumpTables made %.0f allocations for %d tables, want at most %.0f", allocs, len(tables), limit)
 	}
 }
 

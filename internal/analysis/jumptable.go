@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"probedis/internal/superset"
 	"probedis/internal/x86"
@@ -14,7 +15,7 @@ type JumpTable struct {
 	Table   int // offset of the first entry
 	EntrySz int // 4 (PIC offsets) or 8 (absolute pointers)
 	Entries int
-	Targets []int // distinct, in-section target offsets
+	Targets []int // distinct, in-section target offsets, ascending
 }
 
 // maxTableEntries bounds table scanning.
@@ -55,7 +56,7 @@ func FindJumpTablesRange(g *superset.Graph, viable []bool, from, to int, dst []J
 			if inst.Mem.Index != x86.RegNone && inst.Mem.Scale == 8 &&
 				inst.Mem.Base == x86.RegNone {
 				if tbl := g.OffsetOf(uint64(inst.Mem.Disp)); tbl >= 0 {
-					if jt, ok := scanAbsTable(g, viable, off, tbl); ok {
+					if jt, ok := scanTable(g, viable, off, tbl, 8); ok {
 						out = append(out, jt)
 					}
 				}
@@ -109,10 +110,7 @@ func matchLeaDispatch(g *superset.Graph, viable []bool, leaOff, tbl int, baseReg
 			// add target, base: keep tracking the same register.
 		case entrySz != 0 && inst.Flow == x86.FlowIndirectJump && !inst.HasMem &&
 			inst.Reads&loadedReg != 0:
-			if entrySz == 8 {
-				return scanAbsTable(g, viable, leaOff, tbl)
-			}
-			return scanOffsetTable(g, viable, leaOff, tbl)
+			return scanTable(g, viable, leaOff, tbl, entrySz)
 		}
 		if !inst.Flow.HasFallthrough() {
 			break
@@ -155,44 +153,52 @@ func boundFrom(g *superset.Graph, site int) int {
 	return maxTableEntries
 }
 
-// scanAbsTable validates 8-byte absolute entries at tbl.
-func scanAbsTable(g *superset.Graph, viable []bool, site, tbl int) (JumpTable, bool) {
-	jt := JumpTable{Site: site, Table: tbl, EntrySz: 8}
+// scanTable validates the table at tbl entry by entry: entrySz 8 reads
+// absolute pointers, entrySz 4 PIC offsets relative to tbl. It counts
+// the valid entries, up to the guarding bounds check, and accepts a
+// table of two or more; only then does it collect the targets, sorted
+// and distinct, into one slice.
+func scanTable(g *superset.Graph, viable []bool, site, tbl, entrySz int) (JumpTable, bool) {
+	jt := JumpTable{Site: site, Table: tbl, EntrySz: entrySz}
 	bound := boundFrom(g, site)
-	seen := map[int]bool{}
-	for i := tbl; i+8 <= g.Len() && jt.Entries < bound; i += 8 {
-		v := binary.LittleEndian.Uint64(g.Code[i:])
-		t := g.OffsetOf(v)
-		if t < 0 || !viable[t] {
-			break
-		}
+	for jt.Entries < bound && entryTarget(g, viable, tbl, jt.Entries, entrySz) >= 0 {
 		jt.Entries++
-		if !seen[t] {
-			seen[t] = true
-			jt.Targets = append(jt.Targets, t)
-		}
 	}
-	return jt, jt.Entries >= 2
+	if jt.Entries < 2 {
+		return jt, false
+	}
+	jt.Targets = make([]int, jt.Entries)
+	for i := range jt.Targets {
+		jt.Targets[i] = entryTarget(g, viable, tbl, i, entrySz)
+	}
+	slices.Sort(jt.Targets)
+	jt.Targets = slices.Compact(jt.Targets)
+	return jt, true
 }
 
-// scanOffsetTable validates 4-byte PIC offsets relative to tbl.
-func scanOffsetTable(g *superset.Graph, viable []bool, site, tbl int) (JumpTable, bool) {
-	jt := JumpTable{Site: site, Table: tbl, EntrySz: 4}
-	bound := boundFrom(g, site)
-	seen := map[int]bool{}
-	for i := tbl; i+4 <= g.Len() && jt.Entries < bound; i += 4 {
-		v := int64(int32(binary.LittleEndian.Uint32(g.Code[i:])))
-		t := int64(tbl) + v
-		if v == 0 || t < 0 || t >= int64(g.Len()) || !viable[t] {
-			break
-		}
-		jt.Entries++
-		if !seen[int(t)] {
-			seen[int(t)] = true
-			jt.Targets = append(jt.Targets, int(t))
-		}
+// entryTarget decodes entry i of the table at tbl to its target offset,
+// or returns -1 when the entry runs past the section or its target is
+// outside the section or not viable. A zero PIC offset (a table pointing
+// at itself) is never a target.
+func entryTarget(g *superset.Graph, viable []bool, tbl, i, entrySz int) int {
+	at := tbl + i*entrySz
+	if at+entrySz > g.Len() {
+		return -1
 	}
-	return jt, jt.Entries >= 2
+	var t int
+	if entrySz == 8 {
+		t = g.OffsetOf(binary.LittleEndian.Uint64(g.Code[at:]))
+	} else {
+		v := int(int32(binary.LittleEndian.Uint32(g.Code[at:])))
+		if v == 0 {
+			return -1
+		}
+		t = tbl + v
+	}
+	if t < 0 || t >= g.Len() || !viable[t] {
+		return -1
+	}
+	return t
 }
 
 // JumpTableHints converts discovered tables into proof-priority hints.

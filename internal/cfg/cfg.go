@@ -4,7 +4,9 @@
 package cfg
 
 import (
+	"cmp"
 	"context"
+	"slices"
 
 	"probedis/internal/ctxutil"
 	"probedis/internal/obs"
@@ -12,28 +14,39 @@ import (
 	"probedis/internal/x86"
 )
 
-// Block is a basic block of committed instructions: [Start, End) with
-// successor block start offsets.
+// Block is a basic block of committed instructions: [Start, End) with at
+// most two successor block starts, stored inline.
 type Block struct {
 	Start, End int
-	Succs      []int
+	succ       [2]int
+	nsucc      uint8
 	// Terminator is the flow kind of the last instruction.
 	Terminator x86.Flow
 }
 
-// Func is a recovered function: its entry offset and its blocks (offsets
-// into CFG.Blocks order).
+// Succs returns the block's successor block starts: the direct-jump
+// target, then the fallthrough. The slice aliases the block.
+func (b *Block) Succs() []int { return b.succ[:b.nsucc] }
+
+func (b *Block) addSucc(s int) {
+	b.succ[b.nsucc] = s
+	b.nsucc++
+}
+
+// Func is a recovered function: its entry offset and the range
+// [First, End) of CFG.Blocks it owns — the blocks whose Start lies
+// between its entry and the next function's.
 type Func struct {
-	Entry  int
-	Blocks []int // block start offsets belonging to this function
+	Entry      int
+	First, End int
 }
 
 // CFG is the recovered control-flow structure of one text section.
 type CFG struct {
-	Blocks map[int]*Block
-	Funcs  []Func
-	// starts is the sorted list of block start offsets.
-	starts []int
+	// Blocks is sorted by Start, strictly ascending; BlockAt searches it.
+	Blocks []Block
+	// Funcs is sorted by Entry.
+	Funcs []Func
 }
 
 // Build recovers blocks and functions. instStart marks committed
@@ -63,20 +76,27 @@ func BuildTraceContext(ctx context.Context, g *superset.Graph, instStart []bool,
 	// leaders and funcSet are dense bitmaps rather than maps: every loop
 	// below scans offsets in order anyway, and bitmaps keep this stage
 	// allocation-flat. leaders has n+1 slots because a terminator ending
-	// flush with the section marks off+len == n.
+	// flush with the section marks off+len == n. The two counts size the
+	// Blocks and Funcs arrays: every block starts at a leader.
 	leaders := make([]bool, n+1)
 	funcSet := make([]bool, n)
-	nleaders := 0
+	nleaders, nfuncs := 0, 0
 	mark := func(off int) {
 		if !leaders[off] {
 			leaders[off] = true
 			nleaders++
 		}
 	}
+	entry := func(off int) {
+		if !funcSet[off] {
+			funcSet[off] = true
+			nfuncs++
+		}
+		mark(off)
+	}
 	for _, s := range seeds {
 		if s >= 0 && s < n && instStart[s] {
-			funcSet[s] = true
-			mark(s)
+			entry(s)
 		}
 	}
 	for off := 0; off < n; off++ {
@@ -87,8 +107,7 @@ func BuildTraceContext(ctx context.Context, g *superset.Graph, instStart []bool,
 		switch e.Flow {
 		case x86.FlowCall:
 			if t := g.TargetOff(off); t >= 0 && instStart[t] {
-				funcSet[t] = true
-				mark(t)
+				entry(t)
 			}
 			mark(off + int(e.Len))
 		case x86.FlowJump, x86.FlowCondJump:
@@ -118,23 +137,13 @@ func BuildTraceContext(ctx context.Context, g *superset.Graph, instStart []bool,
 		return nil, ctxutil.Err(ctx)
 	}
 	bsp := sp.StartChild("blocks")
-	// Count blocks first so the arena is exactly sized: pointers into it
-	// stay valid because it never reallocates, and the whole CFG costs one
-	// backing array instead of one allocation per block.
-	nb := 0
-	for off := 0; off < n; off++ {
-		if instStart[off] && leaders[off] {
-			nb++
-		}
-	}
-	arena := make([]Block, 0, nb)
-	c := &CFG{Blocks: make(map[int]*Block, nb), starts: make([]int, 0, nb)}
+	// The ascending scan appends blocks already sorted by Start.
+	c := &CFG{Blocks: make([]Block, 0, nleaders)}
 	for off := 0; off < n; off++ {
 		if !instStart[off] || !leaders[off] {
 			continue
 		}
-		arena = append(arena, Block{Start: off})
-		b := &arena[len(arena)-1]
+		b := Block{Start: off}
 		pos := off
 		for {
 			e := g.At(pos)
@@ -144,12 +153,12 @@ func BuildTraceContext(ctx context.Context, g *superset.Graph, instStart []bool,
 			if t := g.TargetOff(pos); t >= 0 && instStart[t] {
 				switch e.Flow {
 				case x86.FlowJump, x86.FlowCondJump:
-					b.Succs = append(b.Succs, t)
+					b.addSucc(t)
 				}
 			}
 			if e.Flow.HasFallthrough() && next < n && instStart[next] {
 				if leaders[next] {
-					b.Succs = append(b.Succs, next)
+					b.addSucc(next)
 					break
 				}
 				pos = next
@@ -157,11 +166,9 @@ func BuildTraceContext(ctx context.Context, g *superset.Graph, instStart []bool,
 			}
 			break
 		}
-		c.Blocks[off] = b
-		c.starts = append(c.starts, off)
+		c.Blocks = append(c.Blocks, b)
 	}
-	// starts is built by an ascending scan, so it is already sorted.
-	bsp.Count("blocks", int64(len(c.starts)))
+	bsp.Count("blocks", int64(len(c.Blocks)))
 	bsp.End()
 
 	if ctxutil.Cancelled(ctx) {
@@ -169,31 +176,25 @@ func BuildTraceContext(ctx context.Context, g *superset.Graph, instStart []bool,
 	}
 	fsp := sp.StartChild("funcs")
 	// Function extents: each function owns the blocks from its entry up to
-	// the next function entry. The ascending funcSet scan yields entries
-	// pre-sorted, and block starts are consumed with a single cursor since
-	// extents are disjoint and ascending.
-	var fstarts []int
+	// the next function entry. Entries and block starts both ascend, so
+	// one cursor over Blocks closes each function's range as the next
+	// entry opens.
+	c.Funcs = make([]Func, 0, nfuncs)
+	bi := 0
 	for f := 0; f < n; f++ {
-		if funcSet[f] {
-			fstarts = append(fstarts, f)
+		if !funcSet[f] {
+			continue
 		}
+		for bi < len(c.Blocks) && c.Blocks[bi].Start < f {
+			bi++
+		}
+		if k := len(c.Funcs); k > 0 {
+			c.Funcs[k-1].End = bi
+		}
+		c.Funcs = append(c.Funcs, Func{Entry: f, First: bi})
 	}
-	c.Funcs = make([]Func, 0, len(fstarts))
-	si := 0
-	for i, f := range fstarts {
-		end := n
-		if i+1 < len(fstarts) {
-			end = fstarts[i+1]
-		}
-		for si < len(c.starts) && c.starts[si] < f {
-			si++
-		}
-		fn := Func{Entry: f}
-		for si < len(c.starts) && c.starts[si] < end {
-			fn.Blocks = append(fn.Blocks, c.starts[si])
-			si++
-		}
-		c.Funcs = append(c.Funcs, fn)
+	if k := len(c.Funcs); k > 0 {
+		c.Funcs[k-1].End = len(c.Blocks)
 	}
 	fsp.Count("funcs", int64(len(c.Funcs)))
 	fsp.End()
@@ -213,7 +214,10 @@ func (c *CFG) FuncStarts() []int {
 func (c *CFG) NumBlocks() int { return len(c.Blocks) }
 
 // BlockAt returns the block starting at off, or nil.
-func (c *CFG) BlockAt(off int) *Block { return c.Blocks[off] }
-
-// Starts returns all block start offsets in ascending order.
-func (c *CFG) Starts() []int { return c.starts }
+func (c *CFG) BlockAt(off int) *Block {
+	i, ok := slices.BinarySearchFunc(c.Blocks, off, func(b Block, off int) int { return cmp.Compare(b.Start, off) })
+	if !ok {
+		return nil
+	}
+	return &c.Blocks[i]
+}

@@ -30,8 +30,8 @@ func TestLinearBlock(t *testing.T) {
 	if b == nil || b.Start != 0 || b.End != 5 {
 		t.Fatalf("block = %+v", b)
 	}
-	if b.Terminator != x86.FlowRet || len(b.Succs) != 0 {
-		t.Errorf("terminator %v succs %v", b.Terminator, b.Succs)
+	if b.Terminator != x86.FlowRet || len(b.Succs()) != 0 {
+		t.Errorf("terminator %v succs %v", b.Terminator, b.Succs())
 	}
 	if len(c.Funcs) != 1 || c.Funcs[0].Entry != 0 {
 		t.Errorf("funcs = %+v", c.Funcs)
@@ -44,14 +44,14 @@ func TestDiamond(t *testing.T) {
 	starts := []bool{true, false, true, true}
 	c := Build(g, starts, []int{0})
 	if c.NumBlocks() != 3 {
-		t.Fatalf("blocks = %d, want 3 (%v)", c.NumBlocks(), c.Starts())
+		t.Fatalf("blocks = %d, want 3 (%v)", c.NumBlocks(), c.Blocks)
 	}
 	b0 := c.BlockAt(0)
-	if len(b0.Succs) != 2 {
-		t.Fatalf("entry succs = %v", b0.Succs)
+	if len(b0.Succs()) != 2 {
+		t.Fatalf("entry succs = %v", b0.Succs())
 	}
 	want := map[int]bool{2: true, 3: true}
-	for _, s := range b0.Succs {
+	for _, s := range b0.Succs() {
 		if !want[s] {
 			t.Errorf("unexpected succ %d", s)
 		}
@@ -73,15 +73,15 @@ func TestCallSplitsBlocksAndSeedsFunctions(t *testing.T) {
 	}
 	// The call ends its block with a fallthrough successor at 5.
 	b0 := c.BlockAt(0)
-	if b0 == nil || b0.End != 5 || len(b0.Succs) != 1 || b0.Succs[0] != 5 {
+	if b0 == nil || b0.End != 5 || len(b0.Succs()) != 1 || b0.Succs()[0] != 5 {
 		t.Errorf("call block = %+v", b0)
 	}
 	// Function 0 owns blocks at 0 and 5; function 1 owns block 8.
-	if got := len(c.Funcs[0].Blocks); got != 2 {
-		t.Errorf("func0 blocks = %v", c.Funcs[0].Blocks)
+	if f := c.Funcs[0]; f.First != 0 || f.End != 2 {
+		t.Errorf("func0 blocks = %+v", f)
 	}
-	if got := len(c.Funcs[1].Blocks); got != 1 {
-		t.Errorf("func1 blocks = %v", c.Funcs[1].Blocks)
+	if f := c.Funcs[1]; f.First != 2 || f.End != 3 {
+		t.Errorf("func1 blocks = %+v", f)
 	}
 }
 
@@ -93,10 +93,10 @@ func TestLoopBlock(t *testing.T) {
 	c := Build(g, starts, []int{0})
 	b := c.BlockAt(0)
 	if b == nil || b.End != 3 {
-		t.Fatalf("block = %+v (starts %v)", b, c.Starts())
+		t.Fatalf("block = %+v (starts %v)", b, c.Blocks)
 	}
-	if len(b.Succs) != 1 || b.Succs[0] != 0 {
-		t.Errorf("loop succs = %v", b.Succs)
+	if len(b.Succs()) != 1 || b.Succs()[0] != 0 {
+		t.Errorf("loop succs = %v", b.Succs())
 	}
 }
 

@@ -59,9 +59,6 @@ func WithoutPrioritization() Option { return func(d *Disassembler) { d.flatPrio 
 // WithThreshold shifts the statistical decision boundary (F4 sweep).
 func WithThreshold(t float64) Option { return func(d *Disassembler) { d.threshold = t } }
 
-// WithWindow sets the scoring window in instructions (default 8).
-func WithWindow(w int) Option { return func(d *Disassembler) { d.window = w } }
-
 // WithWorkers sizes the one work pool each call runs on. Sections,
 // superset decode chunks, hint analyses and statistical scoring pieces
 // are all tasks on that pool: a task runs on a new goroutine while one of
@@ -106,7 +103,6 @@ type Disassembler struct {
 	flatPrio      bool
 	penaltyWeight float64
 	threshold     float64
-	window        int
 	workers       int
 	shardBytes    int
 }
@@ -127,7 +123,6 @@ func New(model *stats.Model, opts ...Option) *Disassembler {
 		useStats:      true,
 		useJumpTables: true,
 		penaltyWeight: 1.0,
-		window:        8,
 	}
 	for _, o := range opts {
 		o(d)

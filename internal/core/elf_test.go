@@ -127,7 +127,6 @@ func TestOptionVariants(t *testing.T) {
 		{WithoutJumpTables()},
 		{WithoutPrioritization()},
 		{WithThreshold(2)},
-		{WithWindow(4)},
 		{WithoutStats(), WithoutJumpTables()},
 	} {
 		d := New(DefaultModel(), opts...)

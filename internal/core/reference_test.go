@@ -22,7 +22,7 @@ func singlePhase(d *Disassembler, code []byte, base uint64, entry int) (*dis.Res
 	viable := analysis.Viability(g)
 	var scores []float64
 	if d.useStats {
-		scores = d.model.ScoreAll(g, d.window)
+		scores = d.model.ScoreAll(g, scoreWindow)
 	}
 	hints := d.HintsFor(g, entry)
 	out := correct.Run(g, viable, hints, correct.Options{Scores: scores})

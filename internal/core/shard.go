@@ -88,6 +88,9 @@ type windowScores struct {
 	bufs    [][]float64
 }
 
+// scoreWindow is the statistical scoring window in instructions.
+const scoreWindow = 8
+
 // scoreChunkBytes bounds one scoring task, so a window wider than that —
 // the whole section under WithoutPrioritization and in HintsFor — still
 // spreads over the pool instead of scoring on one worker.
@@ -112,7 +115,7 @@ func (ws *windowScores) score(d *Disassembler, g *superset.Graph, part *tier.Par
 	pool.run(len(pieces), func(j int) {
 		p := pieces[j]
 		buf := ws.bufs[p.win][p.from-part.Windows[p.win][0]:]
-		d.model.ScoreWindowInto(buf, g, d.window, p.from, p.to)
+		d.model.ScoreWindowInto(buf, g, scoreWindow, p.from, p.to)
 	})
 }
 

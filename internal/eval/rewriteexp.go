@@ -60,8 +60,8 @@ func (r *Runner) E2Rewrite() (Table, error) {
 			rewriteOK++
 
 			blockIdx := map[uint64]int{}
-			for i, s := range det.CFG.Starts() {
-				blockIdx[b.Base+uint64(s)] = i
+			for i, blk := range det.CFG.Blocks {
+				blockIdx[b.Base+uint64(blk.Start)] = i
 			}
 			const fuel = 150000
 			origCounts := map[int]uint64{}
@@ -92,7 +92,7 @@ func (r *Runner) E2Rewrite() (Table, error) {
 				continue
 			}
 			ok := true
-			for i := range det.CFG.Starts() {
+			for i := range det.CFG.Blocks {
 				var got uint64
 				if 4*i+4 <= len(counters) {
 					got = uint64(binary.LittleEndian.Uint32(counters[4*i:]))

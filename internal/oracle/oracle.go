@@ -25,9 +25,9 @@
 //	                range
 //	func-starts     recovered function entries are strictly ascending and
 //	                land on committed instruction starts
-//	cfg-domain      CFG blocks cover committed instructions only; every
-//	                successor edge lands on a block start inside the
-//	                section
+//	cfg-domain      CFG blocks are strictly ascending by start and cover
+//	                committed instructions only; every successor edge
+//	                lands on a block start inside the section
 //	hint-order      the hint stream is deterministic across collections
 //	                and its commit order is a total order
 //	determinism     serial (workers=1) and parallel pipeline runs produce
@@ -256,12 +256,14 @@ func checkCFG(rep *Report, sec string, code []byte, det *core.Detail) {
 		return
 	}
 	res := det.Result
-	for start, b := range c.Blocks {
+	for i := range c.Blocks {
 		if rep.full() {
 			return
 		}
-		if b.Start != start {
-			rep.addf(InvCFGDomain, sec, start, "block keyed at %#x starts at %#x", start, b.Start)
+		b := &c.Blocks[i]
+		// BlockAt binary-searches the array, so it must stay sorted.
+		if i > 0 && b.Start <= c.Blocks[i-1].Start {
+			rep.addf(InvCFGDomain, sec, b.Start, "block starts at %#x, not after the previous block's %#x", b.Start, c.Blocks[i-1].Start)
 		}
 		if b.Start < 0 || b.End > len(code) || b.Start >= b.End {
 			rep.addf(InvCFGDomain, sec, b.Start, "block extent [%#x,%#x) outside section", b.Start, b.End)
@@ -270,7 +272,7 @@ func checkCFG(rep *Report, sec string, code []byte, det *core.Detail) {
 		if !res.InstStart[b.Start] {
 			rep.addf(InvCFGDomain, sec, b.Start, "block start is not a committed instruction start")
 		}
-		for _, s := range b.Succs {
+		for _, s := range b.Succs() {
 			if s < 0 || s >= len(code) || !res.InstStart[s] {
 				rep.addf(InvCFGDomain, sec, b.Start, "successor %#x is not a committed instruction start", s)
 				continue

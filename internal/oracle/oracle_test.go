@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"strings"
 	"testing"
 
 	"probedis/internal/analysis"
@@ -179,9 +180,9 @@ func TestDetectsCFGEscape(t *testing.T) {
 		}
 	}
 	mutated := false
-	for _, b := range det.CFG.Blocks {
-		if len(b.Succs) > 0 {
-			b.Succs[0] = target
+	for i := range det.CFG.Blocks {
+		if s := det.CFG.Blocks[i].Succs(); len(s) > 0 {
+			s[0] = target
 			mutated = true
 			break
 		}
@@ -194,6 +195,25 @@ func TestDetectsCFGEscape(t *testing.T) {
 	if !hasViolation(rep, InvCFGDomain) {
 		t.Fatalf("cfg-domain violation not detected: %v", rep.Violations)
 	}
+}
+
+// TestDetectsUnsortedBlocks: BlockAt binary-searches the block array, so
+// two swapped blocks must be reported.
+func TestDetectsUnsortedBlocks(t *testing.T) {
+	code, det := freshDetail(t)
+	bs := det.CFG.Blocks
+	if len(bs) < 2 {
+		t.Skip("fewer than two blocks")
+	}
+	bs[0], bs[1] = bs[1], bs[0]
+	rep := &Report{}
+	CheckDetail(rep, "t", code, det)
+	for _, v := range rep.Violations {
+		if v.Invariant == InvCFGDomain && v.Off == bs[1].Start && strings.Contains(v.Msg, "not after") {
+			return
+		}
+	}
+	t.Fatalf("block %#x out of order not detected: %v", bs[1].Start, rep.Violations)
 }
 
 func TestDetectsBrokenHintOrder(t *testing.T) {

@@ -97,12 +97,6 @@ func Rewrite(det *core.Detail, opts Options) (*Output, error) {
 	for _, jt := range det.Tables {
 		tables[jt.Table] = tbl{size: jt.Entries * jt.EntrySz, entrySz: jt.EntrySz}
 	}
-	blockStart := map[int]bool{}
-	if opts.Probe {
-		for _, s := range det.CFG.Starts() {
-			blockStart[s] = true
-		}
-	}
 
 	// Pass 1: item list.
 	var items []item
@@ -111,7 +105,7 @@ func Rewrite(det *core.Detail, opts Options) (*Output, error) {
 		case res.InstStart[off]:
 			inst := g.InstAt(off) // committed instruction: materialize once
 			it := item{kind: itInst, oldOff: off, oldLen: inst.Len, inst: inst,
-				probe: blockStart[off]}
+				probe: opts.Probe && det.CFG.BlockAt(off) != nil}
 			if err := classifyBranch(&it); err != nil {
 				return nil, fmt.Errorf("rewrite: at +%#x: %w", off, err)
 			}

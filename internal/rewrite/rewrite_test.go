@@ -77,8 +77,8 @@ func TestProbeCountsMatchExecution(t *testing.T) {
 
 			// Original run: tally executions of each recovered block start.
 			blockIdx := map[uint64]int{}
-			for i, s := range det.CFG.Starts() {
-				blockIdx[b.Base+uint64(s)] = i
+			for i, blk := range det.CFG.Blocks {
+				blockIdx[b.Base+uint64(blk.Start)] = i
 			}
 			const fuel = 150000
 			origCounts, origOut := blockCounts(b.Code, b.Base, b.Entry, blockIdx, fuel)
@@ -102,11 +102,11 @@ func TestProbeCountsMatchExecution(t *testing.T) {
 				continue // counts up to a trap are cut mid-block; kind match is enough
 			}
 
-			// Probe i corresponds to block i in CFG.Starts() order (the
-			// rewriter allocates counters in item order, which is address
-			// order — same as Starts()).
+			// Probe i corresponds to CFG.Blocks[i] (the rewriter allocates
+			// counters in item order, which is address order — the order
+			// of Blocks).
 			mismatch := 0
-			for i := range det.CFG.Starts() {
+			for i := range det.CFG.Blocks {
 				var got uint64
 				if 4*i+4 <= len(counters) {
 					got = uint64(binary.LittleEndian.Uint32(counters[4*i:]))
@@ -116,7 +116,7 @@ func TestProbeCountsMatchExecution(t *testing.T) {
 					mismatch++
 					if mismatch < 4 {
 						t.Errorf("%s: block %d (old +%#x): probe=%d, executed=%d",
-							b.Name, i, det.CFG.Starts()[i], got, want)
+							b.Name, i, det.CFG.Blocks[i].Start, got, want)
 					}
 				}
 			}

@@ -100,7 +100,7 @@ type Graph struct {
 }
 
 // ScanFallbackCount returns the number of offsets of this graph that
-// Decode filled through the scan kernel's DecodeLeanInto fallback rather
+// Decode filled through the scan kernel's general-decoder fallback rather
 // than its table-driven fast path.
 func (g *Graph) ScanFallbackCount() int64 { return g.scanFB.Load() }
 

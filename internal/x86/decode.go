@@ -29,7 +29,6 @@ type decodeState struct {
 	seg     bool
 	vex     bool
 	vexMap  byte // 1=0F 2=0F38 3=0F3A
-	lean    bool // skip operand-rendering / register-effect fields
 	prefixN int
 }
 
@@ -93,20 +92,7 @@ func (d *decodeState) u64() (uint64, error) {
 // It fails with ErrTruncated if code is too short and ErrInvalid for
 // undefined encodings.
 func Decode(code []byte, addr uint64) (inst Inst, err error) {
-	err = decodeInto(&inst, code, addr, false)
-	return
-}
-
-// DecodeLean decodes like Decode but leaves the operand-rendering and
-// register-effect fields (DstReg/SrcReg, VecReg/VecRM, MemIsDst,
-// RegsRead/RegsWritten) unpopulated. Everything the superset side-table
-// packs — length, flow, opcode, prefixes, immediates, memory operand,
-// branch target, stack delta — is identical to a full Decode. Scan
-// falls back to it for the encodings its shape tables cannot classify
-// (VEX/EVEX); consumers that inspect operands materialize a full Decode
-// instead.
-func DecodeLean(code []byte, addr uint64) (inst Inst, err error) {
-	err = decodeInto(&inst, code, addr, true)
+	err = DecodeInto(&inst, code, addr)
 	return
 }
 
@@ -115,17 +101,7 @@ func DecodeLean(code []byte, addr uint64) (inst Inst, err error) {
 // in place, and Inst is large enough (~128 bytes) that the by-value
 // return is measurable on bulk paths.
 func DecodeInto(inst *Inst, code []byte, addr uint64) error {
-	return decodeInto(inst, code, addr, false)
-}
-
-// DecodeLeanInto is DecodeLean writing through inst (see DecodeInto),
-// sparing Scan's fallback one 128-byte copy per offset.
-func DecodeLeanInto(inst *Inst, code []byte, addr uint64) error {
-	return decodeInto(inst, code, addr, true)
-}
-
-func decodeInto(inst *Inst, code []byte, addr uint64, lean bool) error {
-	d := decodeState{code: code, addr: addr, lean: lean}
+	d := decodeState{code: code, addr: addr}
 	*inst = Inst{Addr: addr, Cond: CondNone, OpSize: 32}
 
 	// Prefix loop. A REX byte must immediately precede the opcode; a legacy
@@ -389,10 +365,8 @@ func finish(d *decodeState, inst *Inst, e entry, op byte) error {
 	if d.hasRex {
 		opRegN |= (d.rex & 1) << 3
 	}
-	if !d.lean {
-		regEffects(inst, e, gpr(opRegN), regOp, rmReg)
-		operandInfo(inst, e, gpr(opRegN), regOp, rmReg)
-	}
+	regEffects(inst, e, gpr(opRegN), regOp, rmReg)
+	operandInfo(inst, e, gpr(opRegN), regOp, rmReg)
 	stackEffect(inst, rmReg)
 	return nil
 }

@@ -80,10 +80,11 @@ func (e *Info) HasImm() bool { return e.Flags&FlagHasImm != 0 }
 func (e *Info) MemBaseRIP() bool { return e.Flags&FlagMemRIP != 0 }
 
 // PackLean collapses a decoded instruction into its 16-byte side-table
-// record. It reads only the fields DecodeLean populates, so it composes
-// with both lean and full decodes. Scan produces bit-identical records
-// without the intermediate Inst; the differential tests pin that
-// equivalence.
+// record. It reads only length, flow, opcode, prefixes, immediates,
+// memory operand, branch target and stack delta — none of the
+// operand-rendering or register-effect fields. Scan produces
+// bit-identical records without the intermediate Inst; the differential
+// tests pin that equivalence.
 func PackLean(inst *Inst) Info {
 	e := Info{
 		StackDelta: inst.StackDelta,

@@ -2,7 +2,7 @@ package x86
 
 // This file is the length-only superset pre-decode kernel: Scan fills a
 // packed Info record for every byte offset of a section in one tight
-// loop, without materializing an Inst. decodeInto answers a richer
+// loop, without materializing an Inst. DecodeInto answers a richer
 // question than superset construction needs — operand roles, register
 // effects, rendering registers — and resets a ~128-byte struct per
 // offset to do it. The superset side-table only needs Len, Flow, Op,
@@ -10,15 +10,15 @@ package x86
 // prefix bytes, the opcode-map entry and the ModRM/SIB/displacement/
 // immediate *shape*. Scan walks exactly that shape, driven by compact
 // dispatch tables derived at init from the same oneByte/twoByte
-// metadata decodeInto uses, so the two can never disagree on opcode
+// metadata DecodeInto uses, so the two can never disagree on opcode
 // facts — and a differential test plus fuzzer pin byte-identical
 // output anyway.
 //
 // Encodings the shape tables do not classify — the VEX (C4/C5) and
 // EVEX (62) escapes, whose opcode map is selected by payload bytes —
-// bail to DecodeLeanInto + PackLean. Correctness never depends on the
-// fast path: the fallback produces the same record the eager builder
-// always produced, and the bail count is surfaced as a metric
+// bail to the general decoder, DecodeInto + PackLean. Correctness never
+// depends on the fast path: the fallback produces the same record the
+// eager builder always produced, and the bail count is surfaced as a metric
 // (superset_scan_fallbacks_total) so a table-coverage regression is
 // visible, not silent.
 
@@ -28,7 +28,7 @@ const (
 	sMemOnly                   // ModRM mod=11 is invalid (lea)
 	sGroup                     // ModRM.reg selects the member (grp points into scanGroups)
 	sInvalid                   // undefined encoding
-	sBail                      // not table-classifiable: fall back to DecodeLeanInto
+	sBail                      // not table-classifiable: fall back to DecodeInto
 	sQuirk                     // opcode has an applySpecial rewrite (90, b8-bf, 63, 0f b8/bc/bd)
 )
 
@@ -140,7 +140,7 @@ func buildScanTables() {
 // running resolveGroup for each reg value in both ModRM forms.
 func registerScanGroup(b byte, twobyte bool, base entry) uint8 {
 	var g [2][8]scanGroup
-	// resolveGroup receives the byte decodeInto hands to finish: the
+	// resolveGroup receives the byte DecodeInto hands to finish: the
 	// first opcode byte. For two-byte groups that is the 0x0f escape, so
 	// the one-byte switch falls through and inst.Opcode selects the
 	// member (0f c7 must not hit the one-byte c7 grp11 case).
@@ -186,7 +186,7 @@ const (
 // (code[off:], exactly like the eager builder) and writes the packed
 // record for offset from+i into dst[i]; offsets with no valid decode
 // get a zero Info. dst must have at least to-from elements. Encodings
-// the shape tables cannot classify are delegated to DecodeLeanInto;
+// the shape tables cannot classify are delegated to DecodeInto;
 // the returned count is the number of such fallbacks (0 on typical
 // sections — only VEX/EVEX-prefixed offsets take it).
 func Scan(dst []Info, code []byte, base uint64, from, to int) (fallbacks int) {
@@ -197,7 +197,7 @@ func Scan(dst []Info, code []byte, base uint64, from, to int) (fallbacks int) {
 		case scanOK:
 		case scanBail:
 			fallbacks++
-			if DecodeLeanInto(&inst, code[off:], base+uint64(off)) != nil {
+			if DecodeInto(&inst, code[off:], base+uint64(off)) != nil {
 				*d = Info{}
 			} else {
 				*d = PackLean(&inst)
@@ -211,7 +211,7 @@ func Scan(dst []Info, code []byte, base uint64, from, to int) (fallbacks int) {
 
 // scanAt classifies the instruction starting at code[0] (virtual
 // address addr) and, on scanOK, writes its packed record to out. It
-// mirrors decodeInto's walk — prefix loop, opcode dispatch, ModRM/SIB/
+// mirrors DecodeInto's walk — prefix loop, opcode dispatch, ModRM/SIB/
 // displacement, group resolution, immediate, opcode quirks — but only
 // ever computes the Info projection.
 func scanAt(out *Info, code []byte, addr uint64) int {
@@ -252,7 +252,7 @@ func scanAt(out *Info, code []byte, addr uint64) int {
 			rex = b
 		}
 		pos++
-		if pos > 14 { // same prefix-count bound as decodeInto
+		if pos > 14 { // same prefix-count bound as DecodeInto
 			return scanInvalid
 		}
 	}

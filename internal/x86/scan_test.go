@@ -6,13 +6,13 @@ import (
 )
 
 // scanReference computes the record Scan must produce at offset 0 of
-// buf the slow way: a full lean decode packed by PackLean, zero Info on
+// buf the slow way: a full decode packed by PackLean, zero Info on
 // any decode error. This is the ground truth every scan test compares
 // against — the fast path is only correct if it is indistinguishable
 // from it.
 func scanReference(buf []byte, addr uint64) Info {
 	var inst Inst
-	if DecodeLeanInto(&inst, buf, addr) != nil {
+	if DecodeInto(&inst, buf, addr) != nil {
 		return Info{}
 	}
 	return PackLean(&inst)
@@ -32,7 +32,7 @@ func checkScanMatches(t *testing.T, buf []byte, addr uint64) {
 // sweepPrefixes is the prefix-byte matrix for the exhaustive sweeps:
 // no prefix, each legacy prefix class, the REX bits that change shape
 // decisions (W for immV/movsxd/movabs, B for RSP/XCHG detection, X for
-// SIB index-none), and the REX-cancellation order decodeInto defines.
+// SIB index-none), and the REX-cancellation order DecodeInto defines.
 var sweepPrefixes = [][]byte{
 	{},
 	{0x66},
@@ -256,7 +256,7 @@ func TestScanFallbacksOnlyVEX(t *testing.T) {
 }
 
 // FuzzScanMatchesDecode is the differential fuzzer: on arbitrary bytes
-// and addresses, Scan must be byte-identical to DecodeLeanInto+PackLean
+// and addresses, Scan must be byte-identical to DecodeInto+PackLean
 // at every offset. Run with
 // `go test -fuzz=FuzzScanMatchesDecode ./internal/x86`.
 func FuzzScanMatchesDecode(f *testing.F) {

@@ -53,7 +53,6 @@ var (
 	WithoutJumpTables     = core.WithoutJumpTables
 	WithoutPrioritization = core.WithoutPrioritization
 	WithThreshold         = core.WithThreshold
-	WithWindow            = core.WithWindow
 	WithWorkers           = core.WithWorkers
 	WithShardBytes        = core.WithShardBytes
 )

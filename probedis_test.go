@@ -47,7 +47,7 @@ func TestFacadeOptions(t *testing.T) {
 		{probedis.WithoutBehavior()},
 		{probedis.WithoutJumpTables()},
 		{probedis.WithoutPrioritization()},
-		{probedis.WithThreshold(1), probedis.WithWindow(6)},
+		{probedis.WithThreshold(1)},
 	} {
 		d := probedis.New(probedis.DefaultModel(), opts...)
 		if res := d.Disassemble(bin.Code, bin.Base, 0); res.NumInsts() == 0 {

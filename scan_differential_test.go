@@ -26,7 +26,7 @@ func TestScanMatchesDecodeOnCorpus(t *testing.T) {
 			var inst x86.Inst
 			for off := range bin.Code {
 				want := x86.Info{}
-				if x86.DecodeLeanInto(&inst, bin.Code[off:], bin.Base+uint64(off)) == nil {
+				if x86.DecodeInto(&inst, bin.Code[off:], bin.Base+uint64(off)) == nil {
 					want = x86.PackLean(&inst)
 				}
 				if got := *g.At(off); got != want {
