@@ -85,11 +85,13 @@ cover:
 
 # Short coverage-guided fuzz passes (CI smoke): the whole pipeline, the
 # shard seams (sharded output must equal unsharded on fuzzed bytes and
-# tilings), then the ELF parser, whose zero-copy aliasing serving relies on.
+# tilings), the ELF parser, whose zero-copy aliasing serving relies on,
+# then the retraction worklist against the full-scan reference fixpoint.
 fuzz-smoke:
 	go test -fuzz=FuzzPipeline -fuzztime=30s .
 	go test -run '^$$' -fuzz=FuzzShardSplit -fuzztime=20s .
 	go test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/elfx
+	go test -run '^$$' -fuzz=FuzzRetractMatchesReference -fuzztime=10s ./internal/correct
 
 # Chaos/load harness against the real serving stack (internal/serve)
 # over a real loopback listener: mixed hostile workloads under -race,

@@ -11,16 +11,20 @@ import (
 )
 
 // cancelFixture builds a small but real correction workload: a code
-// chain, a data hint and a gap for the fill phase. The proof hint comes
-// first; runTiered splits the stream after it.
+// chain, a data hint, a retraction (TestRetraction's nop; xor; ret) and a
+// gap for the fill phase. The proof hint comes first; runTiered splits
+// the stream after it.
 func cancelFixture(t *testing.T) (g *superset.Graph, viable []bool, hints []analysis.Hint) {
 	t.Helper()
-	// nop sled; ret; unclaimed tail (gap fill); data region.
-	code := []byte{0x90, 0x90, 0x90, 0xc3, 0x90, 0x90, 0x01, 0x02, 0x03, 0x04}
+	// nop sled; ret; unclaimed tail (gap fill); data region; nop; xor; ret.
+	code := []byte{0x90, 0x90, 0x90, 0xc3, 0x90, 0x90, 0x01, 0x02, 0x03, 0x04, 0x90, 0x31, 0xc0, 0xc3}
 	gg, v := buildGraph(code)
 	return gg, v, []analysis.Hint{
 		{Kind: analysis.HintCode, Off: 0, Prio: analysis.PrioProof, Src: "entry"},
 		{Kind: analysis.HintData, Off: 6, Len: 4, Prio: analysis.PrioStrong, Src: "datapattern"},
+		{Kind: analysis.HintData, Off: 12, Len: 1, Prio: analysis.PrioStrong, Src: "datapattern"},
+		{Kind: analysis.HintCode, Off: 10, Prio: analysis.PrioMedium, Src: "prologue"},
+		{Kind: analysis.HintData, Off: 11, Len: 1, Prio: analysis.PrioWeak, Src: "datapattern"},
 	}
 }
 
@@ -65,13 +69,17 @@ func TestRunContextPreCancelled(t *testing.T) {
 // TestRunContextCancelsAtEveryCheckpoint sweeps a deterministic
 // countdown across every cancellation poll of a tiered correction run —
 // both commit phases, the check between them, retraction and gap fill:
-// each must abort with (nil, context.Canceled), and the pool must stay
-// usable (a fresh uncancelled run still succeeds).
+// each must abort with (nil, context.Canceled), and a fresh uncancelled
+// run afterwards still succeeds.
 func TestRunContextCancelsAtEveryCheckpoint(t *testing.T) {
 	g, v, hints := cancelFixture(t)
 	probe := &pollCounter{Context: context.Background()}
-	if _, err := runTiered(probe, g, v, hints); err != nil {
+	out, err := runTiered(probe, g, v, hints)
+	if err != nil {
 		t.Fatalf("probe run: %v", err)
+	}
+	if out.InstStart[10] || out.State[10] != Data {
+		t.Fatal("fixture: the nop at 10 was not retracted, so retraction's poll goes unswept")
 	}
 	polls := int(probe.polls.Load())
 	if polls == 0 {
@@ -86,9 +94,8 @@ func TestRunContextCancelsAtEveryCheckpoint(t *testing.T) {
 			t.Fatalf("checkpoint %d: outcome returned from cancelled run", n)
 		}
 	}
-	// The scratch pool must have been released on every abort path.
 	if out := Run(g, v, hints, Options{}); out == nil || out.Committed == 0 {
-		t.Fatal("pool unusable after cancelled runs")
+		t.Fatal("uncancelled run failed after cancelled runs")
 	}
 }
 

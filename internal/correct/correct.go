@@ -15,6 +15,7 @@ import (
 	"context"
 	"math"
 	"math/bits"
+	"slices"
 
 	"probedis/internal/analysis"
 	"probedis/internal/ctxutil"
@@ -51,9 +52,9 @@ type Options struct {
 	// NoGapFill leaves Unknown bytes unresolved (ablation).
 	NoGapFill bool
 	// NoRetract skips the contradiction-retraction fixpoint, leaving the
-	// raw post-commit state. Used by the tiered pre-pass, which inspects
-	// the state after the structural commit prefix: retraction must run
-	// only once, after the full commit sequence.
+	// raw post-commit state. oracle.CheckTier uses it to recompute the
+	// state after the structural commit prefix, and the package tests use
+	// it to feed the reference fixpoint.
 	NoRetract bool
 	// Trace, when non-nil, receives one child span per correction phase
 	// (sort, commit, retract, gapfill) plus the committed/rejected/
@@ -97,7 +98,9 @@ const commitCheckInterval = 256
 
 // Run executes single-phase prioritized error correction over the
 // superset graph: hints are consumed in SortHints order; viable gates all
-// code commits. It is the uncancellable reference for RunTieredContext
+// code commits and must be false at invalid decodes, as
+// analysis.Viability's mask is (a committed instruction always occupies
+// its bytes). It is the uncancellable reference for RunTieredContext
 // (which the pipeline runs) and the only path that honours MaxHints.
 func Run(g *superset.Graph, viable []bool, hints []analysis.Hint, opts Options) *Outcome {
 	c := newCorrector(g, viable)
@@ -131,7 +134,8 @@ type PhaseHintsFunc func(o *Outcome) []analysis.Hint
 // single-phase runs) and is ignored.
 //
 // Cancellation is cooperative: the commit loops poll ctx every
-// commitCheckInterval hints and the retract/gap-fill scans every
+// commitCheckInterval hints, the retraction worklist every
+// ctxutil.CheckInterval pops and the gap-fill scan every
 // ctxutil.CheckInterval offsets. Once the context is done the run aborts
 // and returns (nil, ctx.Err()) — the partial outcome is discarded, never
 // returned, so callers can't mistake an aborted classification for a
@@ -220,6 +224,8 @@ func (c *corrector) finish(ctx context.Context, opts Options) (*Outcome, error) 
 	o := c.out
 	if !opts.NoRetract {
 		rsp := opts.Trace.StartChild("retract")
+		rsp.Count("seeds", int64(len(c.seeds)))
+		rsp.Count("edges", int64(len(c.edges)))
 		retracted, err := c.retract(ctx)
 		rsp.End()
 		if err != nil {
@@ -246,77 +252,70 @@ func (c *corrector) finish(ctx context.Context, opts Options) (*Outcome, error) 
 // retract is the error-correction fixpoint: committed instructions whose
 // forced successor turned out to be data (or the middle of another
 // committed instruction) were wrong — un-commit them, turning their bytes
-// into data, and repeat until no contradiction remains. Returns the number
-// of instructions retracted. The scan polls ctx once per
-// ctxutil.CheckInterval offsets (outside the per-offset loop, so the
-// nil-ctx path is unchanged) and aborts with ctx.Err() when cancelled.
+// into data, until no contradiction remains. Returns the number of
+// instructions retracted. The worklist polls ctx once per
+// ctxutil.CheckInterval pops and aborts with ctx.Err() when cancelled.
 //
-// Scans run in descending offset order. Retraction is monotone — turning
-// an instruction's bytes to data can only make other instructions bad,
-// never good — so the fixpoint is unique and any scan order reaches it;
-// the order only decides how many passes that takes. A contradiction
-// propagates to predecessors, and the dominant predecessor edge is the
-// fall-through, which always points forward: scanning backward retracts a
-// whole fall-through cascade in the pass that finds its root, where an
-// ascending scan would peel one instruction per pass (observed as tens of
-// full-section passes on multi-MiB sections). Only backward-branch edges
-// still need an extra pass.
+// Retraction is monotone — turning an instruction's bytes to data can only
+// make other instructions bad, never good — so the fixpoint is unique and
+// any visiting order reaches it. The worklist starts from commitChain's
+// seeds, which hold every instruction contradicted when the commit phase
+// ends (see commitChain). Retracting [a, b) can only newly contradict an
+// instruction with a forced successor in [a, b): the instruction covering
+// a-1 (the only one that can fall through to a) or a branch source
+// targeting the range, found in the edge list sorted once by target.
 func (c *corrector) retract(ctx context.Context) (int, error) {
-	total := 0
-	n := c.g.Len()
-	for {
-		changed := 0
-		for end := n; end > 0; end -= ctxutil.CheckInterval {
-			if ctxutil.Cancelled(ctx) {
-				return 0, ctxutil.Err(ctx)
-			}
-			chunk := end - ctxutil.CheckInterval
-			if chunk < 0 {
-				chunk = 0
-			}
-			changed += c.retractScan(chunk, end)
+	slices.Sort(c.edges)
+	work := c.seeds
+	retracted := 0
+	for pops := 0; len(work) > 0; pops++ {
+		if pops%ctxutil.CheckInterval == 0 && ctxutil.Cancelled(ctx) {
+			return 0, ctxutil.Err(ctx)
 		}
-		total += changed
-		if changed == 0 {
-			return total, nil
+		off := int(work[len(work)-1])
+		work = work[:len(work)-1]
+		if !c.out.InstStart[off] || !c.contradicted(off) {
+			continue // stale edge or duplicate seed
+		}
+		a, b := c.uncommit(off)
+		retracted++
+		if a > 0 && c.out.Owner[a-1] != -1 {
+			work = append(work, c.out.Owner[a-1])
+		}
+		i, _ := slices.BinarySearch(c.edges, uint64(a)<<32)
+		for ; i < len(c.edges) && int(c.edges[i]>>32) < b; i++ {
+			work = append(work, int32(uint32(c.edges[i])))
 		}
 	}
+	return retracted, nil
 }
 
-// retractScan runs one contradiction scan over [from, to) in descending
-// offset order, returning the number of instructions retracted.
-func (c *corrector) retractScan(from, to int) int {
-	changed := 0
-	for off := to - 1; off >= from; off-- {
-		if !c.out.InstStart[off] {
-			continue
+// contradicted reports whether the committed instruction at off has a
+// forced successor that escapes the section, is data, or lands inside
+// another committed instruction: the predicate retraction and gap fill's
+// tile unwinding both remove instructions by.
+func (c *corrector) contradicted(off int) bool {
+	c.succs = c.g.ForcedSuccs(c.succs[:0], off)
+	for _, s := range c.succs {
+		if s < 0 || c.out.State[s] == Data ||
+			(c.out.Owner[s] != -1 && !c.out.InstStart[s]) {
+			return true
 		}
-		bad := false
-		c.succs = c.g.ForcedSuccs(c.succs[:0], off)
-		for _, s := range c.succs {
-			if s < 0 {
-				bad = true
-				break
-			}
-			if c.out.State[s] == Data ||
-				(c.out.Owner[s] != -1 && !c.out.InstStart[s]) {
-				bad = true
-				break
-			}
-		}
-		if !bad {
-			continue
-		}
-		a, b := c.g.Occupies(off)
-		for i := a; i < b; i++ {
-			c.out.State[i] = Data
-			c.out.Owner[i] = -1
-			c.out.SrcOf[i] = 0
-		}
-		c.out.InstStart[off] = false
-		changed++
 	}
-	return changed
+	return false
+}
+
+// uncommit turns the committed instruction at off into data and returns
+// the byte range [a, b) it occupied.
+func (c *corrector) uncommit(off int) (a, b int) {
+	a, b = c.g.Occupies(off)
+	for i := a; i < b; i++ {
+		c.out.State[i] = Data
+		c.out.Owner[i] = -1
+		c.out.SrcOf[i] = 0
+	}
+	c.out.InstStart[off] = false
+	return a, b
 }
 
 // hintKey is a hint's precomputed commit-order key: two words compared
@@ -508,9 +507,14 @@ type corrector struct {
 	out    *Outcome
 	// Work buffers, reused across the run's commits and scans so the
 	// per-instruction ForcedSuccs calls append without allocating.
-	stack []int
+	stack []uint64 // commitChain's pending successors, source<<32 | successor
 	succs []int
 	chain []int // commitChain's successor buffer (stack and succs are live there)
+
+	// Retraction's worklist inputs, recorded by commitChain. Offsets fit
+	// in int32 (Owner), so an edge packs into one word.
+	seeds []int32  // committed instructions with a forced successor not placed
+	edges []uint64 // committed direct-branch edges, target<<32 | source
 
 	srcIdx map[string]uint8
 	curSrc uint8
@@ -565,16 +569,28 @@ func (c *corrector) canPlace(off int) bool {
 // it forces (fallthrough, direct targets). Paths that hit a contradiction
 // are abandoned without rolling back the consistent prefix. Returns false
 // if nothing new was committed.
+//
+// It also records retraction's inputs. Every forced successor it pushes is
+// either committed, already an instruction start, or fails canPlace; only
+// the last (and an escaping successor) can be or become a contradiction,
+// so their sources are the seeds. Each direct branch whose target is not
+// the instruction's end becomes an edge; a successor at the end is found
+// through Owner instead.
 func (c *corrector) commitChain(off int) bool {
 	if !c.canPlace(off) {
 		return false
 	}
 	progressed := false
-	c.stack = append(c.stack[:0], off)
+	c.stack = append(c.stack[:0], uint64(off)<<32|uint64(off))
 	for len(c.stack) > 0 {
-		o := c.stack[len(c.stack)-1]
+		e := c.stack[len(c.stack)-1]
 		c.stack = c.stack[:len(c.stack)-1]
-		if c.out.InstStart[o] || !c.canPlace(o) {
+		o := int(uint32(e))
+		if c.out.InstStart[o] {
+			continue
+		}
+		if !c.canPlace(o) {
+			c.seeds = append(c.seeds, int32(e>>32))
 			continue
 		}
 		from, to := c.g.Occupies(o)
@@ -587,9 +603,14 @@ func (c *corrector) commitChain(off int) bool {
 		progressed = true
 		c.chain = c.g.ForcedSuccs(c.chain[:0], o)
 		for _, s := range c.chain {
-			if s >= 0 {
-				c.stack = append(c.stack, s)
+			if s < 0 {
+				c.seeds = append(c.seeds, int32(o))
+				continue
 			}
+			if s != to {
+				c.edges = append(c.edges, uint64(s)<<32|uint64(o))
+			}
+			c.stack = append(c.stack, uint64(o)<<32|uint64(s))
 		}
 	}
 	return progressed
@@ -664,9 +685,9 @@ func (c *corrector) fillGap(a, b int, scores []float64, scoreAt func(int) float6
 		codeLike = true
 	}
 	// Tile starts committed into this gap, kept for the post-derail
-	// consistency sweep below. c.stack is idle during gap fill (the
+	// consistency sweep below. c.chain is idle during gap fill (the
 	// commit phase is over), so its backing array is reused.
-	tiles := c.stack[:0]
+	tiles := c.chain[:0]
 	derailed := false
 	pos := a
 	for pos < b {
@@ -699,39 +720,23 @@ func (c *corrector) fillGap(a, b int, scores []float64, scoreAt func(int) float6
 	if derailed && len(tiles) > 0 {
 		c.unwindTiles(tiles)
 	}
-	c.stack = tiles[:0]
+	c.chain = tiles[:0]
 }
 
 // unwindTiles retracts gap tiles invalidated by a mid-gap derail, to a
 // fixpoint: retracting one tile turns its bytes into data, which can
 // invalidate the tile falling into it, and so on backward through the
-// gap. The badness predicate matches retractScan's.
+// gap. It re-checks only this gap's tiles: a commit-phase instruction
+// falling into the derailed tail stays (DESIGN.md, committed-chain
+// closure is not an invariant).
 func (c *corrector) unwindTiles(tiles []int) {
 	for changed := true; changed; {
 		changed = false
 		for i, t := range tiles {
-			if t < 0 {
+			if t < 0 || !c.contradicted(t) {
 				continue
 			}
-			bad := false
-			c.succs = c.g.ForcedSuccs(c.succs[:0], t)
-			for _, s := range c.succs {
-				if s < 0 || c.out.State[s] == Data ||
-					(c.out.Owner[s] != -1 && !c.out.InstStart[s]) {
-					bad = true
-					break
-				}
-			}
-			if !bad {
-				continue
-			}
-			from, to := c.g.Occupies(t)
-			for j := from; j < to; j++ {
-				c.out.State[j] = Data
-				c.out.Owner[j] = -1
-				c.out.SrcOf[j] = 0
-			}
-			c.out.InstStart[t] = false
+			c.uncommit(t)
 			c.out.Retracted++
 			tiles[i] = -1
 			changed = true

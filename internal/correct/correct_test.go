@@ -106,35 +106,42 @@ func TestLookaheadRejectsFallIntoData(t *testing.T) {
 }
 
 func TestRetraction(t *testing.T) {
-	// Commit code at 0 (nop, falls through to 1), then prove byte 1 data
-	// at LOWER priority via a region that does not overlap byte 0. The
-	// nop at 0 was committed first; the data hint cannot claim byte 1
-	// because commitData skips... byte 1 is Unknown so it becomes Data,
-	// creating a contradiction the retraction pass must resolve by
-	// un-committing offset 0.
-	g, v := buildGraph([]byte{0x90, 0x06, 0xc3}) // nop; invalid; ret
-	// Note: offset 0 falls through into an invalid byte, so viability
-	// already kills it. Use a valid-but-data byte instead: nop; nop; ret
-	// with the middle byte claimed by a data hint after code commits.
-	g, v = buildGraph([]byte{0x90, 0x90, 0xc3})
+	// 0: nop; 1: xor eax,eax; 3: ret. Proof data at byte 2 leaves the xor
+	// at 1 unplaceable, so the nop at 0 commits with its fallthrough
+	// pending; the weak data hint then turns byte 1 into data, and the nop
+	// falls into data: retraction must un-commit it.
+	g, v := buildGraph([]byte{0x90, 0x31, 0xc0, 0xc3})
+	out := Run(g, v, []analysis.Hint{
+		{Kind: analysis.HintData, Off: 2, Len: 1, Prio: analysis.PrioProof},
+		{Kind: analysis.HintCode, Off: 0, Prio: analysis.PrioStrong},
+		{Kind: analysis.HintData, Off: 1, Len: 1, Prio: analysis.PrioWeak},
+	}, Options{NoGapFill: true})
+	if out.Retracted != 1 {
+		t.Fatalf("retracted = %d, want 1", out.Retracted)
+	}
+	if out.InstStart[0] || out.State[0] != Data || out.Owner[0] != -1 {
+		t.Errorf("nop at 0 survived retraction: start %v state %v owner %d",
+			out.InstStart[0], out.State[0], out.Owner[0])
+	}
+}
+
+func TestRetractReferenceOnMutatedState(t *testing.T) {
+	// nop; nop; ret committed as one chain, then byte 1 hand-mutated to
+	// data: a contradiction no commit sequence produces (data hints never
+	// overwrite code), so only the reference scan, which visits every
+	// offset, is defined on it.
+	g, v := buildGraph([]byte{0x90, 0x90, 0xc3})
 	out := Run(g, v, []analysis.Hint{
 		{Kind: analysis.HintCode, Off: 0, Prio: analysis.PrioProof}, // commits 0,1,2
 	}, Options{NoGapFill: true})
 	if !out.InstStart[0] || !out.InstStart[1] {
 		t.Fatal("setup: chain did not commit")
 	}
-	// Direct contradiction cannot be constructed through Run (data hints
-	// never overwrite code), so exercise retract() directly.
-	c := &corrector{g: g, viable: v, out: out}
 	out.State[1] = Data
 	out.Owner[1] = -1
 	out.InstStart[1] = false
-	n, err := c.retract(nil)
-	if err != nil {
-		t.Fatalf("retract: %v", err)
-	}
-	if n == 0 {
-		t.Fatal("retract found no contradictions")
+	if n := retractReference(g, out); n == 0 {
+		t.Fatal("retractReference found no contradictions")
 	}
 	if out.InstStart[0] {
 		t.Error("instruction falling into data survived retraction")
