@@ -86,12 +86,14 @@ cover:
 # Short coverage-guided fuzz passes (CI smoke): the whole pipeline, the
 # shard seams (sharded output must equal unsharded on fuzzed bytes and
 # tilings), the ELF parser, whose zero-copy aliasing serving relies on,
-# then the retraction worklist against the full-scan reference fixpoint.
+# then the retraction worklist against the full-scan reference fixpoint
+# and viability's sweep and worklist against the naive fixpoint.
 fuzz-smoke:
 	go test -fuzz=FuzzPipeline -fuzztime=30s .
 	go test -run '^$$' -fuzz=FuzzShardSplit -fuzztime=20s .
 	go test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/elfx
 	go test -run '^$$' -fuzz=FuzzRetractMatchesReference -fuzztime=10s ./internal/correct
+	go test -run '^$$' -fuzz=FuzzViabilityMatchesNaive -fuzztime=10s ./internal/analysis
 
 # Chaos/load harness against the real serving stack (internal/serve)
 # over a real loopback listener: mixed hostile workloads under -race,

@@ -75,7 +75,7 @@ func TestViabilityLoopIsViable(t *testing.T) {
 
 // TestViabilityRetainsOnlyMask pins Viability's retained heap: once the
 // call returns and a GC runs, only the one-byte-per-offset mask stays
-// live. The predecessor index is transient and must not outlive the call.
+// live. The edge list is transient and must not outlive the call.
 func TestViabilityRetainsOnlyMask(t *testing.T) {
 	code := make([]byte, 1<<20)
 	rand.New(rand.NewSource(1)).Read(code)

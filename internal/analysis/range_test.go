@@ -3,6 +3,7 @@ package analysis
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -53,10 +54,10 @@ func tile(n, shard int) [][2]int {
 }
 
 // naiveViability is the viability definition run literally, as an
-// independent reference for Viability's CSR routine: start from every
-// valid offset, then clear any offset with an impossible or non-viable
-// forced successor, sweeping the whole section until a sweep clears
-// nothing.
+// independent reference for Viability's sweep and worklist: start from
+// every valid offset, then clear any offset with an impossible or
+// non-viable forced successor, sweeping the whole section until a sweep
+// clears nothing.
 func naiveViability(g *superset.Graph) []bool {
 	viable := make([]bool, g.Len())
 	for off := range viable {
@@ -82,8 +83,63 @@ func naiveViability(g *superset.Graph) []bool {
 	return viable
 }
 
+// viabilityCase is a crafted section for the viability tests: its bytes,
+// whether viabilityGraph registers extern ranges around it, and offsets
+// the fixpoint must leave non-viable (dead) and viable (live). Offset 0
+// holds an invalid byte (0x06) wherever a case needs poison.
+type viabilityCase struct {
+	name       string
+	code       []byte
+	ext        bool
+	dead, live []int
+}
+
+var viabilityCases = []viabilityCase{
+	// jmp +3 (1 -> 6); ret filler; nop at 6 falling into a jmp back to
+	// offset 0. The sweep leaves 6 and 7 viable; the worklist poisons 7
+	// through its backward edge, 6 by looking back from 7, and the
+	// forward jmp at 1 only by searching the branch edges into 6.
+	{name: "forward pred of look-back poison",
+		code: []byte{0x06, 0xeb, 0x03, 0xc3, 0xc3, 0xc3, 0x90, 0xeb, 0xf7},
+		dead: []int{1, 6, 7}, live: []int{3, 4, 5}},
+	// jmp to its own end (1 -> 3), then a jmp back onto offset 0: the
+	// branch records no edge, so only the look-back finds it.
+	{name: "jmp to own end",
+		code: []byte{0x06, 0xeb, 0x00, 0xeb, 0xfb},
+		dead: []int{1, 3}},
+	// je to its own end: both forced successors are offset 3.
+	{name: "jcc with coinciding successors",
+		code: []byte{0x06, 0x74, 0x00, 0xeb, 0xfb},
+		dead: []int{1, 3}},
+	// jmp $ beside the poison: its only successor is itself.
+	{name: "jmp to itself",
+		code: []byte{0x06, 0xeb, 0xfe},
+		live: []int{1}},
+	// call into the extern range below the section, then a nop falling
+	// off the end into the extern range above it.
+	{name: "extern target and end", ext: true,
+		code: []byte{0xe8, 0xdb, 0xff, 0xff, 0xff, 0x90},
+		live: []int{0, 5}},
+	{name: "same without extern ranges",
+		code: []byte{0xe8, 0xdb, 0xff, 0xff, 0xff, 0x90},
+		dead: []int{0, 5}},
+}
+
+// viabilityGraph builds code at 0x1000; with ext it registers 64-byte
+// extern ranges right below and right above the section.
+func viabilityGraph(code []byte, ext bool) *superset.Graph {
+	const base = 0x1000
+	g := superset.Build(code, base)
+	if ext {
+		end := base + uint64(len(code))
+		g.SetExtern([]superset.Range{{Start: base - 0x40, End: base}, {Start: end, End: end + 0x40}})
+	}
+	return g
+}
+
 // TestViabilityMatchesNaive checks Viability against naiveViability on
-// the range-test graphs, more byte soup and crafted edge cases.
+// the range-test graphs, more byte soup and crafted edge cases, and
+// checks the crafted cases' expected offsets.
 func TestViabilityMatchesNaive(t *testing.T) {
 	gs := rangeTestGraphs(t)
 	for _, seed := range []int64{8, 9, 10} {
@@ -143,15 +199,51 @@ func TestViabilityMatchesNaive(t *testing.T) {
 	} {
 		gs = append(gs, superset.Build(code, 0x1000))
 	}
-	for gi, g := range gs {
-		want, got := naiveViability(g), Viability(g)
-		for off := range want {
-			if want[off] != got[off] {
-				t.Fatalf("graph %d: viability diverges first at offset %d (want %v)",
-					gi, off, want[off])
+	for _, c := range viabilityCases {
+		g := viabilityGraph(c.code, c.ext)
+		v := naiveViability(g)
+		for _, off := range c.dead {
+			if v[off] {
+				t.Errorf("%s: offset %d viable, want non-viable", c.name, off)
 			}
 		}
+		for _, off := range c.live {
+			if !v[off] {
+				t.Errorf("%s: offset %d non-viable, want viable", c.name, off)
+			}
+		}
+		checkViabilityMatchesNaive(t, g, c.name)
 	}
+	for gi, g := range gs {
+		checkViabilityMatchesNaive(t, g, fmt.Sprintf("graph %d", gi))
+	}
+}
+
+// checkViabilityMatchesNaive fails the test at the first offset where
+// Viability and naiveViability disagree on g.
+func checkViabilityMatchesNaive(t *testing.T, g *superset.Graph, name string) {
+	t.Helper()
+	want, got := naiveViability(g), Viability(g)
+	for off := range want {
+		if want[off] != got[off] {
+			t.Fatalf("%s: viability diverges first at offset %d (want %v)", name, off, want[off])
+		}
+	}
+}
+
+// FuzzViabilityMatchesNaive extends the differential to fuzzed bytes,
+// with and without extern ranges around the section. Run with
+// `go test -fuzz=FuzzViabilityMatchesNaive ./internal/analysis`.
+func FuzzViabilityMatchesNaive(f *testing.F) {
+	for _, c := range viabilityCases {
+		f.Add(c.code, c.ext)
+	}
+	f.Fuzz(func(t *testing.T, code []byte, ext bool) {
+		if len(code) > 4<<10 {
+			return
+		}
+		checkViabilityMatchesNaive(t, viabilityGraph(code, ext), "fuzz")
+	})
 }
 
 // TestRangeAnalysesMatchGlobal proves each per-shard hint analysis,

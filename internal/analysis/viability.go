@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"probedis/internal/superset"
+	"probedis/internal/x86"
 )
 
 // Viability computes, for every offset, whether an instruction starting
@@ -23,74 +24,86 @@ import (
 // out-of-section direct branches are treated as non-viable, which matches
 // the static-executable corpus this repository evaluates on.
 //
-// Non-viability is seeded from invalid decodes and impossible successors,
-// then propagated backwards through a predecessor table. The table is a
-// CSR index (each offset's predecessors stored contiguously in one
-// array): pos, n+1 offsets into preds, and preds, one int32 per forced
-// edge, 4(n+1)+4E bytes. Neither holds a pointer, so the GC never scans
-// them, and both die on return. The index is built by walking the section
-// twice, counting edges and then filling rows: buffering the successors
-// between the walks would save the second walk but add n+4E transient
-// bytes.
+// The fixpoint takes one descending sweep and a worklist. Fallthrough and
+// forward-branch successors sit above their source, so a sweep from the
+// section end has settled them by the time it reaches the source: an
+// offset is non-viable if it is invalid, has an escaping successor, or
+// has a non-viable successor above it, and a successor at or below it
+// counts as viable for now. Only backward branches can carry poison the
+// sweep missed. Each viable offset records its successor other than its
+// own end, if it has one, as target<<32 | source: there is at most one,
+// since a fallthrough lands on the end. The list is sorted once by
+// target. The worklist starts from the sources of backward edges into
+// non-viable targets and, for each offset it poisons, poisons its viable
+// predecessors: the ones ending at it, found by looking back at most
+// x86.MaxInstLen bytes, and the branch sources, found by binary search.
+// Every offset flips at most once, so the cost is linear plus the sort.
+// The working set besides the n-byte mask is the edge list, at most 8
+// bytes per section byte and about half a byte on the corpus; it holds no
+// pointer and dies on return.
 func Viability(g *superset.Graph) []bool {
 	n := g.Len()
 	viable := make([]bool, n)
-	pos := make([]uint32, n+1)
+	// Every generator profile records one edge per 18 to 22 section
+	// bytes, real .text sections fewer; past the guess the list doubles
+	// by hand rather than regrow through append's smaller steps.
+	edges := make([]uint64, 0, n/16)
 	var succs []int
-	for off := 0; off < n; off++ {
+sweep:
+	for off := n - 1; off >= 0; off-- {
 		if !g.Valid(off) {
 			continue
 		}
 		succs = g.ForcedSuccs(succs[:0], off)
-		if slices.Contains(succs, -1) {
-			continue
+		end := off + int(g.At(off).Len)
+		edge := -1
+		for _, s := range succs {
+			if s < 0 || s > off && !viable[s] {
+				continue sweep
+			}
+			if s != end {
+				edge = s
+			}
 		}
 		viable[off] = true
-		for _, s := range succs {
-			pos[s]++
+		if edge >= 0 {
+			if len(edges) == cap(edges) {
+				edges = slices.Grow(edges, len(edges))
+			}
+			edges = append(edges, uint64(edge)<<32|uint64(off))
 		}
 	}
-	// Inclusive prefix sum: pos[i] is the end of offset i's row. The fill
-	// decrements it back to the row's start, so row i ends up as
-	// preds[pos[i]:pos[i+1]], and pos[n] stays the edge count.
-	var sum uint32
-	for i, c := range pos {
-		sum += c
-		pos[i] = sum
-	}
-	preds := make([]int32, pos[n])
-	for off := 0; off < n; off++ {
-		if !viable[off] {
-			continue
-		}
-		succs = g.ForcedSuccs(succs[:0], off)
-		for _, s := range succs {
-			pos[s]--
-			preds[pos[s]] = int32(off)
-		}
-	}
+	slices.Sort(edges)
 
-	// Propagate non-viability backwards: if any forced successor of p is
-	// non-viable, p is non-viable. Each non-viable offset, seed or not,
-	// poisons its predecessors depth-first. An offset's row is read when
-	// the stack pops it and again when the outer loop reaches it, so every
-	// edge is read at most twice. Walking upwards saves most second reads:
-	// poison mostly flows back along fallthrough edges, to offsets the
-	// loop has already passed.
-	var stack []int32
-	for i := 0; i < n; i++ {
-		if viable[i] {
-			continue
+	// The sweep already poisoned the source of every forward edge into a
+	// non-viable target, so a viable source found here has a backward
+	// edge. Targets ascend, so the loop also poisons the sources of edges
+	// into offsets it has just poisoned.
+	var work []int32
+	for _, e := range edges {
+		if src := uint32(e); !viable[e>>32] && viable[src] {
+			viable[src] = false
+			work = append(work, int32(src))
 		}
-		stack = append(stack[:0], int32(i))
-		for len(stack) > 0 {
-			s := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, p := range preds[pos[s]:pos[s+1]] {
-				if viable[p] {
-					viable[p] = false
-					stack = append(stack, p)
-				}
+	}
+	for len(work) > 0 {
+		x := int(work[len(work)-1])
+		work = work[:len(work)-1]
+		for p := max(x-x86.MaxInstLen, 0); p < x; p++ {
+			if !viable[p] || p+int(g.At(p).Len) != x {
+				continue
+			}
+			succs = g.ForcedSuccs(succs[:0], p)
+			if slices.Contains(succs, x) {
+				viable[p] = false
+				work = append(work, int32(p))
+			}
+		}
+		i, _ := slices.BinarySearch(edges, uint64(x)<<32)
+		for ; i < len(edges) && int(edges[i]>>32) == x; i++ {
+			if src := uint32(edges[i]); viable[src] {
+				viable[src] = false
+				work = append(work, int32(src))
 			}
 		}
 	}

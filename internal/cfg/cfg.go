@@ -99,36 +99,33 @@ func BuildTraceContext(ctx context.Context, g *superset.Graph, instStart []bool,
 			entry(s)
 		}
 	}
+	// One ascending walk marks the targets and ends of control transfers
+	// and the first instruction of every maximal code run: one that does
+	// not start where the previous instruction ended.
+	end := -1
 	for off := 0; off < n; off++ {
 		if !instStart[off] {
 			continue
 		}
 		e := g.At(off)
+		if off != end {
+			mark(off)
+		}
+		end = off + int(e.Len)
 		switch e.Flow {
 		case x86.FlowCall:
 			if t := g.TargetOff(off); t >= 0 && instStart[t] {
 				entry(t)
 			}
-			mark(off + int(e.Len))
+			mark(end)
 		case x86.FlowJump, x86.FlowCondJump:
 			if t := g.TargetOff(off); t >= 0 && instStart[t] {
 				mark(t)
 			}
-			mark(off + int(e.Len))
+			mark(end)
 		case x86.FlowIndirectJump, x86.FlowIndirectCall, x86.FlowRet, x86.FlowHalt:
-			mark(off + int(e.Len))
+			mark(end)
 		}
-	}
-	// The first instruction of any maximal code run is a leader.
-	prevEnd := -1
-	for off := 0; off < n; off++ {
-		if !instStart[off] {
-			continue
-		}
-		if off != prevEnd {
-			mark(off)
-		}
-		prevEnd = off + int(g.At(off).Len)
 	}
 	lsp.Count("leaders", int64(nleaders))
 	lsp.End()

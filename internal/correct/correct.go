@@ -97,11 +97,10 @@ func (o *Outcome) SrcName(i int) string {
 const commitCheckInterval = 256
 
 // Run executes single-phase prioritized error correction over the
-// superset graph: hints are consumed in SortHints order; viable gates all
-// code commits and must be false at invalid decodes, as
-// analysis.Viability's mask is (a committed instruction always occupies
-// its bytes). It is the uncancellable reference for RunTieredContext
-// (which the pipeline runs) and the only path that honours MaxHints.
+// superset graph: hints are consumed in SortHints order and viable gates
+// all code commits. It is the uncancellable reference for
+// RunTieredContext (which the pipeline runs) and the only path that
+// honours MaxHints.
 func Run(g *superset.Graph, viable []bool, hints []analysis.Hint, opts Options) *Outcome {
 	c := newCorrector(g, viable)
 	c.commitHints(nil, hints, opts.MaxHints, opts.Trace, "") // a nil ctx never cancels
@@ -156,7 +155,11 @@ func RunTieredContext(ctx context.Context, g *superset.Graph, viable []bool, str
 }
 
 // newCorrector allocates the outcome; the work buffers grow from nil on
-// first use and live for one run.
+// first use and live for one run. The retraction edge list is presized
+// instead, to one edge per 32 section bytes: most generator profiles
+// commit one per 35 to 50 bytes. Denser sections (inline jump tables,
+// real .text at one per 21 to 30) double it by hand rather than regrow
+// it through append's smaller steps.
 func newCorrector(g *superset.Graph, viable []bool) *corrector {
 	n := g.Len()
 	o := &Outcome{
@@ -169,7 +172,8 @@ func newCorrector(g *superset.Graph, viable []bool) *corrector {
 	for i := range o.Owner {
 		o.Owner[i] = -1
 	}
-	return &corrector{g: g, viable: viable, out: o, srcIdx: map[string]uint8{"": 0}}
+	return &corrector{g: g, viable: viable, out: o, edges: make([]uint64, 0, n/32),
+		srcIdx: map[string]uint8{"": 0}}
 }
 
 // commitHints sorts one hint stream into commit order and consumes it.
@@ -549,6 +553,9 @@ func (c *corrector) canPlace(off int) bool {
 		return false // inside another committed instruction
 	}
 	from, to := c.g.Occupies(off)
+	if from == to {
+		return false // invalid decode: an instruction must occupy its bytes
+	}
 	for i := from; i < to; i++ {
 		if c.out.State[i] == Data || (c.out.Owner[i] != -1 && c.out.Owner[i] != int32(off)) {
 			return false
@@ -608,6 +615,9 @@ func (c *corrector) commitChain(off int) bool {
 				continue
 			}
 			if s != to {
+				if len(c.edges) == cap(c.edges) {
+					c.edges = slices.Grow(c.edges, len(c.edges))
+				}
 				c.edges = append(c.edges, uint64(s)<<32|uint64(o))
 			}
 			c.stack = append(c.stack, uint64(o)<<32|uint64(s))

@@ -78,19 +78,21 @@ func checkRetractMatchesReference(t *testing.T, g *superset.Graph, viable []bool
 // under its structural hints plus a dense stat-like code hint at every
 // viable offset. The random lists also run under a mask that admits
 // every valid decode, which lets instructions with an escaping successor
-// commit: those must seed retraction too. The retraction counts guard
-// against a vacuous pass.
+// commit: those must seed retraction too. A mask true everywhere, invalid
+// decodes included, checks that canPlace itself refuses an instruction
+// that would occupy no bytes. The retraction counts guard against a
+// vacuous pass.
 func TestRetractMatchesReference(t *testing.T) {
 	g, viable := quickGraph(t)
-	valid := make([]bool, g.Len())
+	valid, all := make([]bool, g.Len()), make([]bool, g.Len())
 	for i := range valid {
-		valid[i] = g.Valid(i)
+		valid[i], all[i] = g.Valid(i), true
 	}
 	rng := rand.New(rand.NewSource(19))
 	for _, mask := range []struct {
 		name   string
 		viable []bool
-	}{{"viability", viable}, {"valid", valid}} {
+	}{{"viability", viable}, {"valid", valid}, {"all", all}} {
 		lists, retracting := 300, 0
 		for i := 0; i < lists; i++ {
 			if checkRetractMatchesReference(t, g, mask.viable, genHints(rng, g.Len())) > 0 {
