@@ -32,8 +32,10 @@ benchtest:
 	cd bench && go vet ./... && go test ./...
 
 # Benchmark-regression gate: run the full suite, compare against the
-# latest committed BENCH_<date>.json (>15% ns/op regression fails), and
-# write today's results as the new baseline.
+# latest committed BENCH_<date>.json (>15% B/op or allocs/op regression
+# fails; so does ns/op, when the baseline's CPU count, GOARCH and Go
+# version match this machine's), and write today's results as the new
+# baseline.
 BENCH_DATE = $(shell date -u +%Y-%m-%d)
 bench:
 	go test -run='^$$' -bench=. -benchmem . | tee /tmp/bench.out
@@ -86,14 +88,18 @@ cover:
 # Short coverage-guided fuzz passes (CI smoke): the whole pipeline, the
 # shard seams (sharded output must equal unsharded on fuzzed bytes and
 # tilings), the ELF parser, whose zero-copy aliasing serving relies on,
-# then the retraction worklist against the full-scan reference fixpoint
-# and viability's sweep and worklist against the naive fixpoint.
+# then the retraction worklist against the full-scan reference fixpoint,
+# viability's sweep and worklist against the naive fixpoint, the
+# anchor-site hint analyses against their full walks, and the probing
+# data-pattern scans against their byte loops.
 fuzz-smoke:
 	go test -fuzz=FuzzPipeline -fuzztime=30s .
 	go test -run '^$$' -fuzz=FuzzShardSplit -fuzztime=20s .
 	go test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/elfx
 	go test -run '^$$' -fuzz=FuzzRetractMatchesReference -fuzztime=10s ./internal/correct
 	go test -run '^$$' -fuzz=FuzzViabilityMatchesNaive -fuzztime=10s ./internal/analysis
+	go test -run '^$$' -fuzz=FuzzAnchoredMatchesReference -fuzztime=10s ./internal/analysis
+	go test -run '^$$' -fuzz=FuzzDataPatternsMatchReference -fuzztime=10s ./internal/stats
 
 # Chaos/load harness against the real serving stack (internal/serve)
 # over a real loopback listener: mixed hostile workloads under -race,

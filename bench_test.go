@@ -434,6 +434,36 @@ func BenchmarkViability(b *testing.B) {
 	}
 }
 
+// BenchmarkHintAnalyses times each structural hint analysis, and the
+// raw-byte data patterns, over the large section's graph and viability
+// mask, both built once outside the timer. Run it at -cpu 1: each
+// analysis is one serial pass, as a hint task on core's pool runs it.
+// hints is the number of hints the analysis emits.
+func BenchmarkHintAnalyses(b *testing.B) {
+	code, base := largeSection(b)
+	g := superset.Build(code, base)
+	viable := analysis.Viability(g)
+	for _, a := range []struct {
+		name string
+		run  func() []analysis.Hint
+	}{
+		{"jumptable", func() []analysis.Hint { return analysis.JumpTableHints(analysis.FindJumpTables(g, viable)) }},
+		{"calltarget", func() []analysis.Hint { return analysis.CallTargetHints(g, viable) }},
+		{"prologue", func() []analysis.Hint { return analysis.PrologueHints(g, viable) }},
+		{"literalpool", func() []analysis.Hint { return analysis.LiteralPoolHints(g, viable) }},
+		{"datapattern", func() []analysis.Hint { return analysis.DataPatternHints(g) }},
+	} {
+		b.Run(a.name, func(b *testing.B) {
+			b.SetBytes(int64(len(code)))
+			var hs []analysis.Hint
+			for i := 0; i < b.N; i++ {
+				hs = a.run()
+			}
+			b.ReportMetric(float64(len(hs)), "hints")
+		})
+	}
+}
+
 // largeSection lazily builds a production-scale synthetic text section
 // (>= 8 MiB) by concatenating ground-truthed binaries generated at
 // cumulative base addresses, so branch targets stay internally consistent

@@ -11,6 +11,11 @@
 // latest file is the -write target itself (same-day rerun), its committed
 // content is the baseline and is compared before being overwritten.
 //
+// ns/op is compared only against a baseline recorded on a machine with
+// the same fingerprint: CPU count, GOARCH and Go version. Otherwise the
+// report says which of them differ and gates only B/op and allocs/op,
+// which do not depend on the machine's speed.
+//
 // Exit codes: 0 ok (or -report-only), 1 regression past threshold,
 // 2 usage/IO error.
 package main
@@ -112,7 +117,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "benchdiff: no baseline found; this run becomes the first baseline")
 	} else {
 		fmt.Fprintf(stdout, "benchdiff: comparing against %s (threshold %+.0f%% ns/op, B/op, allocs/op)\n", basePath, *threshold)
-		regressed = report(stdout, base.Benchmarks, benches, *threshold)
+		diff := machineDiff(base, cur)
+		if diff != "" {
+			fmt.Fprintf(stdout, "benchdiff: ns/op not compared, the baseline comes from another machine (%s); B/op and allocs/op still gate\n", diff)
+		}
+		regressed = report(stdout, base.Benchmarks, benches, *threshold, diff == "")
 	}
 
 	if *write != "" {
@@ -232,12 +241,30 @@ func parseBench(r io.Reader) ([]Bench, error) {
 	return out, sc.Err()
 }
 
+// machineDiff names the fingerprint fields on which the baseline and the
+// current run differ, or returns "" when they match. A baseline that
+// recorded no fingerprint differs on every field.
+func machineDiff(base, cur *File) string {
+	var diffs []string
+	if base.NumCPU != cur.NumCPU {
+		diffs = append(diffs, fmt.Sprintf("num_cpu %d, this run %d", base.NumCPU, cur.NumCPU))
+	}
+	if base.GOARCH != cur.GOARCH {
+		diffs = append(diffs, fmt.Sprintf("goarch %q, this run %q", base.GOARCH, cur.GOARCH))
+	}
+	if base.GoVersion != cur.GoVersion {
+		diffs = append(diffs, fmt.Sprintf("go_version %q, this run %q", base.GoVersion, cur.GoVersion))
+	}
+	return strings.Join(diffs, "; ")
+}
+
 // report prints the per-benchmark comparison and returns whether any
-// ns/op, B/op or allocs/op regression exceeds threshold percent. A metric
-// missing from the baseline (older files predate -benchmem capture, and
-// an exact zero has no meaningful percentage) is informational only.
-// Added and removed benchmarks are informational, never failures.
-func report(w io.Writer, old, cur []Bench, threshold float64) bool {
+// gated metric regresses past threshold percent: B/op and allocs/op
+// always, ns/op only when gateNs (same machine). A metric missing from
+// the baseline (older files predate -benchmem capture, and an exact zero
+// has no meaningful percentage) is informational only. Added and removed
+// benchmarks are informational, never failures.
+func report(w io.Writer, old, cur []Bench, threshold float64, gateNs bool) bool {
 	byName := map[string]Bench{}
 	for _, b := range old {
 		byName[b.Name] = b
@@ -251,7 +278,10 @@ func report(w io.Writer, old, cur []Bench, threshold float64) bool {
 		}
 		delete(byName, b.Name)
 		status := "ok"
-		nsDelta, nsBad := metricDelta(o.NsOp, b.NsOp, threshold)
+		nsDelta, nsBad := "   skip", false
+		if gateNs {
+			nsDelta, nsBad = metricDelta(o.NsOp, b.NsOp, threshold)
+		}
 		bytesDelta, bytesBad := metricDelta(o.BytesOp, b.BytesOp, threshold)
 		allocsDelta, allocsBad := metricDelta(o.AllocsOp, b.AllocsOp, threshold)
 		if nsBad || bytesBad || allocsBad {

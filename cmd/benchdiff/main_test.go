@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -67,9 +68,19 @@ func TestLatestBenchFile(t *testing.T) {
 	}
 }
 
+// writeBaseline writes a baseline recorded on this machine, so ns/op is
+// compared against it.
 func writeBaseline(t *testing.T, dir, name string, benches []Bench) {
 	t.Helper()
-	buf, err := json.Marshal(File{Date: "2026-07-01T00:00:00Z", Benchmarks: benches})
+	writeBaselineFile(t, dir, name, File{
+		Date: "2026-07-01T00:00:00Z", GoVersion: runtime.Version(), GOARCH: runtime.GOARCH,
+		NumCPU: runtime.NumCPU(), Benchmarks: benches,
+	})
+}
+
+func writeBaselineFile(t *testing.T, dir, name string, f File) {
+	t.Helper()
+	buf, err := json.Marshal(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,5 +236,43 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 	if code := run(nil, strings.NewReader("no benchmarks here"), &stdout, &stderr); code != 2 {
 		t.Errorf("empty input: exit = %d, want 2", code)
+	}
+}
+
+// TestRunMachineFingerprint: a baseline from another machine (CPU count,
+// GOARCH or Go version, or none recorded) gets no ns/op comparison, and
+// the report names what differs; B/op and allocs/op still gate.
+func TestRunMachineFingerprint(t *testing.T) {
+	slow := Bench{Name: "BenchmarkT1InstF1", NsOp: 60000000, BytesOp: 5000000, AllocsOp: 40000} // current is 2x slower
+	here := File{GoVersion: runtime.Version(), GOARCH: runtime.GOARCH, NumCPU: runtime.NumCPU()}
+	for _, c := range []struct {
+		name     string
+		edit     func(f *File)
+		bench    Bench
+		wantCode int
+		wantOut  string
+	}{
+		{"same machine gates ns/op", func(f *File) {}, slow, 1, "REGRESSION"},
+		{"other CPU count", func(f *File) { f.NumCPU++ }, slow, 0, "num_cpu"},
+		{"other architecture", func(f *File) { f.GOARCH = "riscv64" }, slow, 0, "goarch"},
+		{"other Go version", func(f *File) { f.GoVersion = "go1.0" }, slow, 0, "go_version"},
+		{"no fingerprint recorded", func(f *File) { *f = File{} }, slow, 0, "num_cpu 0"},
+		{"other machine, B/op regression", func(f *File) { f.NumCPU++ },
+			Bench{Name: "BenchmarkT1InstF1", NsOp: 120000000, BytesOp: 2500000, AllocsOp: 40000}, 1, "REGRESSION"},
+		{"other machine, allocs/op regression", func(f *File) { f.NumCPU++ },
+			Bench{Name: "BenchmarkT1InstF1", NsOp: 120000000, BytesOp: 5000000, AllocsOp: 30000}, 1, "REGRESSION"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			f := here
+			c.edit(&f)
+			f.Benchmarks = []Bench{c.bench}
+			writeBaselineFile(t, dir, "BENCH_2026-07-01.json", f)
+			var stdout, stderr bytes.Buffer
+			code := run([]string{"-dir", dir}, strings.NewReader(sampleBench), &stdout, &stderr)
+			if code != c.wantCode || !strings.Contains(stdout.String(), c.wantOut) {
+				t.Fatalf("exit = %d, want %d, and output must name %q:\n%s", code, c.wantCode, c.wantOut, stdout.String())
+			}
+		})
 	}
 }

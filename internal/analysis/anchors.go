@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"encoding/binary"
 	"math"
 	"sort"
 
@@ -23,26 +24,9 @@ func EntryHint(g *superset.Graph, entry int) []Hint {
 // data bytes rarely conspire to form multiple consistent calls to one
 // target); single-caller targets are medium evidence.
 func CallTargetHints(g *superset.Graph, viable []bool) []Hint {
-	// Counted in a dense slice rather than a map so hints come out in
-	// offset order: map iteration would shuffle the emitted sequence
-	// run-to-run, and hint collection must be deterministic.
-	callers := make([]int32, g.Len())
-	for off := 0; off < g.Len(); off++ {
-		if !viable[off] || g.At(off).Flow != x86.FlowCall {
-			continue
-		}
-		if t := g.TargetOff(off); t >= 0 && viable[t] {
-			callers[t]++
-		}
-	}
-	var hs []Hint
-	for t, n := range callers {
-		if n == 0 {
-			continue
-		}
-		hs = append(hs, callTargetHint(t, n))
-	}
-	return hs
+	counts := make(map[int]int32)
+	CallTargetCountsRange(g, viable, 0, g.Len(), counts)
+	return CallTargetHintsFromCounts(counts)
 }
 
 func callTargetHint(t int, n int32) Hint {
@@ -61,9 +45,10 @@ func callTargetHint(t int, n int32) Hint {
 // anywhere in the section: the caller-count property is global (two
 // callers in different shards still prove one entry), so the sharded
 // pipeline counts each shard's call sites separately and merges the maps
-// before emitting hints via CallTargetHintsFromCounts.
+// before emitting hints via CallTargetHintsFromCounts. Only the graph's
+// anchor sites can be direct calls, so the loop visits those alone.
 func CallTargetCountsRange(g *superset.Graph, viable []bool, from, to int, counts map[int]int32) {
-	for off := from; off < to; off++ {
+	for off := g.NextAnchor(from); off < to; off = g.NextAnchor(off + 1) {
 		if !viable[off] || g.At(off).Flow != x86.FlowCall {
 			continue
 		}
@@ -73,10 +58,10 @@ func CallTargetCountsRange(g *superset.Graph, viable []bool, from, to int, count
 	}
 }
 
-// CallTargetHintsFromCounts emits the exact hint sequence CallTargetHints
-// would produce from merged per-shard counts: targets in ascending offset
-// order (sorted here, because map iteration is unordered), priority from
-// the global caller total.
+// CallTargetHintsFromCounts emits the call-target hints of merged
+// per-shard counts: targets in ascending offset order (sorted here,
+// because map iteration is unordered), priority from the global caller
+// total. Any tiling's merged counts give CallTargetHints' sequence.
 func CallTargetHintsFromCounts(counts map[int]int32) []Hint {
 	if len(counts) == 0 {
 		return nil
@@ -93,8 +78,9 @@ func CallTargetHintsFromCounts(counts map[int]int32) []Hint {
 	return hs
 }
 
-// ProloguePatterns are byte sequences that begin typical function
-// prologues. Matches are only taken at plausibly function-aligned spots.
+// prologuePatterns are byte sequences, at most four bytes each, that
+// begin typical function prologues. Matches are only taken at plausibly
+// function-aligned spots.
 var prologuePatterns = [][]byte{
 	{0xf3, 0x0f, 0x1e, 0xfa}, // endbr64
 	{0x55, 0x48, 0x89, 0xe5}, // push rbp; mov rbp, rsp
@@ -117,21 +103,26 @@ func PrologueHints(g *superset.Graph, viable []bool) []Hint {
 // lookback read the section globally, so a shard sees exactly what the
 // full scan sees at every offset it owns; concatenating the shards'
 // output in shard order reproduces the full scan's sequence verbatim.
+//
+// Each offset costs one 32-bit load: its low two bytes index the
+// prologuePairs bitset, which rejects almost every offset, and the
+// masked-word tests (prologueAt) run only behind a set bit. Viability is
+// read only at a match.
 func PrologueHintsRange(g *superset.Graph, viable []bool, from, to int, dst []Hint) []Hint {
 	hs := dst
 	code := g.Code
 	for off := from; off < to; off++ {
-		if !viable[off] || !prologueFirstByte[code[off]] {
-			continue
-		}
-		matched := false
-		for _, p := range prologuePatterns {
-			if off+len(p) <= len(code) && bytesEq(code[off:off+len(p)], p) {
-				matched = true
-				break
+		var w uint32
+		avail := len(code) - off
+		if avail >= 4 {
+			w = binary.LittleEndian.Uint32(code[off:])
+		} else {
+			// The last three offsets: zero-pad the bytes that remain.
+			for k := avail - 1; k >= 0; k-- {
+				w = w<<8 | uint32(code[off+k])
 			}
 		}
-		if !matched {
+		if prologuePairs[uint16(w)>>6]&(1<<(w&63)) == 0 || !prologueAt(w, avail) || !viable[off] {
 			continue
 		}
 		// Positional plausibility.
@@ -152,23 +143,51 @@ func PrologueHintsRange(g *superset.Graph, viable []bool, from, to int, dst []Hi
 	return hs
 }
 
-// prologueFirstByte marks bytes that begin some prologue pattern, so the
-// scan rejects most offsets with a single table load instead of running
-// the pattern loop.
-var prologueFirstByte = func() (t [256]bool) {
-	for _, p := range prologuePatterns {
-		t[p[0]] = true
+// maskedWord is a byte pattern of up to four bytes as a little-endian
+// word: a 32-bit load w at an offset starts the pattern when
+// w&mask == word and at least n bytes remain.
+type maskedWord struct {
+	word, mask uint32
+	n          int
+}
+
+// prologueWords is prologuePatterns as masked words, in pattern order.
+var prologueWords = func() []maskedWord {
+	ws := make([]maskedWord, len(prologuePatterns))
+	for i, p := range prologuePatterns {
+		for k := len(p) - 1; k >= 0; k-- {
+			ws[i].word = ws[i].word<<8 | uint32(p[k])
+			ws[i].mask = ws[i].mask<<8 | 0xff
+		}
+		ws[i].n = len(p)
+	}
+	return ws
+}()
+
+// prologuePairs has one bit per little-endian 16-bit word, set when some
+// pattern can begin with those two bytes (any second byte, for a
+// one-byte pattern): an 8 KiB bitset that rejects an offset with one
+// load.
+var prologuePairs = func() (t [1 << 16 / 64]uint64) {
+	for _, p := range prologueWords {
+		for b := uint32(0); b < 256; b++ {
+			if pair := p.word&0xff | b<<8; pair&p.mask == p.word&0xffff {
+				t[pair>>6] |= 1 << (pair & 63)
+			}
+		}
 	}
 	return
 }()
 
-func bytesEq(a, b []byte) bool {
-	for i := range b {
-		if a[i] != b[i] {
-			return false
+// prologueAt reports whether the little-endian word w, read at an offset
+// with avail bytes left in the section, starts a prologue pattern.
+func prologueAt(w uint32, avail int) bool {
+	for _, p := range prologueWords {
+		if w&p.mask == p.word && p.n <= avail {
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 // DataPatternHints turns the raw statistical data detectors into hints.

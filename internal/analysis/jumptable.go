@@ -39,50 +39,56 @@ func FindJumpTables(g *superset.Graph, viable []bool) []JumpTable {
 // read the graph globally, so a table whose parts straddle a shard seam
 // is recovered identically by whichever shard owns its anchor —
 // concatenating shard outputs in shard order reproduces FindJumpTables'
-// sequence verbatim.
+// sequence verbatim. Every dispatch anchor (a memory-indirect jump or a
+// RIP-relative lea) is an anchor site of the graph, so the loop visits
+// those alone.
 func FindJumpTablesRange(g *superset.Graph, viable []bool, from, to int, dst []JumpTable) []JumpTable {
 	out := dst
-	for off := from; off < to; off++ {
-		e := g.At(off)
-		if !viable[off] || !e.Valid() {
-			continue
-		}
-
-		// Idiom 1: indirect jmp with scaled-index, no base, abs32 disp.
-		// The packed record narrows candidates to memory-indirect jumps;
-		// the operand shape needs the materialized instruction.
-		if e.Flow == x86.FlowIndirectJump && e.HasMem() {
-			inst := g.InstAt(off)
-			if inst.Mem.Index != x86.RegNone && inst.Mem.Scale == 8 &&
-				inst.Mem.Base == x86.RegNone {
-				if tbl := g.OffsetOf(uint64(inst.Mem.Disp)); tbl >= 0 {
-					if jt, ok := scanTable(g, viable, off, tbl, 8); ok {
-						out = append(out, jt)
-					}
-				}
-				continue
-			}
-		}
-
-		// Idioms 2 and 3 start from a RIP-relative lea.
-		if e.Op != x86.LEA || !e.HasMem() || !e.MemBaseRIP() {
-			continue
-		}
-		addr, ok := g.MemAddrAt(off)
-		if !ok {
-			continue
-		}
-		tbl := g.OffsetOf(addr)
-		if tbl < 0 {
-			continue
-		}
-		lea := g.InstAt(off)
-		base := lea.Writes // the register holding the table address
-		if jt, ok := matchLeaDispatch(g, viable, off, tbl, base); ok {
+	for off := g.NextAnchor(from); off < to; off = g.NextAnchor(off + 1) {
+		if jt, ok := jumpTableAt(g, viable, off); ok {
 			out = append(out, jt)
 		}
 	}
 	return out
+}
+
+// jumpTableAt matches the dispatch idioms anchored at off.
+func jumpTableAt(g *superset.Graph, viable []bool, off int) (JumpTable, bool) {
+	// Idiom 1 starts at a memory-indirect jump, idioms 2 and 3 at a
+	// RIP-relative lea. The packed record rules out most anchor sites
+	// before viability is read.
+	e := g.At(off)
+	ijmp := e.Flow == x86.FlowIndirectJump && e.HasMem()
+	ripLea := e.Op == x86.LEA && e.HasMem() && e.MemBaseRIP()
+	if !e.Valid() || !ijmp && !ripLea || !viable[off] {
+		return JumpTable{}, false
+	}
+
+	// Idiom 1: indirect jmp with scaled-index, no base, abs32 disp. The
+	// operand shape needs the materialized instruction.
+	if ijmp {
+		inst := g.InstAt(off)
+		if inst.Mem.Index != x86.RegNone && inst.Mem.Scale == 8 &&
+			inst.Mem.Base == x86.RegNone {
+			if tbl := g.OffsetOf(uint64(inst.Mem.Disp)); tbl >= 0 {
+				return scanTable(g, viable, off, tbl, 8)
+			}
+		}
+		return JumpTable{}, false
+	}
+
+	// Idioms 2 and 3: the lea loads the table address.
+	addr, ok := g.MemAddrAt(off)
+	if !ok {
+		return JumpTable{}, false
+	}
+	tbl := g.OffsetOf(addr)
+	if tbl < 0 {
+		return JumpTable{}, false
+	}
+	lea := g.InstAt(off)
+	base := lea.Writes // the register holding the table address
+	return matchLeaDispatch(g, viable, off, tbl, base)
 }
 
 // matchLeaDispatch walks the chain after a lea to find the scaled load and

@@ -47,74 +47,82 @@ func LiteralPoolHints(g *superset.Graph, viable []bool) []Hint {
 // extension and the lea-deref chain read the section globally, so a pool
 // sitting across a shard seam is proven identically by the shard owning
 // its referencing load; shard outputs concatenated in shard order equal
-// the full scan's sequence.
+// the full scan's sequence. Every referencing instruction has a
+// RIP-relative operand, so it is an anchor site of the graph, and the
+// loop visits those alone.
 func LiteralPoolHintsRange(g *superset.Graph, viable []bool, from, to int, dst []Hint) []Hint {
 	hs := dst
-	add := func(off, n int) {
-		if off < 0 || off >= g.Len() {
-			return
-		}
-		// Constant pools hold several literals but code references only
-		// some of them: extend the proven region across adjacent 8-byte
-		// words that look like floating-point constants, and backwards
-		// across the short zero run that aligns the pool.
-		for off+n+8 <= g.Len() && looksLikeDouble(g.Code[off+n:]) {
-			n += 8
-		}
-		for pad := 0; pad < 7 && off > 0 && g.Code[off-1] == 0; pad++ {
-			off--
-			n++
-		}
-		if off+n > g.Len() {
-			n = g.Len() - off
-		}
-		hs = append(hs, Hint{Kind: HintData, Off: off, Len: n,
-			Prio: PrioStrong, Score: float64(n), Src: "litpool"})
-	}
-	for off := from; off < to; off++ {
-		e := g.At(off)
-		if !viable[off] || !e.Valid() {
-			continue
-		}
-
-		// Direct rip-relative FP load: movsd xmm, [rip+disp].
-		if isFPLoadOp(e.Op) && e.HasMem() && e.MemBaseRIP() {
-			if addr, ok := g.MemAddrAt(off); ok {
-				add(g.OffsetOf(addr), 8)
-			}
-			continue
-		}
-
-		// lea r, [rip+pool]; ... fpload [r] within a short chain.
-		if e.Op != x86.LEA || !e.HasMem() || !e.MemBaseRIP() {
-			continue
-		}
-		addr, ok := g.MemAddrAt(off)
-		if !ok {
-			continue
-		}
-		poolOff := g.OffsetOf(addr)
-		if poolOff < 0 {
-			continue
-		}
-		lea := g.InstAt(off)
-		baseReg := lea.Writes
-		p := off + int(e.Len)
-		for step := 0; step < 6 && p < g.Len() && g.Valid(p); step++ {
-			// Short chain (≤6 steps) only behind a rip-relative lea:
-			// materializing each step stays off the hot path.
-			ni := g.InstAt(p)
-			if ni.HasMem && ni.Mem.Base != x86.RegNone &&
-				ni.Mem.Base.Bit()&baseReg != 0 && ni.Mem.Index == x86.RegNone &&
-				isFPLoadOp(ni.Op) {
-				add(poolOff+int(ni.Mem.Disp), 8)
-				break
-			}
-			if ni.Writes&baseReg != 0 || !ni.Flow.HasFallthrough() {
-				break
-			}
-			p += ni.Len
-		}
+	for off := g.NextAnchor(from); off < to; off = g.NextAnchor(off + 1) {
+		hs = literalPoolAt(g, viable, off, hs)
 	}
 	return hs
+}
+
+// literalPoolAt appends to hs the pool hint of the reference anchored at
+// off, if there is one.
+func literalPoolAt(g *superset.Graph, viable []bool, off int, hs []Hint) []Hint {
+	// Both idioms start at a RIP-relative operand. The packed record
+	// rules out most anchor sites before viability is read.
+	e := g.At(off)
+	if !e.Valid() || !e.HasMem() || !e.MemBaseRIP() || !isFPLoadOp(e.Op) && e.Op != x86.LEA || !viable[off] {
+		return hs
+	}
+
+	// Direct rip-relative FP load: movsd xmm, [rip+disp].
+	if isFPLoadOp(e.Op) {
+		if addr, ok := g.MemAddrAt(off); ok {
+			hs = addPool(g, hs, g.OffsetOf(addr), 8)
+		}
+		return hs
+	}
+
+	// lea r, [rip+pool]; ... fpload [r] within a short chain.
+	addr, ok := g.MemAddrAt(off)
+	if !ok {
+		return hs
+	}
+	poolOff := g.OffsetOf(addr)
+	if poolOff < 0 {
+		return hs
+	}
+	lea := g.InstAt(off)
+	baseReg := lea.Writes
+	p := off + int(e.Len)
+	for step := 0; step < 6 && p < g.Len() && g.Valid(p); step++ {
+		// Short chain (≤6 steps) only behind a rip-relative lea:
+		// materializing each step stays off the hot path.
+		ni := g.InstAt(p)
+		if ni.HasMem && ni.Mem.Base != x86.RegNone &&
+			ni.Mem.Base.Bit()&baseReg != 0 && ni.Mem.Index == x86.RegNone &&
+			isFPLoadOp(ni.Op) {
+			return addPool(g, hs, poolOff+int(ni.Mem.Disp), 8)
+		}
+		if ni.Writes&baseReg != 0 || !ni.Flow.HasFallthrough() {
+			break
+		}
+		p += ni.Len
+	}
+	return hs
+}
+
+// addPool appends the hint proving the pool referenced at off: n bytes,
+// extended across adjacent 8-byte words that look like floating-point
+// constants (code references only some of a pool's literals) and
+// backwards across the short zero run that aligns the pool.
+func addPool(g *superset.Graph, hs []Hint, off, n int) []Hint {
+	if off < 0 || off >= g.Len() {
+		return hs
+	}
+	for off+n+8 <= g.Len() && looksLikeDouble(g.Code[off+n:]) {
+		n += 8
+	}
+	for pad := 0; pad < 7 && off > 0 && g.Code[off-1] == 0; pad++ {
+		off--
+		n++
+	}
+	if off+n > g.Len() {
+		n = g.Len() - off
+	}
+	return append(hs, Hint{Kind: HintData, Off: off, Len: n,
+		Prio: PrioStrong, Score: float64(n), Src: "litpool"})
 }

@@ -168,8 +168,8 @@ func TestHintsForDeterministic(t *testing.T) {
 
 // TestParallelDecodeMatchesBuild: a section decoded on a four-slot pool,
 // one task per decodeChunkBytes range, reads the same superset graph as
-// the serial superset.Build, entry for entry, with the same scan-fallback
-// count.
+// the serial superset.Build, entry for entry and anchor site for anchor
+// site, with the same scan-fallback count.
 func TestParallelDecodeMatchesBuild(t *testing.T) {
 	code := make([]byte, 1<<20+12345) // four whole chunks and a short one
 	rand.New(rand.NewSource(71)).Read(code)
@@ -189,6 +189,51 @@ func TestParallelDecodeMatchesBuild(t *testing.T) {
 	}
 	if got.ScanFallbackCount() != want.ScanFallbackCount() {
 		t.Fatalf("scan fallbacks %d, want %d", got.ScanFallbackCount(), want.ScanFallbackCount())
+	}
+	checkAnchorsMatch(t, got, want)
+}
+
+// checkAnchorsMatch fails the test unless got and want have the same
+// anchor sites, walked with NextAnchor.
+func checkAnchorsMatch(t *testing.T, got, want *superset.Graph) {
+	t.Helper()
+	a, b := 0, 0
+	for n := 0; ; n++ {
+		a, b = got.NextAnchor(a), want.NextAnchor(b)
+		if a != b {
+			t.Fatalf("anchor site %d at +%#x, want +%#x", n, a, b)
+		}
+		if a == want.Len() {
+			if n == 0 {
+				t.Fatal("precondition: the section has no anchor sites")
+			}
+			return
+		}
+		a, b = a+1, b+1
+	}
+}
+
+// TestParallelDecodeSharedAnchorWords decodes a section in ranges whose
+// boundaries are not multiples of 64, concurrently on a four-slot pool,
+// so neighbouring ranges share anchor bitmap words; the graph must match
+// a serial Build's. make race runs it at 1 and 4 procs.
+func TestParallelDecodeSharedAnchorWords(t *testing.T) {
+	code := make([]byte, 40000)
+	rand.New(rand.NewSource(73)).Read(code)
+	want := superset.Build(code, 0x400000)
+	for _, size := range []int{1, 37, 100, 4099} {
+		for rep := 0; rep < 3; rep++ {
+			g := superset.New(code, 0x400000)
+			newWorkPool(4).run((len(code)+size-1)/size, func(i int) {
+				g.Decode(nil, i*size, min(i*size+size, len(code)))
+			})
+			for off := range want.Info {
+				if g.Info[off] != want.Info[off] {
+					t.Fatalf("size %d: Info[+%#x] = %+v, want %+v", size, off, g.Info[off], want.Info[off])
+				}
+			}
+			checkAnchorsMatch(t, g, want)
+		}
 	}
 }
 

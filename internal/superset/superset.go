@@ -20,6 +20,7 @@ package superset
 
 import (
 	"context"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -73,7 +74,9 @@ var scanFallbackTotal atomic.Int64
 // ScanFallbacks returns the cumulative scan-kernel fallback count.
 func ScanFallbacks() int64 { return scanFallbackTotal.Load() }
 
-// Graph is the superset disassembly of one text section.
+// Graph is the superset disassembly of one text section. Graphs come
+// only from New (or Build, which calls it): the side table and the
+// anchor bitmap are sized there.
 type Graph struct {
 	Base uint64
 	Code []byte
@@ -90,8 +93,12 @@ type Graph struct {
 	// it sits inside the corrector's canPlace/ForcedSuccs hot path.
 	extern []Range
 
-	// dc caches recent full decodes behind InstAt (see instCache). Value
-	// field, so zero-value Graphs built by struct literal keep working.
+	// anchors holds one bit per offset, set by Decode for every anchor
+	// site (see anchorSite): the offsets where a call-target, jump-table
+	// or literal-pool match can start. NextAnchor walks it.
+	anchors []uint64
+
+	// dc caches recent full decodes behind InstAt (see instCache).
 	dc instCache
 
 	// scanFB counts this graph's scan-kernel fallbacks (see
@@ -165,24 +172,32 @@ func BuildContext(ctx context.Context, code []byte, base uint64) (*Graph, error)
 	return g, nil
 }
 
-// New returns the graph of code with its side table allocated but not
-// yet decoded: every offset reads as invalid until Decode fills it.
+// New returns the graph of code with its side table and anchor bitmap
+// allocated but not yet decoded: every offset reads as invalid, and as
+// no anchor, until Decode fills it.
 func New(code []byte, base uint64) *Graph {
-	return &Graph{Base: base, Code: code, Info: make([]Info, len(code))}
+	return &Graph{
+		Base: base, Code: code,
+		Info:    make([]Info, len(code)),
+		anchors: make([]uint64, (len(code)+63)/64),
+	}
 }
 
-// Decode fills g.Info over offsets [from, to) through the x86.Scan
-// table-driven kernel. Offsets decode independently, so disjoint ranges
-// may be decoded concurrently, and any tiling yields the same table as
-// one whole-section pass. ctx is polled every ctxutil.CheckInterval
-// offsets, outside the per-offset loop; once it is done Decode returns
-// with the rest of the range unfilled, and the caller must check ctx and
-// discard the graph.
+// Decode fills g.Info and the anchor bitmap over offsets [from, to)
+// through the x86.Scan table-driven kernel. Offsets decode
+// independently, so disjoint ranges may be decoded concurrently, and any
+// tiling yields the same table and bitmap as one whole-section pass. ctx
+// is polled every ctxutil.CheckInterval offsets, outside the per-offset
+// loop; once it is done Decode returns with the rest of the range
+// unfilled, and the caller must check ctx and discard the graph.
 func (g *Graph) Decode(ctx context.Context, from, to int) {
 	fallbacks := 0
 	for off := from; off < to; {
-		chunkEnd := min(off+ctxutil.CheckInterval, to)
+		// Chunks end on multiples of 64, so only the range's own first and
+		// last bitmap words can be shared with a neighbouring range.
+		chunkEnd := min((off+ctxutil.CheckInterval)&^63, to)
 		fallbacks += x86.Scan(g.Info[off:chunkEnd], g.Code, g.Base, off, chunkEnd)
+		g.markAnchors(off, chunkEnd)
 		off = chunkEnd
 		if off < to && ctxutil.Cancelled(ctx) {
 			break
@@ -192,6 +207,68 @@ func (g *Graph) Decode(ctx context.Context, from, to int) {
 		g.scanFB.Add(int64(fallbacks))
 		scanFallbackTotal.Add(int64(fallbacks))
 	}
+}
+
+// anchorSite reports whether the decoded record e can start a
+// call-target, jump-table or literal-pool match: a direct call, a
+// memory-indirect jump (jump-table idiom 1) or an instruction with a
+// RIP-relative operand (the lea of idioms 2 and 3, and every literal-pool
+// reference). It reads the final record, so scan-kernel fallbacks count
+// like any other decode. An invalid offset holds the zero record
+// (FlowSeq, no flags), which never matches, so validity needs no test of
+// its own.
+func anchorSite(e *Info) bool {
+	return e.Flow == x86.FlowCall || e.Flags&FlagMemRIP != 0 ||
+		e.Flow == x86.FlowIndirectJump && e.Flags&FlagHasMem != 0
+}
+
+// markAnchors sets the anchor bits of the decoded offsets [from, to). A
+// bitmap word the range covers whole belongs to this call alone and is
+// stored plainly; a word it covers only in part may be shared with a
+// concurrent Decode of the neighbouring range, so its bits are merged in
+// with a CompareAndSwap loop.
+func (g *Graph) markAnchors(from, to int) {
+	for w := from >> 6; w<<6 < to; w++ {
+		lo, hi := max(w<<6, from), min(w<<6+64, to)
+		var word uint64
+		info := g.Info[lo:hi]
+		for i := range info {
+			if anchorSite(&info[i]) {
+				word |= 1 << ((lo + i) & 63)
+			}
+		}
+		if hi-lo == 64 {
+			g.anchors[w] = word
+			continue
+		}
+		for p := &g.anchors[w]; word != 0; {
+			old := atomic.LoadUint64(p)
+			if atomic.CompareAndSwapUint64(p, old, old|word) {
+				break
+			}
+		}
+	}
+}
+
+// NextAnchor returns the first anchor site at or after off (see
+// anchorSite), or Len() when there is none. Walking the sites of
+// [from, to) is
+//
+//	for off := g.NextAnchor(from); off < to; off = g.NextAnchor(off + 1)
+func (g *Graph) NextAnchor(off int) int {
+	off = max(off, 0)
+	w := off >> 6
+	if w >= len(g.anchors) {
+		return len(g.Code)
+	}
+	word := g.anchors[w] &^ (1<<(off&63) - 1)
+	for word == 0 {
+		if w++; w == len(g.anchors) {
+			return len(g.Code)
+		}
+		word = g.anchors[w]
+	}
+	return w<<6 + bits.TrailingZeros64(word)
 }
 
 // Len returns the section size.
@@ -216,10 +293,10 @@ const decodeCacheSlots = 128
 // instructions, so hot InstAt consumers (jump-table shape checks, CFG
 // details, listing/rewrite emission, the oracle) stop paying the lazy
 // re-decode tax when they revisit offsets. Embedded by value in Graph:
-// the zero value is ready to use (the backing arrays are allocated on
-// first InstAt), so Graph literals in tests keep working. Guarded by a mutex because analyses sharing one
-// graph run concurrently; the lock is uncontended in the serial pipeline
-// and far cheaper than a re-decode.
+// the zero value is ready to use, its backing arrays allocated on the
+// first InstAt. Guarded by a mutex because analyses sharing one graph
+// run concurrently; the lock is uncontended in the serial pipeline and
+// far cheaper than a re-decode.
 type instCache struct {
 	mu    sync.Mutex
 	tags  []int32    // offset+1; 0 = empty slot

@@ -1,8 +1,11 @@
 package superset
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
+	"probedis/internal/ctxutil"
 	"probedis/internal/synth"
 	"probedis/internal/x86"
 )
@@ -140,5 +143,66 @@ func TestForcedSuccsFallthroughAtSectionBoundary(t *testing.T) {
 	g.SetExtern([]Range{{Start: base + 0x40, End: base + 0x100}})
 	if succs := g.ForcedSuccs(nil, 0); len(succs) != 1 || succs[0] != -1 {
 		t.Errorf("gapped extern: succs = %v, want [-1]", succs)
+	}
+}
+
+// anchorsOf lists g's anchor sites by walking NextAnchor.
+func anchorsOf(g *Graph) []int {
+	var out []int
+	for off := g.NextAnchor(0); off < g.Len(); off = g.NextAnchor(off + 1) {
+		out = append(out, off)
+	}
+	return out
+}
+
+// TestAnchorSites: the anchor sites are exactly the valid direct calls,
+// memory-indirect jumps and RIP-relative operands, scan-kernel fallbacks
+// included, and any tiling of Decode marks the same sites as Build.
+func TestAnchorSites(t *testing.T) {
+	code := make([]byte, 3*ctxutil.CheckInterval+77)
+	rand.New(rand.NewSource(5)).Read(code)
+	// vmovsd xmm0, [rip+0]: VEX, so the scan kernel falls back to the
+	// full decoder.
+	copy(code[100:], []byte{0xc5, 0xfb, 0x10, 0x05, 0, 0, 0, 0})
+	g := Build(code, 0x400000)
+	if g.ScanFallbackCount() == 0 {
+		t.Fatal("precondition: no scan fallback")
+	}
+	var want []int
+	for off := range g.Info {
+		e := &g.Info[off]
+		if e.Valid() && (e.Flow == x86.FlowCall || e.MemBaseRIP() ||
+			e.Flow == x86.FlowIndirectJump && e.HasMem()) {
+			want = append(want, off)
+		}
+	}
+	got := anchorsOf(g)
+	if !slices.Equal(got, want) {
+		t.Fatalf("anchor sites differ from the records: %d sites, want %d", len(got), len(want))
+	}
+	if !slices.Contains(got, 100) {
+		t.Fatal("the VEX fallback decode at offset 100 is not an anchor site")
+	}
+	for _, cuts := range [][]int{{1}, {63, 64, 65}, {100, 4095, 4097, 8191}} {
+		tg := New(code, 0x400000)
+		from := 0
+		for _, c := range append(cuts, len(code)) {
+			tg.Decode(nil, from, c)
+			from = c
+		}
+		if !slices.Equal(anchorsOf(tg), want) {
+			t.Errorf("tiling %v marks different anchor sites", cuts)
+		}
+	}
+	for _, c := range []struct{ off, want int }{
+		{-5, want[0]}, {len(code), len(code)}, {len(code) + 100, len(code)},
+		{want[len(want)-1], want[len(want)-1]}, {want[len(want)-1] + 1, len(code)},
+	} {
+		if got := g.NextAnchor(c.off); got != c.want {
+			t.Errorf("NextAnchor(%d) = %d, want %d", c.off, got, c.want)
+		}
+	}
+	if got := Build(nil, 0).NextAnchor(0); got != 0 {
+		t.Errorf("empty graph: NextAnchor(0) = %d, want 0", got)
 	}
 }
