@@ -89,6 +89,7 @@ cover:
 # shard seams (sharded output must equal unsharded on fuzzed bytes and
 # tilings), the ELF parser, whose zero-copy aliasing serving relies on,
 # then the retraction worklist against the full-scan reference fixpoint,
+# the corrector's radix-ordered commit records against SortHints,
 # viability's sweep and worklist against the naive fixpoint, the
 # anchor-site hint analyses against their full walks, and the probing
 # data-pattern scans against their byte loops.
@@ -97,6 +98,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz=FuzzShardSplit -fuzztime=20s .
 	go test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/elfx
 	go test -run '^$$' -fuzz=FuzzRetractMatchesReference -fuzztime=10s ./internal/correct
+	go test -run '^$$' -fuzz=FuzzCommitOrderMatchesSortHints -fuzztime=10s ./internal/correct
 	go test -run '^$$' -fuzz=FuzzViabilityMatchesNaive -fuzztime=10s ./internal/analysis
 	go test -run '^$$' -fuzz=FuzzAnchoredMatchesReference -fuzztime=10s ./internal/analysis
 	go test -run '^$$' -fuzz=FuzzDataPatternsMatchReference -fuzztime=10s ./internal/stats

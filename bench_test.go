@@ -30,6 +30,7 @@ import (
 	"probedis/internal/stats"
 	"probedis/internal/superset"
 	"probedis/internal/synth"
+	"probedis/internal/tier"
 	"probedis/internal/x86"
 )
 
@@ -462,6 +463,47 @@ func BenchmarkHintAnalyses(b *testing.B) {
 			b.ReportMetric(float64(len(hs)), "hints")
 		})
 	}
+}
+
+// BenchmarkCorrect times prioritized error correction alone over the large
+// section: correct.RunTieredContext on its real structural hint stream and
+// the phase-two hints (statistical hints over the contested windows, then
+// the weak hints) the pipeline commits after it. Both streams, the graph,
+// the viability mask and the scores are built once outside the timer, so
+// each iteration pays only the corrector's sorts, commits, retraction and
+// gap fill. Run it at -cpu 1: the corrector is serial.
+func BenchmarkCorrect(b *testing.B) {
+	e := benchSetup(b)
+	code, base := largeSection(b)
+	g := superset.Build(code, base)
+	viable := analysis.Viability(g)
+	hints := analysis.EntryHint(g, largeEntry)
+	hints = append(hints, analysis.JumpTableHints(analysis.FindJumpTables(g, viable))...)
+	hints = append(hints, analysis.CallTargetHints(g, viable)...)
+	hints = append(hints, analysis.PrologueHints(g, viable)...)
+	hints = append(hints, analysis.DataPatternHints(g)...)
+	hints = append(hints, analysis.LiteralPoolHints(g, viable)...)
+	structural, weak := tier.SplitHints(hints)
+	scores := make([]float64, g.Len())
+	opts := correct.Options{Scores: scores}
+	var rest []analysis.Hint
+	correct.RunTieredContext(nil, g, viable, structural, func(o *correct.Outcome) []analysis.Hint {
+		part := tier.FromStates(o.State)
+		e.model.ScoreRangesInto(scores, g, 8, part.Windows)
+		for _, w := range part.Windows {
+			rest = analysis.StatHintsRange(g, viable, scores, 1.0, 0.0, w[0], w[1], rest)
+		}
+		rest = append(rest, weak...)
+		return rest
+	}, opts)
+	phaseTwo := func(*correct.Outcome) []analysis.Hint { return rest }
+	b.SetBytes(int64(len(code)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		correct.RunTieredContext(nil, g, viable, structural, phaseTwo, opts)
+	}
+	b.ReportMetric(float64(len(structural)+len(rest)), "hints")
 }
 
 // largeSection lazily builds a production-scale synthetic text section

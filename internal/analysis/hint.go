@@ -64,7 +64,8 @@ func SortHints(hs []Hint) {
 }
 
 // hintLess is the total commit-order key shared by SortHints and the
-// corrector's packed-key sort (which falls back to it on key collisions).
+// corrector's radix-ordered commit records (which fall back to it on key
+// collisions).
 func hintLess(a, b *Hint) bool {
 	if a.Prio != b.Prio {
 		return a.Prio > b.Prio

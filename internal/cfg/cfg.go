@@ -6,6 +6,7 @@ package cfg
 import (
 	"cmp"
 	"context"
+	"math/bits"
 	"slices"
 
 	"probedis/internal/ctxutil"
@@ -73,23 +74,24 @@ func BuildTraceContext(ctx context.Context, g *superset.Graph, instStart []bool,
 	}
 	lsp := sp.StartChild("leaders")
 	// Collect call targets from committed code as additional seeds.
-	// leaders and funcSet are dense bitmaps rather than maps: every loop
-	// below scans offsets in order anyway, and bitmaps keep this stage
-	// allocation-flat. leaders has n+1 slots because a terminator ending
-	// flush with the section marks off+len == n. The two counts size the
-	// Blocks and Funcs arrays: every block starts at a leader.
-	leaders := make([]bool, n+1)
-	funcSet := make([]bool, n)
+	// leaders and funcSet are dense bitmaps, one bit per offset, rather
+	// than maps: every loop below visits offsets in order anyway, the
+	// blocks and funcs loops jump between set bits, and bitmaps keep this
+	// stage allocation-flat. leaders has n+1 bits because a terminator
+	// ending flush with the section marks off+len == n. The two counts
+	// size the Blocks and Funcs arrays: every block starts at a leader.
+	leaders := make([]uint64, (n+1+63)/64)
+	funcSet := make([]uint64, (n+63)/64)
 	nleaders, nfuncs := 0, 0
 	mark := func(off int) {
-		if !leaders[off] {
-			leaders[off] = true
+		if !hasBit(leaders, off) {
+			leaders[off>>6] |= 1 << (off & 63)
 			nleaders++
 		}
 	}
 	entry := func(off int) {
-		if !funcSet[off] {
-			funcSet[off] = true
+		if !hasBit(funcSet, off) {
+			funcSet[off>>6] |= 1 << (off & 63)
 			nfuncs++
 		}
 		mark(off)
@@ -136,8 +138,8 @@ func BuildTraceContext(ctx context.Context, g *superset.Graph, instStart []bool,
 	bsp := sp.StartChild("blocks")
 	// The ascending scan appends blocks already sorted by Start.
 	c := &CFG{Blocks: make([]Block, 0, nleaders)}
-	for off := 0; off < n; off++ {
-		if !instStart[off] || !leaders[off] {
+	for off := nextBit(leaders, 0); off < n; off = nextBit(leaders, off+1) {
+		if !instStart[off] {
 			continue
 		}
 		b := Block{Start: off}
@@ -154,7 +156,7 @@ func BuildTraceContext(ctx context.Context, g *superset.Graph, instStart []bool,
 				}
 			}
 			if e.Flow.HasFallthrough() && next < n && instStart[next] {
-				if leaders[next] {
+				if hasBit(leaders, next) {
 					b.addSucc(next)
 					break
 				}
@@ -178,10 +180,7 @@ func BuildTraceContext(ctx context.Context, g *superset.Graph, instStart []bool,
 	// entry opens.
 	c.Funcs = make([]Func, 0, nfuncs)
 	bi := 0
-	for f := 0; f < n; f++ {
-		if !funcSet[f] {
-			continue
-		}
+	for f := nextBit(funcSet, 0); f < n; f = nextBit(funcSet, f+1) {
 		for bi < len(c.Blocks) && c.Blocks[bi].Start < f {
 			bi++
 		}
@@ -196,6 +195,26 @@ func BuildTraceContext(ctx context.Context, g *superset.Graph, instStart []bool,
 	fsp.Count("funcs", int64(len(c.Funcs)))
 	fsp.End()
 	return c, nil
+}
+
+// hasBit reports whether bit i of the bitmap bm is set.
+func hasBit(bm []uint64, i int) bool { return bm[i>>6]&(1<<(i&63)) != 0 }
+
+// nextBit returns the first set bit of bm at or after i, or len(bm)*64
+// when there is none.
+func nextBit(bm []uint64, i int) int {
+	w := i >> 6
+	if w >= len(bm) {
+		return len(bm) << 6
+	}
+	word := bm[w] &^ (1<<(i&63) - 1)
+	for word == 0 {
+		if w++; w == len(bm) {
+			return len(bm) << 6
+		}
+		word = bm[w]
+	}
+	return w<<6 + bits.TrailingZeros64(word)
 }
 
 // FuncStarts returns the sorted function entry offsets.

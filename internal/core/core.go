@@ -34,7 +34,7 @@ import (
 // changes pipeline output or the serialized response encoding (the
 // pinned-accuracy and golden-listing tests are the tripwires for the
 // former).
-const PipelineFingerprint = "probedis-pipeline-v1"
+const PipelineFingerprint = "probedis-pipeline-v2"
 
 // Option configures a Disassembler.
 type Option func(*Disassembler)

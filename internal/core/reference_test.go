@@ -59,7 +59,10 @@ func requireMatchesSinglePhase(tb testing.TB, label string, d *Disassembler, cod
 		tb.Fatalf("%s: result differs from the single-phase reference", label)
 	}
 	o := got.Outcome
-	if !reflect.DeepEqual(want.State, o.State) || !reflect.DeepEqual(want.Owner, o.Owner) {
+	// Equal states and instruction starts mean equal ownership: a byte
+	// belongs to the nearest instruction start at or before it exactly
+	// when it is Code.
+	if !reflect.DeepEqual(want.State, o.State) || !reflect.DeepEqual(want.InstStart, o.InstStart) {
 		tb.Fatalf("%s: correction state differs from the single-phase reference", label)
 	}
 	for i := range want.SrcOf {

@@ -12,9 +12,9 @@
 package correct
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"math/bits"
 	"slices"
 
 	"probedis/internal/analysis"
@@ -62,13 +62,13 @@ type Options struct {
 	Trace *obs.Span
 }
 
-// Outcome is the result of a correction run.
+// Outcome is the result of a correction run. A byte is covered by a
+// committed instruction exactly when its State is Code; that instruction
+// starts at the nearest InstStart at or before the byte, at most
+// x86.MaxInstLen-1 bytes back, since committed instructions never overlap.
 type Outcome struct {
 	State     []State
 	InstStart []bool
-	// Owner[i] is the start offset of the committed instruction covering
-	// byte i, or -1.
-	Owner []int32
 
 	// Srcs interns the hint sources; SrcOf[i] indexes into it and names
 	// the analysis whose hint decided byte i (code or data). Index 0 is
@@ -165,12 +165,8 @@ func newCorrector(g *superset.Graph, viable []bool) *corrector {
 	o := &Outcome{
 		State:     make([]State, n),
 		InstStart: make([]bool, n),
-		Owner:     make([]int32, n),
 		Srcs:      []string{""},
 		SrcOf:     make([]uint8, n),
-	}
-	for i := range o.Owner {
-		o.Owner[i] = -1
 	}
 	return &corrector{g: g, viable: viable, out: o, edges: make([]uint64, 0, n/32),
 		srcIdx: map[string]uint8{"": 0}}
@@ -182,36 +178,27 @@ func newCorrector(g *superset.Graph, viable []bool) *corrector {
 func (c *corrector) commitHints(ctx context.Context, hints []analysis.Hint, maxHints int, trace *obs.Span, label string) error {
 	o := c.out
 	ssp := trace.StartChild("sort" + label)
-	order := sortOrder(hints)
+	recs := c.sortOrder(hints)
 	ssp.Count("hints", int64(len(hints)))
 	ssp.End()
 
 	csp := trace.StartChild("commit" + label)
 	defer csp.End()
-	var lastSrc string
-	var haveLast bool
-	for i, hi := range order {
-		if maxHints > 0 && i >= maxHints {
-			break
-		}
+	if maxHints > 0 && len(recs) > maxHints {
+		recs = recs[:maxHints]
+	}
+	for i := range recs {
 		if i&(commitCheckInterval-1) == 0 && ctxutil.Cancelled(ctx) {
 			return ctxutil.Err(ctx)
 		}
-		h := hints[hi]
-		// Consecutive hints usually share a source (the sort groups by
-		// priority, and each analysis emits one source name); skip the
-		// intern-map lookup when the source repeats. c.curSrc still holds
-		// the interned index from the previous iteration.
-		if !haveLast || h.Src != lastSrc {
-			c.curSrc = c.internSrc(h.Src)
-			lastSrc, haveLast = h.Src, true
-		}
+		r := &recs[i]
+		c.curSrc = r.src
 		var ok bool
-		switch h.Kind {
+		switch r.kind {
 		case analysis.HintCode:
-			ok = c.commitChain(h.Off)
+			ok = c.commitChain(int(r.off))
 		case analysis.HintData:
-			ok = c.commitData(h.Off, h.Len)
+			ok = c.commitData(int(r.off), int(r.len))
 		}
 		if ok {
 			o.Committed++
@@ -283,8 +270,15 @@ func (c *corrector) retract(ctx context.Context) (int, error) {
 		}
 		a, b := c.uncommit(off)
 		retracted++
-		if a > 0 && c.out.Owner[a-1] != -1 {
-			work = append(work, c.out.Owner[a-1])
+		if a > 0 && c.out.State[a-1] == Code {
+			// Committed instructions never overlap, so the one covering
+			// a-1 starts at the nearest instruction start, at most
+			// x86.MaxInstLen-1 bytes back.
+			j := a - 1
+			for !c.out.InstStart[j] {
+				j--
+			}
+			work = append(work, int32(j))
 		}
 		i, _ := slices.BinarySearch(c.edges, uint64(a)<<32)
 		for ; i < len(c.edges) && int(c.edges[i]>>32) < b; i++ {
@@ -302,7 +296,7 @@ func (c *corrector) contradicted(off int) bool {
 	c.succs = c.g.ForcedSuccs(c.succs[:0], off)
 	for _, s := range c.succs {
 		if s < 0 || c.out.State[s] == Data ||
-			(c.out.Owner[s] != -1 && !c.out.InstStart[s]) {
+			(c.out.State[s] == Code && !c.out.InstStart[s]) {
 			return true
 		}
 	}
@@ -315,194 +309,207 @@ func (c *corrector) uncommit(off int) (a, b int) {
 	a, b = c.g.Occupies(off)
 	for i := a; i < b; i++ {
 		c.out.State[i] = Data
-		c.out.Owner[i] = -1
 		c.out.SrcOf[i] = 0
 	}
 	c.out.InstStart[off] = false
 	return a, b
 }
 
-// hintKey is a hint's precomputed commit-order key: two words compared
-// descending reproduce priority, full 64-bit score, offset and kind of
-// the canonical order without touching the hint struct during the sort.
-type hintKey struct {
-	hi, lo uint64
-	idx    int32
+// commitRec is one hint in the form the commit loop reads: its commit-order
+// key and the fields the commit paths take, packed into 32 bytes, so
+// neither the sort nor the loop rereads the hint. off is -1 when the
+// hint's offset lies outside [0, 2^31), which both commit paths reject:
+// a section's offsets fit in int32, as the retraction edges and seeds
+// also assume.
+type commitRec struct {
+	hi, lo   uint64 // commit-order key, compared descending
+	off, len int32
+	idx      int32 // position in the hint stream, for the tie rule
+	src      uint8 // interned hint source
+	kind     analysis.Kind
 }
 
-// sortOrder returns hint indices in commit order (the same order as
-// analysis.SortHints) without moving the hint structs: each hint collapses
-// into one packed 128-bit key computed once, so the comparator is two
-// integer compares instead of re-deriving fields per call.
+// radixMin is the record count below which sortOrder runs one comparison
+// sort instead of the radix passes.
+const radixMin = 256
+
+// sortOrder returns one record per hint, in commit order (the order
+// analysis.SortHints produces), interning each hint's source as it goes.
 //
 // Key layout, compared descending: priority (8 bits) | score as an
 // order-preserving float64 bit pattern (64 bits, split across the words) |
-// bitwise-inverted offset (46 bits) | inverted kind (code before data).
-// The score keeps full precision, so keys collide only for hints agreeing
-// on priority, score, offset and kind; those fall back to the canonical
-// total hint order (analysis.Hint.Less — source name, then length), so
+// 9 zero bits | bitwise-inverted offset (46 bits) | code before data (1
+// bit). The offset sits at the bottom of lo, so in a section under 8 MiB
+// it and the kind vary in only three key bytes, three radix passes. The
+// score keeps full precision, so keys collide only for hints agreeing on
+// priority, score, offset and kind, or on a field the key saturates (a
+// priority outside [0, 255], an offset outside [0, 2^46), a kind other
+// than code); a saturated field sets every field after it to its extreme,
+// so the key never contradicts the canonical order. Colliding keys fall
+// back to that order (analysis.Hint.Less — source name, then length), so
 // the commit order never depends on the order the analyses — possibly
 // running concurrently — emitted the hints in.
-func sortOrder(hints []analysis.Hint) []int32 {
-	keys := make([]hintKey, len(hints))
-	const offBits = 46
+func (c *corrector) sortOrder(hints []analysis.Hint) []commitRec {
+	n := len(hints)
+	if cap(c.recs) < n {
+		c.recs = make([]commitRec, n)
+	}
+	recs := c.recs[:n]
+	var counts [16][256]int // histogram of every key byte, for the radix passes
+	var lastSrc string
+	var src uint8
 	for i := range hints {
 		h := &hints[i]
-		s := h.Score
-		if s == 0 {
-			s = 0 // collapse -0 onto +0: they compare equal as floats
+		// Consecutive hints usually share a source (each analysis emits
+		// its hints together under one name); skip the intern-map lookup
+		// while the source repeats.
+		if i == 0 || h.Src != lastSrc {
+			src = c.internSrc(h.Src)
+			lastSrc = h.Src
 		}
-		// Order-preserving transform of the float64 bit pattern: flip the
-		// sign bit for non-negatives, all bits for negatives. Descending
-		// unsigned order then matches descending float order.
-		sbits := math.Float64bits(s)
-		if sbits&(1<<63) == 0 {
-			sbits |= 1 << 63
+		r := &recs[i]
+		r.hi, r.lo = hintKey(h)
+		r.off, r.len = -1, int32(min(max(h.Len, 0), math.MaxInt32))
+		if h.Off >= 0 && h.Off <= math.MaxInt32 {
+			r.off = int32(h.Off)
+		}
+		r.idx, r.src, r.kind = int32(i), src, h.Kind
+		if n >= radixMin {
+			for b := range 8 {
+				counts[b][r.radixByte(b)]++
+				counts[8+b][r.radixByte(8+b)]++
+			}
+		}
+	}
+	if n < radixMin {
+		slices.SortFunc(recs, func(a, b commitRec) int { return commitCmp(&a, &b, hints) })
+		return recs
+	}
+	if cap(c.tmp) < n {
+		c.tmp = make([]commitRec, n)
+	}
+	return sortRecs(recs, c.tmp[:n], &counts, hints)
+}
+
+// hintKey packs h's commit-order key (see sortOrder).
+func hintKey(h *analysis.Hint) (hi, lo uint64) {
+	const offBits = 46
+	switch {
+	case h.Prio < 0:
+		return 0, 0
+	case h.Prio > 255:
+		return math.MaxUint64, math.MaxUint64
+	}
+	s := h.Score
+	if s == 0 {
+		s = 0 // collapse -0 onto +0: they compare equal as floats
+	}
+	// Order-preserving transform of the float64 bit pattern: flip the
+	// sign bit for non-negatives, all bits for negatives. Descending
+	// unsigned order then matches descending float order.
+	sbits := math.Float64bits(s)
+	if sbits&(1<<63) == 0 {
+		sbits |= 1 << 63
+	} else {
+		sbits = ^sbits
+	}
+	var tail uint64 // inverted offset | code bit
+	switch {
+	case h.Off < 0:
+		tail = 1<<(offBits+1) - 1
+	case h.Off < 1<<offBits:
+		tail = uint64(1<<offBits-1-h.Off) << 1
+		if h.Kind == analysis.HintCode {
+			tail |= 1
+		}
+	}
+	return uint64(h.Prio)<<56 | sbits>>8, sbits<<56 | tail
+}
+
+// sortRecs sorts recs into commit order with a stable LSD radix sort over
+// the bytes of the complemented (hi, lo), using tmp as the second buffer,
+// and returns whichever of the two holds the result. counts holds the
+// histogram of all 16 byte positions, taken as the records were built; a
+// position where every record has the same byte moves nothing and is
+// skipped. The records enter in hint order, so each run of equal keys
+// leaves the radix passes in idx order, and the tie rule then sorts it.
+func sortRecs(recs, tmp []commitRec, counts *[16][256]int, hints []analysis.Hint) []commitRec {
+	src, dst := recs, tmp
+	for p := range counts {
+		cnt := &counts[p]
+		if cnt[src[0].radixByte(p)] == len(src) {
+			continue
+		}
+		var next [256]int
+		sum := 0
+		for v, k := range cnt {
+			next[v] = sum
+			sum += k
+		}
+		// One copy of the scatter per key word: choosing the word per
+		// record made the whole sort about 15% slower.
+		shift := 8 * uint(p&7)
+		if p < 8 {
+			for i := range src {
+				b := byte(^src[i].lo >> shift)
+				dst[next[b]] = src[i]
+				next[b]++
+			}
 		} else {
-			sbits = ^sbits
-		}
-		prio := h.Prio
-		if prio < 0 {
-			prio = 0
-		} else if prio > 255 {
-			prio = 255
-		}
-		off := h.Off
-		if off < 0 {
-			off = 0
-		} else if off >= 1<<offBits {
-			off = 1<<offBits - 1
-		}
-		keys[i] = hintKey{
-			hi:  uint64(prio)<<56 | sbits>>8,
-			lo:  (sbits&0xff)<<56 | uint64((1<<offBits-1)-off)<<10 | uint64(1-h.Kind)<<9,
-			idx: int32(i),
-		}
-	}
-	sortKeys(keys, hints)
-	order := make([]int32, len(keys))
-	for i := range keys {
-		order[i] = keys[i].idx
-	}
-	return order
-}
-
-// keyLess orders hintKeys: descending (hi, lo), rare full-key ties falling
-// back to the canonical hint order. The two-word fast path inlines into
-// the sort loops; the tie branch stays out of line. The order is total and
-// strict (idx is unique), so no two keys ever compare equal and any
-// correct sort produces the same permutation.
-func keyLess(a, b *hintKey, hints []analysis.Hint) bool {
-	if a.hi != b.hi {
-		return a.hi > b.hi
-	}
-	if a.lo != b.lo {
-		return a.lo > b.lo
-	}
-	return tieLess(a, b, hints)
-}
-
-//go:noinline
-func tieLess(a, b *hintKey, hints []analysis.Hint) bool {
-	ha, hb := hints[a.idx], hints[b.idx]
-	if ha.Less(hb) {
-		return true
-	}
-	if hb.Less(ha) {
-		return false
-	}
-	return a.idx < b.idx
-}
-
-// sortKeys is an introsort (quicksort with median-of-three pivots,
-// insertion sort below 12 elements, heapsort past the depth limit)
-// specialized to hintKey so the comparator inlines — the generic
-// sort.Slice/slices.SortFunc equivalents pay an indirect call per compare,
-// which dominates the corrector's sort phase on large hint sets.
-func sortKeys(keys []hintKey, hints []analysis.Hint) {
-	if len(keys) < 2 {
-		return
-	}
-	quickKeys(keys, 2*bits.Len(uint(len(keys))), hints)
-}
-
-func quickKeys(k []hintKey, depth int, hints []analysis.Hint) {
-	for len(k) > 12 {
-		if depth == 0 {
-			heapKeys(k, hints)
-			return
-		}
-		depth--
-		m := len(k) / 2
-		last := len(k) - 1
-		if keyLess(&k[m], &k[0], hints) {
-			k[m], k[0] = k[0], k[m]
-		}
-		if keyLess(&k[last], &k[0], hints) {
-			k[last], k[0] = k[0], k[last]
-		}
-		if keyLess(&k[last], &k[m], hints) {
-			k[last], k[m] = k[m], k[last]
-		}
-		k[0], k[m] = k[m], k[0] // median of three to pivot slot
-		pivot := k[0]
-		i, j := 1, last
-		for {
-			for i <= j && keyLess(&k[i], &pivot, hints) {
-				i++
+			for i := range src {
+				b := byte(^src[i].hi >> shift)
+				dst[next[b]] = src[i]
+				next[b]++
 			}
-			for i <= j && keyLess(&pivot, &k[j], hints) {
-				j--
-			}
-			if i > j {
-				break
-			}
-			k[i], k[j] = k[j], k[i]
-			i++
-			j--
 		}
-		k[0], k[j] = k[j], k[0]
-		if j < len(k)-j { // recurse into the smaller half, loop on the rest
-			quickKeys(k[:j], depth, hints)
-			k = k[j+1:]
-		} else {
-			quickKeys(k[j+1:], depth, hints)
-			k = k[:j]
-		}
+		src, dst = dst, src
 	}
-	for i := 1; i < len(k); i++ {
-		for j := i; j > 0 && keyLess(&k[j], &k[j-1], hints); j-- {
-			k[j], k[j-1] = k[j-1], k[j]
+	for i := 0; i < len(src); {
+		j := i + 1
+		for j < len(src) && src[j].hi == src[i].hi && src[j].lo == src[i].lo {
+			j++
 		}
+		if j-i > 1 {
+			slices.SortFunc(src[i:j], func(a, b commitRec) int { return tieCmp(&a, &b, hints) })
+		}
+		i = j
 	}
+	return src
 }
 
-func heapKeys(k []hintKey, hints []analysis.Hint) {
-	n := len(k)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftKeys(k, i, n, hints)
+// radixByte returns byte p (0 the lowest of lo, 15 the highest of hi) of
+// the complemented key, whose ascending order is commit order.
+func (r *commitRec) radixByte(p int) byte {
+	w := r.lo
+	if p >= 8 {
+		w = r.hi
 	}
-	for i := n - 1; i > 0; i-- {
-		k[0], k[i] = k[i], k[0]
-		siftKeys(k, 0, i, hints)
-	}
+	return byte(^w >> (8 * (p & 7)))
 }
 
-func siftKeys(k []hintKey, i, n int, hints []analysis.Hint) {
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && keyLess(&k[c], &k[c+1], hints) {
-			c++
-		}
-		if !keyLess(&k[i], &k[c], hints) {
-			return
-		}
-		k[i], k[c] = k[c], k[i]
-		i = c
+// commitCmp orders records: descending (hi, lo), then the tie rule. The
+// order is total and strict (idx is unique), so no two records ever
+// compare equal and any correct sort produces the same permutation.
+func commitCmp(a, b *commitRec, hints []analysis.Hint) int {
+	if c := cmp.Compare(b.hi, a.hi); c != 0 {
+		return c
 	}
+	if c := cmp.Compare(b.lo, a.lo); c != 0 {
+		return c
+	}
+	return tieCmp(a, b, hints)
+}
+
+// tieCmp is the tie rule for records with equal keys: the canonical hint
+// order, then the position in the hint stream.
+func tieCmp(a, b *commitRec, hints []analysis.Hint) int {
+	switch ha, hb := &hints[a.idx], &hints[b.idx]; {
+	case ha.Less(*hb):
+		return -1
+	case hb.Less(*ha):
+		return 1
+	}
+	return cmp.Compare(a.idx, b.idx)
 }
 
 type corrector struct {
@@ -512,11 +519,14 @@ type corrector struct {
 	// Work buffers, reused across the run's commits and scans so the
 	// per-instruction ForcedSuccs calls append without allocating.
 	stack []uint64 // commitChain's pending successors, source<<32 | successor
-	succs []int
-	chain []int // commitChain's successor buffer (stack and succs are live there)
+	succs []int    // forced successors of the offset canPlace last passed
+	tiles []int    // gap fill's committed tile starts
+	// The commit records and the radix sort's second buffer, reused by
+	// the second phase of a tiered run.
+	recs, tmp []commitRec
 
 	// Retraction's worklist inputs, recorded by commitChain. Offsets fit
-	// in int32 (Owner), so an edge packs into one word.
+	// in int32, so an edge packs into one word.
 	seeds []int32  // committed instructions with a forced successor not placed
 	edges []uint64 // committed direct-branch edges, target<<32 | source
 
@@ -540,25 +550,21 @@ func (c *corrector) internSrc(s string) uint8 {
 	return i
 }
 
-// canPlace reports whether the instruction at off can be committed without
-// contradicting existing facts.
+// canPlace reports whether a new instruction can be committed at off
+// without contradicting existing facts: every byte it occupies is still
+// Unknown, and none of its forced successors starts on a data byte. When
+// it passes, it leaves those successors in c.succs.
 func (c *corrector) canPlace(off int) bool {
 	if off < 0 || off >= c.g.Len() || !c.viable[off] {
 		return false
-	}
-	if c.out.InstStart[off] {
-		return true // already committed, trivially consistent
-	}
-	if c.out.Owner[off] != -1 {
-		return false // inside another committed instruction
 	}
 	from, to := c.g.Occupies(off)
 	if from == to {
 		return false // invalid decode: an instruction must occupy its bytes
 	}
 	for i := from; i < to; i++ {
-		if c.out.State[i] == Data || (c.out.Owner[i] != -1 && c.out.Owner[i] != int32(off)) {
-			return false
+		if c.out.State[i] != Unknown {
+			return false // data, or part of a committed instruction
 		}
 	}
 	// One-step lookahead: an instruction whose forced successor starts on
@@ -581,35 +587,22 @@ func (c *corrector) canPlace(off int) bool {
 // either committed, already an instruction start, or fails canPlace; only
 // the last (and an escaping successor) can be or become a contradiction,
 // so their sources are the seeds. Each direct branch whose target is not
-// the instruction's end becomes an edge; a successor at the end is found
-// through Owner instead.
+// the instruction's end becomes an edge; the instruction falling through
+// to an offset is found by looking back from it instead.
 func (c *corrector) commitChain(off int) bool {
 	if !c.canPlace(off) {
 		return false
 	}
-	progressed := false
-	c.stack = append(c.stack[:0], uint64(off)<<32|uint64(off))
-	for len(c.stack) > 0 {
-		e := c.stack[len(c.stack)-1]
-		c.stack = c.stack[:len(c.stack)-1]
-		o := int(uint32(e))
-		if c.out.InstStart[o] {
-			continue
-		}
-		if !c.canPlace(o) {
-			c.seeds = append(c.seeds, int32(e>>32))
-			continue
-		}
+	c.stack = c.stack[:0]
+	for o := off; ; {
+		// canPlace(o) passed and left o's forced successors in c.succs.
 		from, to := c.g.Occupies(o)
 		for i := from; i < to; i++ {
 			c.out.State[i] = Code
-			c.out.Owner[i] = int32(o)
 			c.out.SrcOf[i] = c.curSrc
 		}
 		c.out.InstStart[o] = true
-		progressed = true
-		c.chain = c.g.ForcedSuccs(c.chain[:0], o)
-		for _, s := range c.chain {
+		for _, s := range c.succs {
 			if s < 0 {
 				c.seeds = append(c.seeds, int32(o))
 				continue
@@ -622,8 +615,22 @@ func (c *corrector) commitChain(off int) bool {
 			}
 			c.stack = append(c.stack, uint64(o)<<32|uint64(s))
 		}
+		for {
+			if len(c.stack) == 0 {
+				return true
+			}
+			e := c.stack[len(c.stack)-1]
+			c.stack = c.stack[:len(c.stack)-1]
+			o = int(uint32(e))
+			if c.out.InstStart[o] {
+				continue
+			}
+			if c.canPlace(o) {
+				break
+			}
+			c.seeds = append(c.seeds, int32(e>>32))
+		}
 	}
-	return progressed
 }
 
 // commitData reserves [off, off+n) as data, skipping bytes already proven
@@ -695,9 +702,8 @@ func (c *corrector) fillGap(a, b int, scores []float64, scoreAt func(int) float6
 		codeLike = true
 	}
 	// Tile starts committed into this gap, kept for the post-derail
-	// consistency sweep below. c.chain is idle during gap fill (the
-	// commit phase is over), so its backing array is reused.
-	tiles := c.chain[:0]
+	// consistency sweep below.
+	tiles := c.tiles[:0]
 	derailed := false
 	pos := a
 	for pos < b {
@@ -708,7 +714,6 @@ func (c *corrector) fillGap(a, b int, scores []float64, scoreAt func(int) float6
 			if to <= b {
 				for i := from; i < to; i++ {
 					c.out.State[i] = Code
-					c.out.Owner[i] = int32(pos)
 				}
 				c.out.InstStart[pos] = true
 				tiles = append(tiles, pos)
@@ -730,7 +735,7 @@ func (c *corrector) fillGap(a, b int, scores []float64, scoreAt func(int) float6
 	if derailed && len(tiles) > 0 {
 		c.unwindTiles(tiles)
 	}
-	c.chain = tiles[:0]
+	c.tiles = tiles[:0]
 }
 
 // unwindTiles retracts gap tiles invalidated by a mid-gap derail, to a

@@ -5,6 +5,7 @@ import (
 
 	"probedis/internal/analysis"
 	"probedis/internal/superset"
+	"probedis/internal/x86"
 )
 
 // buildGraph wraps superset.Build with an all-viable mask for hand-made
@@ -13,6 +14,50 @@ func buildGraph(code []byte) (*superset.Graph, []bool) {
 	g := superset.Build(code, 0x1000)
 	viable := analysis.Viability(g)
 	return g, viable
+}
+
+// owners derives the instruction covering each byte (-1 for none) from
+// InstStart and the decode lengths, failing on overlapping or empty
+// instructions, and checks the ownership invariant retraction relies on:
+// a byte is covered exactly when it is Code, by the nearest instruction
+// start at most x86.MaxInstLen-1 bytes back.
+func owners(t testing.TB, g *superset.Graph, out *Outcome) []int32 {
+	t.Helper()
+	own := make([]int32, g.Len())
+	for i := range own {
+		own[i] = -1
+	}
+	for off, start := range out.InstStart {
+		if !start {
+			continue
+		}
+		from, to := g.Occupies(off)
+		if from == to {
+			t.Fatalf("instruction start +%d occupies no bytes", off)
+		}
+		for i := from; i < to; i++ {
+			if own[i] != -1 {
+				t.Fatalf("byte +%d covered by instructions at +%d and +%d", i, own[i], off)
+			}
+			own[i] = int32(off)
+		}
+	}
+	for i, o := range own {
+		if (o != -1) != (out.State[i] == Code) {
+			t.Fatalf("byte +%d: state %v, covering instruction %d", i, out.State[i], o)
+		}
+		if o == -1 {
+			continue
+		}
+		j := i
+		for !out.InstStart[j] {
+			j--
+		}
+		if j != int(o) || i-j >= x86.MaxInstLen {
+			t.Fatalf("byte +%d: nearest instruction start +%d, covering instruction +%d", i, j, o)
+		}
+	}
+	return own
 }
 
 func TestCommitChainPropagates(t *testing.T) {
@@ -119,9 +164,9 @@ func TestRetraction(t *testing.T) {
 	if out.Retracted != 1 {
 		t.Fatalf("retracted = %d, want 1", out.Retracted)
 	}
-	if out.InstStart[0] || out.State[0] != Data || out.Owner[0] != -1 {
+	if own := owners(t, g, out); out.InstStart[0] || out.State[0] != Data || own[0] != -1 {
 		t.Errorf("nop at 0 survived retraction: start %v state %v owner %d",
-			out.InstStart[0], out.State[0], out.Owner[0])
+			out.InstStart[0], out.State[0], own[0])
 	}
 }
 
@@ -138,7 +183,6 @@ func TestRetractReferenceOnMutatedState(t *testing.T) {
 		t.Fatal("setup: chain did not commit")
 	}
 	out.State[1] = Data
-	out.Owner[1] = -1
 	out.InstStart[1] = false
 	if n := retractReference(g, out); n == 0 {
 		t.Fatal("retractReference found no contradictions")

@@ -25,7 +25,7 @@ func assertNoCommitIntoData(t *testing.T, g *superset.Graph, out *Outcome) {
 			}
 			if out.State[s] == Data {
 				t.Errorf("committed instruction at +%d has forced successor +%d classified Data", off, s)
-			} else if out.Owner[s] != -1 && !out.InstStart[s] {
+			} else if out.State[s] == Code && !out.InstStart[s] {
 				t.Errorf("committed instruction at +%d has forced successor +%d inside another instruction", off, s)
 			}
 		}

@@ -26,7 +26,7 @@ func retractReference(g *superset.Graph, out *Outcome) int {
 			succs = g.ForcedSuccs(succs[:0], off)
 			for _, s := range succs {
 				if s < 0 || out.State[s] == Data ||
-					(out.Owner[s] != -1 && !out.InstStart[s]) {
+					(out.State[s] == Code && !out.InstStart[s]) {
 					bad = true
 					break
 				}
@@ -37,7 +37,6 @@ func retractReference(g *superset.Graph, out *Outcome) int {
 			a, b := g.Occupies(off)
 			for i := a; i < b; i++ {
 				out.State[i] = Data
-				out.Owner[i] = -1
 				out.SrcOf[i] = 0
 			}
 			out.InstStart[off] = false
@@ -52,8 +51,10 @@ func retractReference(g *superset.Graph, out *Outcome) int {
 
 // checkRetractMatchesReference runs hints through Run with retraction
 // and through Run without it followed by retractReference, and reports
-// the first difference. Gap fill is off in both, so the comparison sees
-// retraction's output alone. It returns the number retracted.
+// the first difference, in the covering instruction each side derives
+// from its state and instruction starts too. Gap fill is off in both, so
+// the comparison sees retraction's output alone. It returns the number
+// retracted.
 func checkRetractMatchesReference(t *testing.T, g *superset.Graph, viable []bool, hints []analysis.Hint) int {
 	t.Helper()
 	got := Run(g, viable, hints, Options{NoGapFill: true})
@@ -62,12 +63,13 @@ func checkRetractMatchesReference(t *testing.T, g *superset.Graph, viable []bool
 	if got.Retracted != want.Retracted {
 		t.Fatalf("retracted %d, reference %d", got.Retracted, want.Retracted)
 	}
+	gotOwn, wantOwn := owners(t, g, got), owners(t, g, want)
 	for i := range want.State {
 		if got.State[i] != want.State[i] || got.InstStart[i] != want.InstStart[i] ||
-			got.Owner[i] != want.Owner[i] || got.SrcOf[i] != want.SrcOf[i] {
+			gotOwn[i] != wantOwn[i] || got.SrcOf[i] != want.SrcOf[i] {
 			t.Fatalf("offset %d: state %v start %v owner %d src %d, reference %v %v %d %d",
-				i, got.State[i], got.InstStart[i], got.Owner[i], got.SrcOf[i],
-				want.State[i], want.InstStart[i], want.Owner[i], want.SrcOf[i])
+				i, got.State[i], got.InstStart[i], gotOwn[i], got.SrcOf[i],
+				want.State[i], want.InstStart[i], wantOwn[i], want.SrcOf[i])
 		}
 	}
 	return got.Retracted

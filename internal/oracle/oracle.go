@@ -145,8 +145,10 @@ func CheckDetail(rep *Report, sec string, code []byte, det *core.Detail) {
 }
 
 // checkInstWalk verifies instruction integrity and code ownership by
-// walking the section once. det may be nil (bare-result mode); when
-// present, owner/viability/forced-successor facts are checked too.
+// walking the section once: every code byte lies in exactly one committed
+// instruction, and every instruction byte is code. det may be nil
+// (bare-result mode); when present, viability and forced-successor facts
+// are checked too.
 func checkInstWalk(rep *Report, sec string, code []byte, res *dis.Result, det *core.Detail) {
 	n := len(code)
 	var succs []int
@@ -157,9 +159,6 @@ func checkInstWalk(rep *Report, sec string, code []byte, res *dis.Result, det *c
 		if !res.InstStart[off] {
 			if res.IsCode[off] {
 				rep.addf(InvCodeOwned, sec, off, "code byte not covered by any committed instruction")
-			}
-			if det != nil && det.Outcome.Owner[off] != -1 {
-				rep.addf(InvCodeOwned, sec, off, "non-code byte has owner %#x", det.Outcome.Owner[off])
 			}
 			off++
 			continue
@@ -183,9 +182,6 @@ func checkInstWalk(rep *Report, sec string, code []byte, res *dis.Result, det *c
 			}
 			if j > off && res.InstStart[j] {
 				rep.addf(InvInstIntegrity, sec, off, "overlapping instruction start inside [%#x,%#x)", off, end)
-			}
-			if det != nil && det.Outcome.Owner[j] != int32(off) {
-				rep.addf(InvInstIntegrity, sec, j, "byte owned by %#x, expected %#x", det.Outcome.Owner[j], off)
 			}
 		}
 		if det != nil {

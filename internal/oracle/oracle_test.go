@@ -87,6 +87,30 @@ func TestDetectsResultOutcomeDisagreement(t *testing.T) {
 	}
 }
 
+// TestDetectsUncoveredCodeByte: a byte that is code in both the result and
+// the outcome but lies in no committed instruction breaks ownership alone,
+// which only the walk's coverage check can see.
+func TestDetectsUncoveredCodeByte(t *testing.T) {
+	code, det := freshDetail(t)
+	mutated := false
+	for i := range code {
+		if !det.Result.IsCode[i] {
+			det.Result.IsCode[i] = true
+			det.Outcome.State[i] = correct.Code
+			mutated = true
+			break
+		}
+	}
+	if !mutated {
+		t.Fatal("setup: no data byte to mutate")
+	}
+	rep := &Report{}
+	CheckDetail(rep, "t", code, det)
+	if !hasViolation(rep, InvCodeOwned) || hasViolation(rep, InvPartition) {
+		t.Fatalf("want a code-owned violation alone: %v", rep.Violations)
+	}
+}
+
 func TestDetectsOverlappingInstructions(t *testing.T) {
 	code, det := freshDetail(t)
 	res := det.Result

@@ -95,12 +95,14 @@ func nextProbe(p, end, step int) int {
 // minEntries below 1 counts as 1.
 func PointerArrays(code []byte, base uint64, minEntries int) []Run {
 	minEntries = max(minEntries, 1)
-	limit := base + uint64(len(code))
+	// Offset form of v in [base, base+len): base+len wraps for a section
+	// ending at the top of the address space.
+	size := uint64(len(code))
 	var out []Run
 	i := 0
 	for i+8 <= len(code) {
 		v := binary.LittleEndian.Uint64(code[i:])
-		if v < base || v >= limit {
+		if v < base || v-base >= size {
 			i++
 			continue
 		}
@@ -108,7 +110,7 @@ func PointerArrays(code []byte, base uint64, minEntries int) []Run {
 		n := 0
 		for j+8 <= len(code) {
 			v := binary.LittleEndian.Uint64(code[j:])
-			if v < base || v >= limit {
+			if v < base || v-base >= size {
 				break
 			}
 			n++

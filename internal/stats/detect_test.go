@@ -85,10 +85,9 @@ func tableRunsRef(code []byte, entrySz, minEntries int, ok func(start, at int) b
 }
 
 func pointerArraysRef(code []byte, base uint64, minEntries int) []Run {
-	limit := base + uint64(len(code))
 	return tableRunsRef(code, 8, minEntries, func(_, at int) bool {
 		v := binary.LittleEndian.Uint64(code[at:])
-		return v >= base && v < limit
+		return v >= base && v-base < uint64(len(code))
 	})
 }
 
@@ -214,12 +213,42 @@ func TestDataPatternsMatchReference(t *testing.T) {
 	}
 }
 
+// topPointerArray is a 64-byte section at base: four pointers to its own
+// first bytes, then NOP padding.
+func topPointerArray(base uint64) []byte {
+	var code []byte
+	for i := 0; i < 4; i++ {
+		code = binary.LittleEndian.AppendUint64(code, base+uint64(8*i))
+	}
+	for len(code) < 64 {
+		code = append(code, 0x90)
+	}
+	return code
+}
+
+// TestPointerArraysAtTopOfAddressSpace: a section ending at 2^64 finds the
+// pointer array it finds anywhere else; the end address base+len wraps
+// to 0 there, so a bounds test against it rejected every pointer.
+func TestPointerArraysAtTopOfAddressSpace(t *testing.T) {
+	want := []Run{{0, 32}}
+	for _, base := range []uint64{0x400000, 1<<64 - 64} {
+		if got := PointerArrays(topPointerArray(base), base, 3); !reflect.DeepEqual(got, want) {
+			t.Errorf("base %#x: PointerArrays = %v, want %v", base, got, want)
+		}
+	}
+}
+
 // FuzzDataPatternsMatchReference extends the differential to fuzzed
 // bytes and load addresses. Run with
 // `go test -fuzz=FuzzDataPatternsMatchReference ./internal/stats`.
 func FuzzDataPatternsMatchReference(f *testing.F) {
 	for _, s := range dataPatternSeeds() {
 		f.Add(s.code, uint64(dataPatternSeedBase))
+	}
+	// The crafted pointer array again, at a base whose section ends at
+	// 2^64 and one that straddles it.
+	for _, top := range []uint64{1<<64 - 64, 1<<64 - 40} {
+		f.Add(topPointerArray(top), top)
 	}
 	f.Fuzz(func(t *testing.T, code []byte, base uint64) {
 		if len(code) > 4<<10 {
