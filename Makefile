@@ -91,8 +91,10 @@ cover:
 # then the retraction worklist against the full-scan reference fixpoint,
 # the corrector's radix-ordered commit records against SortHints,
 # viability's sweep and worklist against the naive fixpoint, the
-# anchor-site hint analyses against their full walks, and the probing
-# data-pattern scans against their byte loops.
+# anchor-site hint analyses against their full walks, the probing
+# data-pattern scans against their byte loops, the scan kernel's packed
+# records against the full decoder, and the graph's wrapped address
+# and delta arithmetic near the top of the address space.
 fuzz-smoke:
 	go test -fuzz=FuzzPipeline -fuzztime=30s .
 	go test -run '^$$' -fuzz=FuzzShardSplit -fuzztime=20s .
@@ -102,6 +104,8 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz=FuzzViabilityMatchesNaive -fuzztime=10s ./internal/analysis
 	go test -run '^$$' -fuzz=FuzzAnchoredMatchesReference -fuzztime=10s ./internal/analysis
 	go test -run '^$$' -fuzz=FuzzDataPatternsMatchReference -fuzztime=10s ./internal/stats
+	go test -run '^$$' -fuzz=FuzzScanMatchesDecode -fuzztime=10s ./internal/x86
+	go test -run '^$$' -fuzz=FuzzWrapGraph -fuzztime=10s ./internal/superset
 
 # Chaos/load harness against the real serving stack (internal/serve)
 # over a real loopback listener: mixed hostile workloads under -race,

@@ -548,9 +548,9 @@ func largeSection(b *testing.B) ([]byte, uint64) {
 
 // residentFactor measures how much heap the superset graph itself retains
 // per section byte: HeapAlloc delta across a Build with forced GCs on both
-// sides, divided by the section size. The packed side-table target is
-// <= 24x (16 B/offset of Info plus slack); the eager representation was
-// ~130x.
+// sides, divided by the section size. The packed side table reads
+// about 8.1x (8 B/offset of Info plus 1/8 B of anchor bitmap); the
+// eager representation was ~130x.
 func residentFactor(code []byte, base uint64) float64 {
 	var before, after runtime.MemStats
 	runtime.GC()

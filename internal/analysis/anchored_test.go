@@ -22,7 +22,7 @@ import (
 func callTargetCountsRef(g *superset.Graph, viable []bool, from, to int) map[int]int32 {
 	counts := map[int]int32{}
 	for off := from; off < to; off++ {
-		if !viable[off] || g.At(off).Flow != x86.FlowCall {
+		if !viable[off] || g.At(off).Flow() != x86.FlowCall {
 			continue
 		}
 		if t := g.TargetOff(off); t >= 0 && viable[t] {

@@ -49,7 +49,7 @@ func callTargetHint(t int, n int32) Hint {
 // anchor sites can be direct calls, so the loop visits those alone.
 func CallTargetCountsRange(g *superset.Graph, viable []bool, from, to int, counts map[int]int32) {
 	for off := g.NextAnchor(from); off < to; off = g.NextAnchor(off + 1) {
-		if !viable[off] || g.At(off).Flow != x86.FlowCall {
+		if !viable[off] || g.At(off).Flow() != x86.FlowCall {
 			continue
 		}
 		if t := g.TargetOff(off); t >= 0 && viable[t] {

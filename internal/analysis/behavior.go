@@ -27,8 +27,8 @@ func BehaviorPenalty(g *superset.Graph, off, window int) float64 {
 		if e.SegPrefix() {
 			penalty += 1.5 // segment overrides are rare in 64-bit code
 		}
-		stack += int64(e.StackDelta)
-		if e.Op == x86.LEAVE || e.Op == x86.ENTER {
+		stack += int64(e.StackDelta())
+		if e.Op() == x86.LEAVE || e.Op() == x86.ENTER {
 			stack = 0 // frame reset; delta no longer tracked
 		}
 		switch {
@@ -37,10 +37,10 @@ func BehaviorPenalty(g *superset.Graph, off, window int) float64 {
 		case stack < -65536:
 			penalty += 2 // absurd frame allocation
 		}
-		if !e.Flow.HasFallthrough() {
+		if !e.Flow().HasFallthrough() {
 			break
 		}
-		off += int(e.Len)
+		off += e.Len()
 	}
 	return penalty
 }
@@ -79,6 +79,25 @@ func StatHintsRange(g *superset.Graph, viable []bool, scores []float64, penaltyW
 // identical.
 func StatHintsRangeRel(g *superset.Graph, viable []bool, scores []float64, penaltyWeight, threshold float64, from, to int, dst []Hint) []Hint {
 	return statHintsImpl(g, viable, scores, from, penaltyWeight, threshold, from, to, dst)
+}
+
+// StatHintBoundRel bounds the number of hints StatHintsRangeRel emits
+// with the same arguments, so a caller can size its buffer once. With a
+// non-negative penalty weight only an offset that is valid and viable and
+// whose raw score exceeds the threshold can emit: the penalty only lowers
+// the score. A negative weight can lift any scored offset over the
+// threshold, so the bound is then the window's length.
+func StatHintBoundRel(g *superset.Graph, viable []bool, scores []float64, penaltyWeight, threshold float64, from, to int) int {
+	if penaltyWeight < 0 {
+		return max(min(to, g.Len())-max(from, 0), 0)
+	}
+	n := 0
+	for off := max(from, 0); off < min(to, g.Len()); off++ {
+		if s := scores[off-from]; s > -1e8 && s-threshold > 0 && viable[off] && g.Valid(off) {
+			n++
+		}
+	}
+	return n
 }
 
 func statHintsImpl(g *superset.Graph, viable []bool, scores []float64, scoreBase int, penaltyWeight, threshold float64, from, to int, dst []Hint) []Hint {

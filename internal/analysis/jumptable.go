@@ -58,8 +58,8 @@ func jumpTableAt(g *superset.Graph, viable []bool, off int) (JumpTable, bool) {
 	// RIP-relative lea. The packed record rules out most anchor sites
 	// before viability is read.
 	e := g.At(off)
-	ijmp := e.Flow == x86.FlowIndirectJump && e.HasMem()
-	ripLea := e.Op == x86.LEA && e.HasMem() && e.MemBaseRIP()
+	ijmp := e.Flow() == x86.FlowIndirectJump && e.HasMem()
+	ripLea := e.Op() == x86.LEA && e.HasMem() && e.MemBaseRIP()
 	if !e.Valid() || !ijmp && !ripLea || !viable[off] {
 		return JumpTable{}, false
 	}
@@ -94,7 +94,7 @@ func jumpTableAt(g *superset.Graph, viable []bool, off int) (JumpTable, bool) {
 // matchLeaDispatch walks the chain after a lea to find the scaled load and
 // the indirect jump through the loaded register.
 func matchLeaDispatch(g *superset.Graph, viable []bool, leaOff, tbl int, baseReg uint32) (JumpTable, bool) {
-	off := leaOff + int(g.At(leaOff).Len)
+	off := leaOff + g.At(leaOff).Len()
 	var loadedReg uint32
 	entrySz := 0
 	for step := 0; step < 8 && off < g.Len() && g.Valid(off); step++ {
@@ -136,7 +136,7 @@ func boundFrom(g *superset.Graph, site int) int {
 	}
 	for o := lo; o < site; o++ {
 		e := g.At(o)
-		if !e.Valid() || e.Op != x86.CMP || !e.HasImm() {
+		if !e.Valid() || e.Op() != x86.CMP || !e.HasImm() {
 			continue
 		}
 		inst := g.InstAt(o) // immediate value lives only on the full decode
@@ -146,11 +146,11 @@ func boundFrom(g *superset.Graph, site int) int {
 		// Does the chain from o reach site?
 		p := o
 		for step := 0; step < 6 && p < site; step++ {
-			if !g.Valid(p) || !g.At(p).Flow.HasFallthrough() {
+			if !g.Valid(p) || !g.At(p).Flow().HasFallthrough() {
 				p = -1
 				break
 			}
-			p += int(g.At(p).Len)
+			p += g.At(p).Len()
 		}
 		if p == site {
 			return int(inst.Imm) + 1

@@ -64,12 +64,12 @@ func literalPoolAt(g *superset.Graph, viable []bool, off int, hs []Hint) []Hint 
 	// Both idioms start at a RIP-relative operand. The packed record
 	// rules out most anchor sites before viability is read.
 	e := g.At(off)
-	if !e.Valid() || !e.HasMem() || !e.MemBaseRIP() || !isFPLoadOp(e.Op) && e.Op != x86.LEA || !viable[off] {
+	if !e.Valid() || !e.HasMem() || !e.MemBaseRIP() || !isFPLoadOp(e.Op()) && e.Op() != x86.LEA || !viable[off] {
 		return hs
 	}
 
 	// Direct rip-relative FP load: movsd xmm, [rip+disp].
-	if isFPLoadOp(e.Op) {
+	if isFPLoadOp(e.Op()) {
 		if addr, ok := g.MemAddrAt(off); ok {
 			hs = addPool(g, hs, g.OffsetOf(addr), 8)
 		}
@@ -87,7 +87,7 @@ func literalPoolAt(g *superset.Graph, viable []bool, off int, hs []Hint) []Hint 
 	}
 	lea := g.InstAt(off)
 	baseReg := lea.Writes
-	p := off + int(e.Len)
+	p := off + e.Len()
 	for step := 0; step < 6 && p < g.Len() && g.Valid(p); step++ {
 		// Short chain (≤6 steps) only behind a rip-relative lea:
 		// materializing each step stays off the hot path.

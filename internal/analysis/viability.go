@@ -55,7 +55,7 @@ sweep:
 			continue
 		}
 		succs = g.ForcedSuccs(succs[:0], off)
-		end := off + int(g.At(off).Len)
+		end := off + g.At(off).Len()
 		edge := -1
 		for _, s := range succs {
 			if s < 0 || s > off && !viable[s] {
@@ -90,7 +90,7 @@ sweep:
 		x := int(work[len(work)-1])
 		work = work[:len(work)-1]
 		for p := max(x-x86.MaxInstLen, 0); p < x; p++ {
-			if !viable[p] || p+int(g.At(p).Len) != x {
+			if !viable[p] || p+g.At(p).Len() != x {
 				continue
 			}
 			succs = g.ForcedSuccs(succs[:0], p)

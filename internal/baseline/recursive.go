@@ -44,7 +44,7 @@ func traverse(g *superset.Graph, res *dis.Result, seeds []int) {
 		if off < 0 || off >= g.Len() || res.InstStart[off] || !g.Valid(off) {
 			continue
 		}
-		length := int(g.At(off).Len)
+		length := g.At(off).Len()
 		res.InstStart[off] = true
 		for i := off; i < off+length && i < g.Len(); i++ {
 			res.IsCode[i] = true
@@ -65,7 +65,7 @@ func callTargets(g *superset.Graph, res *dis.Result, into []int) []int {
 		seen[f] = true
 	}
 	for off := 0; off < g.Len(); off++ {
-		if !res.InstStart[off] || g.At(off).Flow != x86.FlowCall {
+		if !res.InstStart[off] || g.At(off).Flow() != x86.FlowCall {
 			continue
 		}
 		if t := g.TargetOff(off); t >= 0 && res.InstStart[t] && !seen[t] {

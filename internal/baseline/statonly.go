@@ -49,7 +49,7 @@ func (s *StatOnly) Disassemble(code []byte, base uint64, entry int) *dis.Result 
 		owner[i] = -1
 	}
 	for _, off := range order {
-		length := int(g.At(off).Len)
+		length := g.At(off).Len()
 		ok := true
 		for i := off; i < off+length; i++ {
 			if owner[i] != -1 {

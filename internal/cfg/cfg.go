@@ -113,8 +113,8 @@ func BuildTraceContext(ctx context.Context, g *superset.Graph, instStart []bool,
 		if off != end {
 			mark(off)
 		}
-		end = off + int(e.Len)
-		switch e.Flow {
+		end = off + e.Len()
+		switch e.Flow() {
 		case x86.FlowCall:
 			if t := g.TargetOff(off); t >= 0 && instStart[t] {
 				entry(t)
@@ -146,16 +146,16 @@ func BuildTraceContext(ctx context.Context, g *superset.Graph, instStart []bool,
 		pos := off
 		for {
 			e := g.At(pos)
-			next := pos + int(e.Len)
+			next := pos + e.Len()
 			b.End = next
-			b.Terminator = e.Flow
+			b.Terminator = e.Flow()
 			if t := g.TargetOff(pos); t >= 0 && instStart[t] {
-				switch e.Flow {
+				switch e.Flow() {
 				case x86.FlowJump, x86.FlowCondJump:
 					b.addSucc(t)
 				}
 			}
-			if e.Flow.HasFallthrough() && next < n && instStart[next] {
+			if e.Flow().HasFallthrough() && next < n && instStart[next] {
 				if hasBit(leaders, next) {
 					b.addSucc(next)
 					break

@@ -14,7 +14,7 @@ func mark(g *superset.Graph) []bool {
 	pos := 0
 	for pos < g.Len() && g.Valid(pos) {
 		starts[pos] = true
-		pos += int(g.Info[pos].Len)
+		pos += g.Info[pos].Len()
 	}
 	return starts
 }

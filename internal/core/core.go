@@ -76,7 +76,7 @@ func WithWorkers(n int) Option { return func(d *Disassembler) { d.workers = n } 
 // produces, so the final classification is byte-identical for every
 // shard size (enforced by oracle.CheckShards and the seam boundary-sweep
 // suite). Viability and every later stage run over the whole section.
-// Sharding splits work, not memory: the graph's 16-byte-per-offset side
+// Sharding splits work, not memory: the graph's 8-byte-per-offset side
 // table is resident either way. n <= 0 (the default) runs every section
 // as a single shard; positive values are clamped to a 256-byte floor.
 // Tests sweep tiny values to park seams on adversarial constructs.
@@ -240,7 +240,10 @@ func (d *Disassembler) run(ctx context.Context, g *superset.Graph, entry int, sp
 
 	hsp := sp.StartChild("hints")
 	hints, tables := d.collectHints(ctx, g, viable, entry, shards, hsp, pool)
-	hsp.Count("hints", int64(len(hints)))
+	// The seeds and the count are all finish needs of the stream, so it
+	// dies once SplitHints has copied it into the two phases.
+	seeds, nhints := funcSeeds(entry, hints), len(hints)
+	hsp.Count("hints", int64(nhints))
 	hsp.End()
 	// A cancellation observed by collectHints leaves the hint stream
 	// incomplete; abort before the partial stream reaches the corrector.
@@ -275,9 +278,14 @@ func (d *Disassembler) run(ctx context.Context, g *superset.Graph, entry int, sp
 		ssp.Count("scored", int64(part.ContestedBytes))
 		ssp.End()
 		shsp := csp.StartChild("stathints")
-		// At most one stat hint per contested offset, and room for the
-		// weak hints appended after them: the buffer never regrows.
-		stat := make([]analysis.Hint, 0, part.ContestedBytes+len(weak))
+		// Room for every offset that can emit, and for the weak hints
+		// appended after them: the buffer never regrows.
+		n := len(weak)
+		for i, w := range part.Windows {
+			n += analysis.StatHintBoundRel(g, viable, ws.bufs[i],
+				d.penaltyWeight, d.threshold, w[0], w[1])
+		}
+		stat := make([]analysis.Hint, 0, n)
 		for i, w := range part.Windows {
 			stat = analysis.StatHintsRangeRel(g, viable, ws.bufs[i],
 				d.penaltyWeight, d.threshold, w[0], w[1], stat)
@@ -292,20 +300,13 @@ func (d *Disassembler) run(ctx context.Context, g *superset.Graph, entry int, sp
 	if err != nil {
 		return nil, err
 	}
-	return d.finish(ctx, g, entry, viable, tables, hints, statHints, out, part, sp)
+	return d.finish(ctx, g, viable, tables, seeds, nhints+statHints, out, part, sp)
 }
 
-// finish is the pipeline tail after correction: result emission,
-// function-seed extraction and CFG recovery.
-func (d *Disassembler) finish(ctx context.Context, g *superset.Graph, entry int, viable []bool, tables []analysis.JumpTable, hints []analysis.Hint, statHints int, out *correct.Outcome, part *tier.Partition, sp *obs.Span) (*Detail, error) {
-	esp := sp.StartChild("emit")
-	res := dis.NewResult(g.Base, g.Len())
-	for i, s := range out.State {
-		res.IsCode[i] = s == correct.Code
-	}
-	copy(res.InstStart, out.InstStart)
-
-	// Function recovery.
+// funcSeeds returns the function-recovery seeds of a structural hint
+// stream: the entry point, then the offsets of its call-target,
+// prologue and entry code hints in stream order.
+func funcSeeds(entry int, hints []analysis.Hint) []int {
 	seeds := []int{}
 	if entry >= 0 {
 		seeds = append(seeds, entry)
@@ -316,6 +317,18 @@ func (d *Disassembler) finish(ctx context.Context, g *superset.Graph, entry int,
 			seeds = append(seeds, h.Off)
 		}
 	}
+	return seeds
+}
+
+// finish is the pipeline tail after correction: result emission and CFG
+// recovery from the function seeds.
+func (d *Disassembler) finish(ctx context.Context, g *superset.Graph, viable []bool, tables []analysis.JumpTable, seeds []int, hints int, out *correct.Outcome, part *tier.Partition, sp *obs.Span) (*Detail, error) {
+	esp := sp.StartChild("emit")
+	res := dis.NewResult(g.Base, g.Len())
+	for i, s := range out.State {
+		res.IsCode[i] = s == correct.Code
+	}
+	copy(res.InstStart, out.InstStart)
 	esp.End()
 	fsp := sp.StartChild("cfg")
 	c, err := cfg.BuildTraceContext(ctx, g, out.InstStart, seeds, fsp)
@@ -333,7 +346,7 @@ func (d *Disassembler) finish(ctx context.Context, g *superset.Graph, entry int,
 		Graph:   g,
 		Viable:  viable,
 		Tables:  tables,
-		Hints:   len(hints) + statHints,
+		Hints:   hints,
 		Outcome: out,
 		CFG:     c,
 		Tier:    part,

@@ -773,7 +773,7 @@ func (c *corrector) nopTiles(a, b int) bool {
 		if !e.Valid() || !e.IsNop() {
 			return false
 		}
-		pos += int(e.Len)
+		pos += e.Len()
 	}
 	return pos == b
 }

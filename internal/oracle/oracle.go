@@ -218,7 +218,7 @@ func decodeAt(code []byte, base uint64, off int, det *core.Detail) (decoded, err
 	if !det.Graph.Valid(off) {
 		return decoded{}, fmt.Errorf("superset graph has no valid decode")
 	}
-	if glen := int(det.Graph.At(off).Len); err != nil || inst.Len != glen {
+	if glen := det.Graph.At(off).Len(); err != nil || inst.Len != glen {
 		return decoded{}, fmt.Errorf("graph decode (%d bytes) disagrees with fresh decode (err=%v)",
 			glen, err)
 	}

@@ -116,7 +116,7 @@ func TestDetectsOverlappingInstructions(t *testing.T) {
 	res := det.Result
 	// Mark an instruction start inside a committed multi-byte instruction.
 	for off := 0; off < len(code); off++ {
-		if res.InstStart[off] && det.Graph.Valid(off) && det.Graph.Info[off].Len >= 2 {
+		if res.InstStart[off] && det.Graph.Valid(off) && det.Graph.Info[off].Len() >= 2 {
 			res.InstStart[off+1] = true
 			break
 		}
@@ -133,8 +133,8 @@ func TestDetectsInstructionSpanningIntoData(t *testing.T) {
 	res := det.Result
 	// Turn the tail byte of a committed instruction into data.
 	for off := 0; off < len(code); off++ {
-		if res.InstStart[off] && det.Graph.Valid(off) && det.Graph.Info[off].Len >= 2 {
-			tail := off + int(det.Graph.Info[off].Len) - 1
+		if res.InstStart[off] && det.Graph.Valid(off) && det.Graph.Info[off].Len() >= 2 {
+			tail := off + det.Graph.Info[off].Len() - 1
 			res.IsCode[tail] = false
 			det.Outcome.State[tail] = correct.Data
 			break

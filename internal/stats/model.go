@@ -114,7 +114,7 @@ func (m *Model) AddCode(g *superset.Graph, instStart []bool) {
 		if !instStart[off] || !g.Valid(off) {
 			continue
 		}
-		tok := int(g.At(off).Tok)
+		tok := g.At(off).Tok()
 		if prev >= 0 {
 			m.code.addPair(prev, tok)
 		} else {
@@ -133,10 +133,10 @@ func (m *Model) AddData(g *superset.Graph, isData []bool) {
 		if !isData[off] || !e.Valid() {
 			continue
 		}
-		tok := int(e.Tok)
-		next := off + int(e.Len)
+		tok := e.Tok()
+		next := off + e.Len()
 		if next < g.Len() && g.Valid(next) {
-			m.data.addPair(tok, int(g.At(next).Tok))
+			m.data.addPair(tok, g.At(next).Tok())
 		} else {
 			m.data.addOne(tok)
 		}
@@ -182,7 +182,7 @@ func (m *Model) LogOdds(g *superset.Graph, off, window int) (score float64, step
 		if !e.Valid() {
 			break
 		}
-		tok := int(e.Tok)
+		tok := e.Tok()
 		if prev < 0 {
 			score += m.uniDiff[tok]
 		} else {
@@ -190,15 +190,15 @@ func (m *Model) LogOdds(g *superset.Graph, off, window int) (score float64, step
 		}
 		steps++
 		prev = tok
-		if !e.Flow.HasFallthrough() {
+		if !e.Flow().HasFallthrough() {
 			// Follow direct jumps so short blocks still get a full window.
-			if t := g.TargetOff(off); t >= 0 && (e.Flow == x86.FlowJump) {
+			if t := g.TargetOff(off); t >= 0 && (e.Flow() == x86.FlowJump) {
 				off = t
 				continue
 			}
 			break
 		}
-		off += int(e.Len)
+		off += e.Len()
 	}
 	return score, steps
 }

@@ -69,15 +69,17 @@ func checkGraphMatchesEagerDecode(t *testing.T, g *Graph) {
 		if *e != x86.PackLean(&inst) {
 			t.Fatalf("+%#x: packed entry %+v != repack of eager decode %+v", off, *e, x86.PackLean(&inst))
 		}
-		if int(e.Len) != inst.Len || e.Flow != inst.Flow || e.Op != inst.Op ||
-			e.Tok != inst.TokenID() || e.StackDelta != inst.StackDelta {
+		if e.Len() != inst.Len || e.Flow() != inst.Flow || e.Op() != inst.Op ||
+			e.Tok() != int(inst.TokenID()) || e.StackDelta() != inst.StackDelta {
 			t.Fatalf("+%#x: packed fields %+v disagree with decode %+v", off, *e, inst)
 		}
+		_, resolved := inst.MemAddr()
 		if e.Rare() != inst.Rare || e.IsNop() != inst.IsNop() ||
 			e.HasMem() != inst.HasMem || e.HasImm() != inst.HasImm ||
 			e.SegPrefix() != (inst.Prefix&x86.PrefixSeg != 0) ||
-			e.MemBaseRIP() != (inst.HasMem && inst.Mem.Base == x86.RIP) {
-			t.Fatalf("+%#x: packed flags %#x disagree with decode %+v", off, e.Flags, inst)
+			e.MemBaseRIP() != (inst.HasMem && inst.Mem.Base == x86.RIP) ||
+			e.MemResolved() != resolved {
+			t.Fatalf("+%#x: packed flags %+v disagree with decode %+v", off, *e, inst)
 		}
 		if got := g.InstAt(off); got != inst {
 			t.Fatalf("+%#x: InstAt = %+v, want eager decode %+v", off, got, inst)
@@ -114,6 +116,35 @@ func TestInstAtMatchesEagerDecode(t *testing.T) {
 		}
 		checkGraphMatchesEagerDecode(t, Build(b.Code, b.Base))
 	})
+}
+
+// TestDeltaRedecodeUsesInstAt pins the re-decode sentinel: a memory
+// operand whose true self-relative delta is exactly -2^31 (mov eax, [0]
+// at 0x80000000), one whose delta overflows int32, and a branch whose
+// delta overflows int32 store x86.DeltaRedecode, and MemAddrAt and the
+// branch target then come from InstAt with the same answer a full
+// decode gives.
+func TestDeltaRedecodeUsesInstAt(t *testing.T) {
+	code := []byte{
+		0x8b, 0x04, 0x25, 0x00, 0x00, 0x00, 0x00, // mov eax, [0]
+		0xe9, 0xfd, 0xff, 0xff, 0x7f, // jmp rel32: len+disp > MaxInt32
+		0x8b, 0x04, 0x25, 0x00, 0x00, 0x00, 0x90, // mov eax, [0xffffffff90000000]
+	}
+	g := Build(code, 0x80000000)
+	for _, off := range []int{0, 7, 12} {
+		if d := g.Info[off].Delta; d != x86.DeltaRedecode {
+			t.Fatalf("+%d: Delta = %d, want the re-decode sentinel", off, d)
+		}
+	}
+	for _, c := range []struct {
+		off  int
+		addr uint64
+	}{{0, 0}, {12, 0xffffffff90000000}} {
+		if addr, ok := g.MemAddrAt(c.off); addr != c.addr || !ok {
+			t.Fatalf("MemAddrAt(%d) = (%#x, %v), want (%#x, true)", c.off, addr, ok, c.addr)
+		}
+	}
+	checkGraphMatchesEagerDecode(t, g)
 }
 
 // TestSetExternNormalizes pins the sort+merge contract behind the

@@ -8,7 +8,7 @@
 // x86.Inst is ~128 bytes and the superset needs one record per byte, so
 // storing instructions eagerly costs >100x the section size and turns
 // every downstream scan into a cache-miss parade. Instead Decode keeps
-// the 16 bytes of properties the hot analyses actually read, and InstAt
+// the 8 bytes of properties the hot analyses actually read, and InstAt
 // lazily re-decodes the full instruction at the few offsets cold paths
 // (rewriting, listings, jump-table shape checks) inspect in detail.
 //
@@ -37,23 +37,7 @@ type Range struct {
 // Contains reports whether addr falls in the range.
 func (r Range) Contains(addr uint64) bool { return addr >= r.Start && addr < r.End }
 
-// Info flag bits (Info.Flags), re-exported so consumers keep their
-// superset.Flag* spelling. The canonical definitions (and their docs)
-// live next to the decoder in internal/x86.
-const (
-	FlagValid       = x86.FlagValid
-	FlagRare        = x86.FlagRare
-	FlagSeg         = x86.FlagSeg
-	FlagNop         = x86.FlagNop
-	FlagHasMem      = x86.FlagHasMem
-	FlagHasImm      = x86.FlagHasImm
-	FlagMemRIP      = x86.FlagMemRIP
-	FlagMemResolved = x86.FlagMemResolved
-	FlagTargetDelta = x86.FlagTargetDelta
-	FlagMemDelta    = x86.FlagMemDelta
-)
-
-// Info is the packed per-offset decode record: 16 bytes covering
+// Info is the packed per-offset decode record: 8 bytes covering
 // everything the hot per-offset scans (viability, statistical scoring,
 // behaviour penalties, hint pattern prefilters, the corrector) read.
 // Anything else — operand shapes, immediates, register effects — is
@@ -81,7 +65,7 @@ type Graph struct {
 	Base uint64
 	Code []byte
 
-	// Info[i] is the packed decode record at offset i, 16 bytes per
+	// Info[i] is the packed decode record at offset i, 8 bytes per
 	// section byte, filled by Decode for every offset; check
 	// Info[i].Valid() (or Graph.Valid(i)) before using the other fields.
 	Info []Info
@@ -151,7 +135,7 @@ func (g *Graph) ExternTarget(addr uint64) bool {
 }
 
 // Build decodes an instruction at every offset of code, packing each
-// result into the 16-byte side-table in the same pass via the x86.Scan
+// result into the 8-byte side-table in the same pass via the x86.Scan
 // length-only kernel. It runs serially on the calling goroutine; the
 // pipeline instead splits Decode into ranges on its own work pool.
 func Build(code []byte, base uint64) *Graph {
@@ -217,9 +201,10 @@ func (g *Graph) Decode(ctx context.Context, from, to int) {
 // like any other decode. An invalid offset holds the zero record
 // (FlowSeq, no flags), which never matches, so validity needs no test of
 // its own.
-func anchorSite(e *Info) bool {
-	return e.Flow == x86.FlowCall || e.Flags&FlagMemRIP != 0 ||
-		e.Flow == x86.FlowIndirectJump && e.Flags&FlagHasMem != 0
+func anchorSite(e Info) bool {
+	flow := e.Flow()
+	return flow == x86.FlowCall || e.MemBaseRIP() ||
+		flow == x86.FlowIndirectJump && e.HasMem()
 }
 
 // markAnchors sets the anchor bits of the decoded offsets [from, to). A
@@ -233,7 +218,7 @@ func (g *Graph) markAnchors(from, to int) {
 		var word uint64
 		info := g.Info[lo:hi]
 		for i := range info {
-			if anchorSite(&info[i]) {
+			if anchorSite(info[i]) {
 				word |= 1 << ((lo + i) & 63)
 			}
 		}
@@ -281,7 +266,7 @@ func (g *Graph) At(off int) *Info { return &g.Info[off] }
 
 // Valid reports whether offset off decodes to a valid instruction that
 // fits within the section.
-func (g *Graph) Valid(off int) bool { return g.At(off).Flags&FlagValid != 0 }
+func (g *Graph) Valid(off int) bool { return g.Info[off].Valid() }
 
 // decodeCacheSlots sizes the InstAt decode cache (direct-mapped by
 // offset, so a power of two). 128 entries cover the working set of the
@@ -382,7 +367,7 @@ func (g *Graph) OffsetOf(addr uint64) int {
 // wrap into.
 func (g *Graph) target(off int, e *Info) (tgt uint64, ok bool) {
 	src := g.Base + uint64(off)
-	if e.Flags&FlagTargetDelta != 0 {
+	if e.Delta != x86.DeltaRedecode {
 		tgt = src + uint64(int64(e.Delta))
 	} else {
 		// Displacement too wide for the packed delta: materialize.
@@ -405,7 +390,7 @@ func (g *Graph) TargetOff(off int) int {
 	if !e.Valid() {
 		return -1
 	}
-	switch e.Flow {
+	switch e.Flow() {
 	case x86.FlowJump, x86.FlowCondJump, x86.FlowCall:
 		if tgt, ok := g.target(off, e); ok {
 			return g.OffsetOf(tgt)
@@ -419,11 +404,10 @@ func (g *Graph) TargetOff(off int) int {
 // false for invalid offsets and operands that depend on a data register.
 func (g *Graph) MemAddrAt(off int) (addr uint64, ok bool) {
 	e := g.At(off)
-	const need = FlagValid | FlagMemResolved
-	if e.Flags&need != need {
+	if !e.Valid() || !e.MemResolved() {
 		return 0, false
 	}
-	if e.Flags&FlagMemDelta != 0 {
+	if e.Delta != x86.DeltaRedecode {
 		return uint64(int64(g.Base) + int64(off) + int64(e.Delta)), true
 	}
 	inst := g.InstAt(off)
@@ -445,8 +429,9 @@ func (g *Graph) ForcedSuccs(dst []int, off int) []int {
 	if !e.Valid() {
 		return dst
 	}
-	if e.Flow.HasFallthrough() {
-		next := off + int(e.Len)
+	flow := e.Flow()
+	if flow.HasFallthrough() {
+		next := off + e.Len()
 		if next < len(g.Code) {
 			dst = append(dst, next)
 		} else if end := g.Base + uint64(next); end < g.Base || !g.ExternTarget(end) {
@@ -455,7 +440,7 @@ func (g *Graph) ForcedSuccs(dst []int, off int) []int {
 			dst = append(dst, -1)
 		}
 	}
-	switch e.Flow {
+	switch flow {
 	case x86.FlowJump, x86.FlowCondJump, x86.FlowCall:
 		tgt, ok := g.target(off, e)
 		if !ok {
@@ -479,7 +464,7 @@ func (g *Graph) Occupies(off int) (from, to int) {
 	if !e.Valid() {
 		return off, off
 	}
-	return off, off + int(e.Len)
+	return off, off + e.Len()
 }
 
 // ValidCount returns the number of offsets with a valid decode (useful as
@@ -487,7 +472,7 @@ func (g *Graph) Occupies(off int) (from, to int) {
 func (g *Graph) ValidCount() int {
 	n := 0
 	for i := 0; i < g.Len(); i++ {
-		if g.At(i).Flags&FlagValid != 0 {
+		if g.Valid(i) {
 			n++
 		}
 	}

@@ -18,17 +18,17 @@ func TestBuildSimple(t *testing.T) {
 		t.Fatalf("len = %d", g.Len())
 	}
 	for off, wantOp := range map[int]x86.Op{0: x86.PUSH, 1: x86.MOV, 4: x86.RET} {
-		if !g.Valid(off) || g.Info[off].Op != wantOp {
-			t.Errorf("offset %d: valid=%v op=%v, want %v", off, g.Valid(off), g.Info[off].Op, wantOp)
+		if !g.Valid(off) || g.Info[off].Op() != wantOp {
+			t.Errorf("offset %d: valid=%v op=%v, want %v", off, g.Valid(off), g.Info[off].Op(), wantOp)
 		}
 	}
 	// Offset 2 decodes 0x89 0xe5 = mov ebp, esp (overlapping decode).
-	if !g.Valid(2) || g.Info[2].Op != x86.MOV {
+	if !g.Valid(2) || g.Info[2].Op() != x86.MOV {
 		t.Errorf("offset 2 should decode as overlapping mov")
 	}
 	// Truncated tail: offset 3 is 0xe5 0xc3 = in eax, 0xc3 (valid, rare).
-	if !g.Valid(3) || g.Info[3].Op != x86.IN {
-		t.Errorf("offset 3 = %v valid=%v", g.Info[3].Op, g.Valid(3))
+	if !g.Valid(3) || g.Info[3].Op() != x86.IN {
+		t.Errorf("offset 3 = %v valid=%v", g.Info[3].Op(), g.Valid(3))
 	}
 	if !g.Info[3].Rare() {
 		t.Errorf("in eax, imm8 should be flagged rare")
@@ -112,8 +112,8 @@ func TestZerosDecode(t *testing.T) {
 	// 00 00 = add [rax], al — zeros are valid x86, which is exactly why
 	// zero padding is hard for naive disassemblers.
 	g := Build(make([]byte, 8), 0)
-	if !g.Valid(0) || g.Info[0].Op != x86.ADD || g.Info[0].Len != 2 {
-		t.Errorf("zeros decoded as %v len=%d", g.Info[0].Op, g.Info[0].Len)
+	if !g.Valid(0) || g.Info[0].Op() != x86.ADD || g.Info[0].Len() != 2 {
+		t.Errorf("zeros decoded as %v len=%d", g.Info[0].Op(), g.Info[0].Len())
 	}
 }
 
@@ -171,8 +171,8 @@ func TestAnchorSites(t *testing.T) {
 	var want []int
 	for off := range g.Info {
 		e := &g.Info[off]
-		if e.Valid() && (e.Flow == x86.FlowCall || e.MemBaseRIP() ||
-			e.Flow == x86.FlowIndirectJump && e.HasMem()) {
+		if e.Valid() && (e.Flow() == x86.FlowCall || e.MemBaseRIP() ||
+			e.Flow() == x86.FlowIndirectJump && e.HasMem()) {
 			want = append(want, off)
 		}
 	}

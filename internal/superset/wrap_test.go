@@ -65,7 +65,7 @@ func TestAddressWraparound(t *testing.T) {
 		wg := Build(wrap, base)
 		wg.SetExtern([]Range{{Start: 0x0, End: 0x1000}})
 		off := 0xFFE
-		if !wg.Valid(off) || wg.Info[off].Flow != x86.FlowJump {
+		if !wg.Valid(off) || wg.Info[off].Flow() != x86.FlowJump {
 			t.Fatalf("precondition: +%#x should decode as a direct jmp", off)
 		}
 		if got := wg.TargetOff(off); got != -1 {

@@ -1,134 +1,174 @@
 package x86
 
-// Info flag bits (Info.Flags).
+import "math"
+
+// Info flag bits, stored above the token in Info.tokFlags. Each has an
+// accessor method below that documents it.
 const (
-	// FlagValid marks an offset that decodes to a valid instruction
-	// fitting within the section. All other fields are meaningful only
-	// when it is set.
-	FlagValid uint16 = 1 << iota
-	// FlagRare marks privileged or highly unusual opcodes (Inst.Rare).
-	FlagRare
-	// FlagSeg marks a segment-override prefix (PrefixSeg).
-	FlagSeg
-	// FlagNop marks NOP-family instructions (Inst.IsNop).
-	FlagNop
-	// FlagHasMem marks an instruction with a memory operand.
-	FlagHasMem
-	// FlagHasImm marks an instruction with an immediate operand.
-	FlagHasImm
-	// FlagMemRIP marks a memory operand with Base == RIP.
-	FlagMemRIP
-	// FlagMemResolved marks a memory operand whose address is statically
-	// resolvable (Inst.MemAddr returns ok: RIP-relative or absolute).
-	FlagMemResolved
-	// FlagTargetDelta says Delta holds the direct-branch target as a
-	// self-relative delta. Direct branches whose displacement is too wide
-	// for int32 (possible only near the ±2 GiB edge) leave it clear and
-	// fall back to lazy re-decode.
-	FlagTargetDelta
-	// FlagMemDelta says Delta holds the resolved memory-operand address
-	// as a self-relative delta (set only with FlagMemResolved; absolute
-	// operands far from the section fall back to lazy re-decode).
-	FlagMemDelta
+	flagRare uint16 = 1 << (tokBits + iota)
+	flagSeg
+	flagHasMem
+	flagHasImm
+	flagMemRIP
+	flagMemResolved
 )
 
+// tokBits is the width of the statistical token (Inst.TokenID): opcode
+// map in bits 8–9, opcode byte in bits 0–7.
+const (
+	tokBits = 10
+	tokMask = 1<<tokBits - 1
+)
+
+// DeltaRedecode in Info.Delta says the direct-branch target or resolved
+// memory address does not fit the self-relative int32 (a branch or
+// RIP-relative operand only near the ±2 GiB edge; an absolute operand
+// 2 GiB or more from the instruction, or exactly 2^31 below it): readers
+// re-decode the instruction for the address.
+const DeltaRedecode = math.MinInt32
+
 // Info is the packed per-offset decode record the superset side-table
-// stores: 16 bytes covering everything the hot per-offset scans
+// stores: 8 bytes covering everything the hot per-offset scans
 // (viability, statistical scoring, behaviour penalties, hint pattern
 // prefilters, the corrector) read. It lives in this package — not in
 // internal/superset, which aliases it — so the batch Scan kernel can
 // emit records straight from the dispatch tables without ever
 // materializing an Inst.
+//
+// An offset with no valid decode holds the zero record: Len 0, Flow
+// FlowSeq, no flags. Nothing is stored that follows from the rest:
+// validity is Len != 0, IsNop follows from Op, and StackDelta from Op
+// plus, for the few ops whose delta depends on an immediate, Delta.
 type Info struct {
 	// Delta is a self-relative encoding of the direct-branch target
-	// (FlagTargetDelta) or the resolved memory-operand address
-	// (FlagMemDelta): absolute address = section base + offset + Delta.
+	// (direct-branch flows) or the resolved memory-operand address
+	// (MemResolved): absolute address = section base + offset + Delta,
+	// or DeltaRedecode when that does not fit. RET and the register
+	// forms of ADD and SUB, which have neither, keep their stack delta
+	// here instead (see StackDelta).
 	Delta int32
-	// StackDelta is the statically-known RSP change in bytes.
-	StackDelta int32
-	// Op is the mnemonic.
-	Op Op
-	// Tok is the precomputed statistical token (Inst.TokenID).
-	Tok uint16
-	// Flags holds the Flag* bits, including validity.
-	Flags uint16
-	// Len is the encoded instruction length in bytes (1..15).
-	Len uint8
-	// Flow is the control-flow class.
-	Flow Flow
+	op    uint8
+	// lenFlow holds the encoded length (1..15) in its low nibble and
+	// the control-flow class in its high nibble.
+	lenFlow uint8
+	// tokFlags holds the statistical token in its low tokBits bits and
+	// the flag* bits above.
+	tokFlags uint16
 }
 
-// Valid reports whether the offset decodes to a valid instruction.
-func (e *Info) Valid() bool { return e.Flags&FlagValid != 0 }
+// Valid reports whether the offset decodes to a valid instruction. All
+// other accessors are meaningful only when it holds.
+func (e Info) Valid() bool { return e.lenFlow&0xf != 0 }
+
+// Len is the encoded instruction length in bytes (1..15, 0 if invalid).
+func (e Info) Len() int { return int(e.lenFlow & 0xf) }
+
+// Flow is the control-flow class.
+func (e Info) Flow() Flow { return Flow(e.lenFlow >> 4) }
+
+// Op is the mnemonic.
+func (e Info) Op() Op { return Op(e.op) }
+
+// Tok is the precomputed statistical token (Inst.TokenID).
+func (e Info) Tok() int { return int(e.tokFlags & tokMask) }
 
 // Rare reports a privileged/unusual opcode (Inst.Rare).
-func (e *Info) Rare() bool { return e.Flags&FlagRare != 0 }
+func (e Info) Rare() bool { return e.tokFlags&flagRare != 0 }
 
 // SegPrefix reports a segment-override prefix.
-func (e *Info) SegPrefix() bool { return e.Flags&FlagSeg != 0 }
+func (e Info) SegPrefix() bool { return e.tokFlags&flagSeg != 0 }
 
-// IsNop reports a NOP-family instruction.
-func (e *Info) IsNop() bool { return e.Flags&FlagNop != 0 }
+// IsNop reports a NOP-family instruction (Inst.IsNop).
+func (e Info) IsNop() bool { return isNopOp(e.Op()) }
 
 // HasMem reports a memory operand.
-func (e *Info) HasMem() bool { return e.Flags&FlagHasMem != 0 }
+func (e Info) HasMem() bool { return e.tokFlags&flagHasMem != 0 }
 
 // HasImm reports an immediate operand.
-func (e *Info) HasImm() bool { return e.Flags&FlagHasImm != 0 }
+func (e Info) HasImm() bool { return e.tokFlags&flagHasImm != 0 }
 
 // MemBaseRIP reports a RIP-based memory operand.
-func (e *Info) MemBaseRIP() bool { return e.Flags&FlagMemRIP != 0 }
+func (e Info) MemBaseRIP() bool { return e.tokFlags&flagMemRIP != 0 }
 
-// PackLean collapses a decoded instruction into its 16-byte side-table
+// MemResolved reports a memory operand with a statically-known address
+// (Inst.MemAddr returns ok), held in Delta.
+func (e Info) MemResolved() bool { return e.tokFlags&flagMemResolved != 0 }
+
+// StackDelta is the statically-known RSP change in bytes, derived
+// exactly as the decoder's stackEffect computes Inst.StackDelta: the
+// fixed pushes and pops from Op, and RET's and the register-form
+// ADD/SUB's immediate-dependent deltas from Delta.
+func (e Info) StackDelta() int32 {
+	switch e.Op() {
+	case PUSH, PUSHF, CALL:
+		return -8
+	case POP, POPF:
+		return 8
+	case RET:
+		return e.Delta
+	case ADD, SUB:
+		if !e.HasMem() {
+			return e.Delta
+		}
+	}
+	return 0
+}
+
+// packDelta stores the self-relative displacement d as Info.Delta.
+func packDelta(d int64) int32 {
+	if d == int64(int32(d)) {
+		return int32(d)
+	}
+	return DeltaRedecode
+}
+
+// packInfo assembles a record from its decoded facts. flags holds the
+// flag* bits; delta is the direct-branch target or memory-operand delta,
+// or the stack delta of RET and register-form ADD/SUB.
+func packInfo(op Op, length int, flow Flow, tok uint16, flags uint16, delta int32) Info {
+	return Info{
+		Delta:    delta,
+		op:       uint8(op),
+		lenFlow:  uint8(length) | uint8(flow)<<4,
+		tokFlags: tok | flags,
+	}
+}
+
+// PackLean collapses a decoded instruction into its 8-byte side-table
 // record. It reads only length, flow, opcode, prefixes, immediates,
 // memory operand, branch target and stack delta — none of the
 // operand-rendering or register-effect fields. Scan produces
 // bit-identical records without the intermediate Inst; the differential
 // tests pin that equivalence.
 func PackLean(inst *Inst) Info {
-	e := Info{
-		StackDelta: inst.StackDelta,
-		Op:         inst.Op,
-		Tok:        inst.TokenID(),
-		Flags:      FlagValid,
-		Len:        uint8(inst.Len),
-		Flow:       inst.Flow,
-	}
+	var flags uint16
+	var delta int32
 	if inst.Rare {
-		e.Flags |= FlagRare
+		flags |= flagRare
 	}
 	if inst.Prefix&PrefixSeg != 0 {
-		e.Flags |= FlagSeg
-	}
-	if inst.IsNop() {
-		e.Flags |= FlagNop
+		flags |= flagSeg
 	}
 	if inst.HasImm {
-		e.Flags |= FlagHasImm
+		flags |= flagHasImm
 	}
 	if inst.HasMem {
-		e.Flags |= FlagHasMem
+		flags |= flagHasMem
 		if inst.Mem.Base == RIP {
-			e.Flags |= FlagMemRIP
+			flags |= flagMemRIP
 		}
 		if addr, ok := inst.MemAddr(); ok {
-			e.Flags |= FlagMemResolved
-			if d := int64(addr) - int64(inst.Addr); d == int64(int32(d)) {
-				e.Flags |= FlagMemDelta
-				e.Delta = int32(d)
-			}
+			flags |= flagMemResolved
+			delta = packDelta(int64(addr - inst.Addr))
 		}
 	}
 	switch inst.Flow {
 	case FlowJump, FlowCondJump, FlowCall:
-		// Direct branches carry no memory operand, so the Delta slot is
-		// free; clear the mem role anyway so the slot is never ambiguous.
-		e.Flags &^= FlagMemDelta
-		e.Delta = 0
-		if d := int64(inst.Target) - int64(inst.Addr); d == int64(int32(d)) {
-			e.Flags |= FlagTargetDelta
-			e.Delta = int32(d)
-		}
+		// Direct branches carry no memory operand, so Delta is free.
+		delta = packDelta(int64(inst.Target - inst.Addr))
 	}
-	return e
+	if inst.Op == RET || (inst.Op == ADD || inst.Op == SUB) && !inst.HasMem {
+		delta = inst.StackDelta
+	}
+	return packInfo(inst.Op, inst.Len, inst.Flow, inst.TokenID(), flags, delta)
 }

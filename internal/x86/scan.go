@@ -6,12 +6,12 @@ package x86
 // question than superset construction needs — operand roles, register
 // effects, rendering registers — and resets a ~128-byte struct per
 // offset to do it. The superset side-table only needs Len, Flow, Op,
-// Tok, Flags, Delta and StackDelta, all of which are a function of the
-// prefix bytes, the opcode-map entry and the ModRM/SIB/displacement/
-// immediate *shape*. Scan walks exactly that shape, driven by compact
-// dispatch tables derived at init from the same oneByte/twoByte
-// metadata DecodeInto uses, so the two can never disagree on opcode
-// facts — and a differential test plus fuzzer pin byte-identical
+// Tok, the flags, Delta and the stack delta, all of which are a function
+// of the prefix bytes, the opcode-map entry and the ModRM/SIB/
+// displacement/immediate *shape*. Scan walks exactly that shape, driven
+// by compact dispatch tables derived at init from the same oneByte/
+// twoByte metadata DecodeInto uses, so the two can never disagree on
+// opcode facts — and a differential test plus fuzzer pin byte-identical
 // output anyway.
 //
 // Encodings the shape tables do not classify — the VEX (C4/C5) and
@@ -40,7 +40,7 @@ type scanEntry struct {
 	imm   immKind
 	fl    uint8
 	grp   uint8  // 1-based scanGroups index when sGroup is set
-	flags uint16 // precomputed Info flag bits (FlagRare)
+	flags uint16 // precomputed Info flag bits (flagRare)
 }
 
 // scanGroup is one resolved group member (opcode × ModRM.reg × form).
@@ -109,7 +109,7 @@ func buildScanTables() {
 			se.fl |= sMemOnly
 		}
 		if e.fl&fRare != 0 {
-			se.flags |= FlagRare
+			se.flags |= flagRare
 		}
 		if e.fl&fGroup != 0 {
 			se.fl |= sGroup
@@ -300,7 +300,7 @@ func scanAt(out *Info, code []byte, addr uint64) int {
 	op := se.op
 	flow := se.flow
 	imK := se.imm
-	flags := FlagValid | se.flags
+	flags := se.flags
 
 	// ModRM / SIB / displacement shape walk. Only the facts Info needs
 	// survive: memory-operand presence and resolvability, and whether
@@ -374,7 +374,7 @@ func scanAt(out *Info, code []byte, addr uint64) int {
 				flow = m.flow
 			}
 			if m.rare {
-				flags |= FlagRare
+				flags |= flagRare
 			}
 			imK = m.imm
 		}
@@ -473,92 +473,68 @@ func scanAt(out *Info, code []byte, addr uint64) int {
 			case opByte >= 0xb8 && opByte <= 0xbf && rex&8 != 0:
 				op = MOVABS
 			case opByte == 0x63 && rex&8 == 0:
-				flags |= FlagRare // movsxd without REX.W
+				flags |= flagRare // movsxd without REX.W
 			}
 		case 1:
 			switch {
 			case opByte == 0xb8 && !rep:
-				flags |= FlagRare // 0F B8 without F3 is JMPE
+				flags |= flagRare // 0F B8 without F3 is JMPE
 			case (opByte == 0xbc || opByte == 0xbd) && rep:
 				op = POPCNT // tzcnt/lzcnt, grouped
 			}
 		}
 	}
 	if lock && !hasMem {
-		flags |= FlagRare // lock on a register form faults
+		flags |= flagRare // lock on a register form faults
 	}
 
 	// Assemble the record (mirrors PackLean on a full decode).
 	length := pos
-	var delta, stackDelta int32
+	var delta int32
 	if seg {
-		flags |= FlagSeg
+		flags |= flagSeg
 	}
 	if hasImm {
-		flags |= FlagHasImm
-	}
-	if op == NOP || op == FNOP || op == PREFETCH {
-		flags |= FlagNop
+		flags |= flagHasImm
 	}
 	if hasMem {
-		flags |= FlagHasMem
+		flags |= flagHasMem
 		if ripRel {
-			flags |= FlagMemRIP
+			flags |= flagMemRIP
 		}
 		if ripRel || absMem {
-			flags |= FlagMemResolved
-			var memAddr uint64
+			flags |= flagMemResolved
 			if ripRel {
-				memAddr = addr + uint64(length) + uint64(int64(memDisp))
+				delta = packDelta(int64(length) + int64(memDisp))
 			} else {
-				memAddr = uint64(int64(memDisp))
-			}
-			if d := int64(memAddr) - int64(addr); d == int64(int32(d)) {
-				flags |= FlagMemDelta
-				delta = int32(d)
+				delta = packDelta(int64(uint64(int64(memDisp)) - addr))
 			}
 		}
 	}
 	switch flow {
 	case FlowJump, FlowCondJump, FlowCall:
-		// Direct branches all carry rel8/rel32: target delta is
-		// length + displacement (identical to PackLean's wrapped
-		// int64(Target) - int64(Addr)).
-		flags &^= FlagMemDelta
-		delta = 0
-		if d := int64(length) + immVal; d == int64(int32(d)) {
-			flags |= FlagTargetDelta
-			delta = int32(d)
-		}
+		// Direct branches all carry rel8/rel32: the target is length +
+		// displacement past addr (PackLean's wrapped Target - Addr).
+		delta = packDelta(int64(length) + immVal)
 	}
+	// The stack deltas StackDelta reads from Delta (mirrors stackEffect;
+	// rmIsRSP implies a register form, whose Delta is otherwise unused).
 	switch op {
-	case PUSH, PUSHF, CALL:
-		stackDelta = -8
-	case POP, POPF:
-		stackDelta = 8
 	case RET:
-		stackDelta = 8
+		delta = 8
 		if hasImm {
-			stackDelta += int32(immVal)
+			delta += int32(immVal)
 		}
 	case ADD:
 		if rmIsRSP && hasImm {
-			stackDelta = int32(immVal)
+			delta = int32(immVal)
 		}
 	case SUB:
 		if rmIsRSP && hasImm {
-			stackDelta = -int32(immVal)
+			delta = -int32(immVal)
 		}
 	}
 
-	*out = Info{
-		Delta:      delta,
-		StackDelta: stackDelta,
-		Op:         op,
-		Tok:        tok,
-		Flags:      flags,
-		Len:        uint8(length),
-		Flow:       flow,
-	}
+	*out = packInfo(op, length, flow, tok, flags, delta)
 	return scanOK
 }

@@ -201,9 +201,26 @@ func TestScanEdgeVectors(t *testing.T) {
 		{"grp9-reg-invalid", 0x400000, []byte{0x0f, 0xc7, 0xc8}},
 		{"pshift-reg", 0x400000, []byte{0x0f, 0x71, 0xd0, 0x04}},
 		{"pshift-mem-invalid", 0x400000, []byte{0x0f, 0x71, 0x10, 0x04}},
+		// The record's derived and sentinel cases: stack deltas kept in
+		// Delta (RET, register-form ADD/SUB, with -2^31 wrapping exactly
+		// as stackEffect's int32 does), a stack delta of 0 beside a memory
+		// delta, one derived from Op beside a memory delta, a direct call,
+		// and an absolute operand whose true delta is exactly -2^31, which
+		// must take the re-decode sentinel.
+		{"ret", 0x400000, []byte{0xc3}},
+		{"sub-rsp-min", 0x400000, []byte{0x48, 0x81, 0xec, 0x00, 0x00, 0x00, 0x80}},
+		{"add-rip-mem-imm8", 0x400000, []byte{0x48, 0x83, 0x05, 0x10, 0x00, 0x00, 0x00, 0x08}},
+		{"push-rip-mem", 0x400000, []byte{0xff, 0x35, 0x10, 0x00, 0x00, 0x00}},
+		{"call-rel32", 0x400000, []byte{0xe8, 0x10, 0x00, 0x00, 0x00}},
+		{"abs-mem-delta-min", 0x80000000, []byte{0x8b, 0x04, 0x25, 0x00, 0x00, 0x00, 0x00}},
 	}
 	for _, v := range vectors {
-		t.Run(v.name, func(t *testing.T) { checkScanMatches(t, v.code, v.addr) })
+		t.Run(v.name, func(t *testing.T) {
+			checkScanMatches(t, v.code, v.addr)
+			var got [1]Info
+			Scan(got[:], v.code, v.addr, 0, 1)
+			checkAccessors(t, got[0], v.code, v.addr)
+		})
 	}
 }
 
@@ -257,7 +274,8 @@ func TestScanFallbacksOnlyVEX(t *testing.T) {
 
 // FuzzScanMatchesDecode is the differential fuzzer: on arbitrary bytes
 // and addresses, Scan must be byte-identical to DecodeInto+PackLean
-// at every offset. Run with
+// at every offset, and every accessor of the record must read what
+// DecodeInto states. Run with
 // `go test -fuzz=FuzzScanMatchesDecode ./internal/x86`.
 func FuzzScanMatchesDecode(f *testing.F) {
 	seeds := [][]byte{
@@ -275,10 +293,13 @@ func FuzzScanMatchesDecode(f *testing.F) {
 		{0x8b, 0x04, 0x25, 0x00, 0x00, 0x00, 0x90},
 		{0x67, 0xa1, 1, 2, 3, 4},
 		{0x66, 0x66, 0x2e, 0x0f, 0x1f, 0x84, 0x00, 0, 0, 0, 0},
+		{0x48, 0x81, 0xec, 0x00, 0x00, 0x00, 0x80, 0xc3},
+		{0x48, 0x83, 0x05, 0x10, 0x00, 0x00, 0x00, 0x08, 0xff, 0x35, 0x10, 0x00, 0x00, 0x00},
 	}
 	for _, s := range seeds {
 		f.Add(s, uint64(0x401000))
 	}
+	f.Add([]byte{0x8b, 0x04, 0x25, 0x00, 0x00, 0x00, 0x00}, uint64(0x80000000))
 	f.Fuzz(func(t *testing.T, code []byte, addr uint64) {
 		if len(code) == 0 || len(code) > 1<<12 {
 			return
@@ -294,6 +315,7 @@ func FuzzScanMatchesDecode(f *testing.F) {
 				t.Fatalf("offset %d: got %+v want %+v (bytes % x)",
 					off, dst[off], want, code[off:min(off+16, len(code))])
 			}
+			checkAccessors(t, dst[off], code[off:], addr+uint64(off))
 		}
 	})
 }

@@ -257,7 +257,9 @@ func (i *Inst) MemAddr() (addr uint64, ok bool) {
 
 // IsNop reports whether the instruction is a no-op of any encoding
 // (0x90, 66 90, 0F 1F multi-byte NOPs, and prefetch hints).
-func (i *Inst) IsNop() bool { return i.Op == NOP || i.Op == FNOP || i.Op == PREFETCH }
+func (i *Inst) IsNop() bool { return isNopOp(i.Op) }
+
+func isNopOp(op Op) bool { return op == NOP || op == FNOP || op == PREFETCH }
 
 // TokenID quantises the instruction for the statistical sequence models:
 // opcode map (one-byte, 0F, 0F38, 0F3A) in the high bits and the opcode
