@@ -105,6 +105,16 @@ func BenchmarkT1CorpusGeneration(b *testing.B) {
 	b.SetBytes(bytes / int64(b.N))
 }
 
+// BenchmarkTrainModel trains the statistical model with DefaultModel's
+// parameters: the set-up every process pays before its first
+// disassembly, unless it loads a model file.
+func BenchmarkTrainModel(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		runtime.KeepAlive(core.TrainModel(1_000_000, 8, 80))
+	}
+}
+
 // BenchmarkT2AccuracyComparison regenerates the headline accuracy table:
 // the core engine and every baseline over the corpus. Error factors are
 // reported as custom metrics.

@@ -1,6 +1,12 @@
 // Command train fits the statistical code/data models on a generated
 // corpus and saves them, so repeated disassembly runs skip training.
 //
+// The file (version 2 of the format) holds the model's two scoring
+// tables as float64, so with the default flags disasm -model and
+// disasmd -model reproduce the in-process model's output byte for byte.
+// A version-1 file, which rounded the tables to float32, is rejected:
+// run train again.
+//
 // Usage:
 //
 //	train -o model.pdmd [-seed 1000000] [-per-profile 8] [-funcs 80]

@@ -324,11 +324,11 @@ func funcSeeds(entry int, hints []analysis.Hint) []int {
 // recovery from the function seeds.
 func (d *Disassembler) finish(ctx context.Context, g *superset.Graph, viable []bool, tables []analysis.JumpTable, seeds []int, hints int, out *correct.Outcome, part *tier.Partition, sp *obs.Span) (*Detail, error) {
 	esp := sp.StartChild("emit")
-	res := dis.NewResult(g.Base, g.Len())
+	// Correction is done with out.InstStart, so the result shares it.
+	res := &dis.Result{Base: g.Base, IsCode: make([]bool, g.Len()), InstStart: out.InstStart}
 	for i, s := range out.State {
 		res.IsCode[i] = s == correct.Code
 	}
-	copy(res.InstStart, out.InstStart)
 	esp.End()
 	fsp := sp.StartChild("cfg")
 	c, err := cfg.BuildTraceContext(ctx, g, out.InstStart, seeds, fsp)

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
+	"probedis/internal/stats"
 	"probedis/internal/synth"
 )
 
@@ -51,5 +54,33 @@ func TestEndToEndAccuracy(t *testing.T) {
 				t.Errorf("instruction error fraction %.4f > 3%%", errFrac)
 			}
 		})
+	}
+}
+
+// TestSavedModelMatchesTrained: the default model, saved by WriteTo and
+// loaded by stats.ReadModel, drives the pipeline exactly as the trained
+// model does. On this binary a model file that rounds the scores to
+// float32, whether both models' tables or their difference, commits and
+// rejects a different number of hints.
+func TestSavedModelMatchesTrained(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := DefaultModel().WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := stats.ReadModel(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := synth.Generate(synth.Config{Seed: 2, Profile: synth.ProfileVec, NumFuncs: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := int(b.Entry - b.Base)
+	want, _ := New(DefaultModel()).DisassembleSectionTraceContext(nil, b.Code, b.Base, entry, nil, nil)
+	got, _ := New(loaded).DisassembleSectionTraceContext(nil, b.Code, b.Base, entry, nil, nil)
+	if !reflect.DeepEqual(got.Result, want.Result) || !reflect.DeepEqual(got.Outcome, want.Outcome) {
+		t.Fatalf("loaded model: %d code bytes, %d committed, %d rejected; trained model: %d, %d, %d",
+			got.Result.CodeBytes(), got.Outcome.Committed, got.Outcome.Rejected,
+			want.Result.CodeBytes(), want.Outcome.Committed, want.Outcome.Rejected)
 	}
 }

@@ -28,18 +28,19 @@ func Token(inst *x86.Inst) int {
 	return int(inst.TokenID())
 }
 
-// ngram is a bigram model with additive smoothing.
+// ngram holds one bigram model's training counts. They are integers, and
+// so are their sums, so each converts to float64 exactly: the arguments
+// Finalize passes to math.Log do not depend on how the counts are stored.
+// A uint32 count wraps only past 4G occurrences of one token or pair, far
+// beyond any corpus the models train on.
 type ngram struct {
-	uni    [numTok]float64
-	bi     []float64 // numTok*numTok counts, then log-probs after finalize
-	uniTot float64
-
-	uniLogP [numTok]float64
-	final   bool
+	bi     []uint32 // numTok*numTok pair counts; row a holds the pairs (a, b)
+	uni    [numTok]uint32
+	uniTot uint64
 }
 
 func newNgram() *ngram {
-	return &ngram{bi: make([]float64, numTok*numTok)}
+	return &ngram{bi: make([]uint32, numTok*numTok)}
 }
 
 func (n *ngram) addPair(a, b int) {
@@ -55,50 +56,36 @@ func (n *ngram) addOne(a int) {
 
 const alpha = 0.5 // additive smoothing
 
-func (n *ngram) finalize() {
-	rowTot := make([]float64, numTok)
-	for a := 0; a < numTok; a++ {
-		var t float64
-		for b := 0; b < numTok; b++ {
-			t += n.bi[a*numTok+b]
-		}
-		rowTot[a] = t
+// logAlpha is logCount of a zero count, math.Log(0+alpha).
+var logAlpha = math.Log(alpha)
+
+// logCount is the smoothed log count math.Log(c+alpha).
+func logCount(c uint32) float64 {
+	if c == 0 {
+		return logAlpha
 	}
-	for a := 0; a < numTok; a++ {
-		den := math.Log(rowTot[a] + alpha*numTok)
-		for b := 0; b < numTok; b++ {
-			n.bi[a*numTok+b] = math.Log(n.bi[a*numTok+b]+alpha) - den
-		}
-		n.uniLogP[a] = math.Log(n.uni[a]+alpha) - math.Log(n.uniTot+alpha*numTok)
-	}
-	n.final = true
+	return math.Log(float64(c) + alpha)
 }
 
-func (n *ngram) logP(a, b int) float64 { return n.bi[a*numTok+b] }
+// logDen is the log of a smoothed distribution's denominator over total
+// observations.
+func logDen(total uint64) float64 {
+	return math.Log(float64(total) + alpha*numTok)
+}
 
 // Model scores superset decode chains with a code model vs a data model.
+// Training fills the two models' counts; Finalize turns them into the
+// code-minus-data log-probability tables that scoring reads, and drops
+// the counts.
 type Model struct {
-	code *ngram
+	code *ngram // nil once finalized
 	data *ngram
 
-	// biDiff/uniDiff cache code-minus-data log-probabilities once a model
-	// is finalized: the scoring loop probes one table instead of two
-	// 8 MiB ones, halving its cache footprint. Each entry is the same
-	// code-minus-data subtraction LogOdds would otherwise evaluate per
-	// probe, so scores are bit-identical.
-	biDiff  []float64
+	// uniDiff[a] and biDiff[a*numTok+b] are log P_code - log P_data of a
+	// chain's first token a and of the step a -> b: one table probe per
+	// scored token.
 	uniDiff [numTok]float64
-}
-
-// buildDiff populates the difference tables from the finalized ngrams.
-func (m *Model) buildDiff() {
-	m.biDiff = make([]float64, numTok*numTok)
-	for i := range m.biDiff {
-		m.biDiff[i] = m.code.bi[i] - m.data.bi[i]
-	}
-	for a := 0; a < numTok; a++ {
-		m.uniDiff[a] = m.code.uniLogP[a] - m.data.uniLogP[a]
-	}
+	biDiff  []float64 // nil until finalized
 }
 
 // NewModel returns an empty, untrained model.
@@ -107,7 +94,8 @@ func NewModel() *Model {
 }
 
 // AddCode trains the code model from ground-truth instruction starts over a
-// superset graph (pairs of adjacent instructions in layout order).
+// superset graph (pairs of adjacent instructions in layout order). It
+// must not be called after Finalize.
 func (m *Model) AddCode(g *superset.Graph, instStart []bool) {
 	prev := -1
 	for off := 0; off < g.Len(); off++ {
@@ -126,7 +114,7 @@ func (m *Model) AddCode(g *superset.Graph, instStart []bool) {
 
 // AddData trains the data model from decode chains beginning inside data
 // regions: for each data offset with a valid decode, the pair (token,
-// token-at-fallthrough).
+// token-at-fallthrough). It must not be called after Finalize.
 func (m *Model) AddData(g *superset.Graph, isData []bool) {
 	for off := 0; off < g.Len(); off++ {
 		e := g.At(off)
@@ -144,7 +132,8 @@ func (m *Model) AddData(g *superset.Graph, isData []bool) {
 }
 
 // AddRandomData trains the data model on arbitrary byte soup (a useful
-// prior for data kinds absent from the training corpus).
+// prior for data kinds absent from the training corpus). It must not be
+// called after Finalize.
 func (m *Model) AddRandomData(code []byte, base uint64) {
 	g := superset.Build(code, base)
 	all := make([]bool, len(code))
@@ -154,16 +143,35 @@ func (m *Model) AddRandomData(code []byte, base uint64) {
 	m.AddData(g, all)
 }
 
-// Finalize converts counts into log-probabilities. Must be called once
-// after training and before scoring.
+// Finalize builds the scoring tables from the training counts and drops
+// the counts. Must be called exactly once, after training and before
+// scoring. Each model's smoothed log-probability is log(count+alpha)
+// minus the log of its row's smoothed total (of all observations', for
+// a chain's first token).
 func (m *Model) Finalize() {
-	m.code.finalize()
-	m.data.finalize()
-	m.buildDiff()
+	c, d := m.code, m.data
+	m.biDiff = make([]float64, numTok*numTok)
+	uniDenC, uniDenD := logDen(c.uniTot), logDen(d.uniTot)
+	for a := 0; a < numTok; a++ {
+		row := a * numTok
+		cRow, dRow := c.bi[row:row+numTok], d.bi[row:row+numTok]
+		var totC, totD uint64
+		for b := range cRow {
+			totC += uint64(cRow[b])
+			totD += uint64(dRow[b])
+		}
+		denC, denD := logDen(totC), logDen(totD)
+		diff := m.biDiff[row : row+numTok]
+		for b := range diff {
+			diff[b] = (logCount(cRow[b]) - denC) - (logCount(dRow[b]) - denD)
+		}
+		m.uniDiff[a] = (logCount(c.uni[a]) - uniDenC) - (logCount(d.uni[a]) - uniDenD)
+	}
+	m.code, m.data = nil, nil
 }
 
-// Ready reports whether Finalize has run.
-func (m *Model) Ready() bool { return m.code.final }
+// Ready reports whether the model is finalized.
+func (m *Model) Ready() bool { return m.biDiff != nil }
 
 // LogOdds scores the decode chain starting at off: the summed
 // log(P_code/P_data) over up to window chain steps. Positive means

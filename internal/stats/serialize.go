@@ -1,23 +1,26 @@
 package stats
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 )
 
-// Serialization format: a finalized model's log-probability tables stored
-// as float32 (the precision the scorer effectively uses), little-endian:
+// Serialization format, version 2: a finalized model's two scoring
+// tables as little-endian float64, the same bits scoring reads, so a
+// loaded model scores exactly as the model that was saved:
 //
-//	magic "PDMD" | version u32 | per ngram: uniLogP [numTok]f32,
-//	bi [numTok*numTok]f32  (code model first, then data model)
+//	magic "PDMD" | version u32 | uniDiff [numTok]f64 |
+//	biDiff [numTok*numTok]f64  (row-major by first token)
 //
-// Only finalized models serialise; the raw counts are not kept.
+// 8,396,808 bytes in all. Only finalized models serialise; the training
+// counts are not kept. Version 1 stored both models' log-probability
+// tables as float32, which rounds the scores; it is rejected, and
+// cmd/train regenerates the file.
 const (
 	modelMagic   = "PDMD"
-	modelVersion = 1
+	modelVersion = 2
 )
 
 // WriteTo serialises a finalized model. It implements io.WriterTo.
@@ -25,76 +28,39 @@ func (m *Model) WriteTo(w io.Writer) (int64, error) {
 	if !m.Ready() {
 		return 0, fmt.Errorf("stats: cannot serialise an unfinalized model")
 	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var n int64
-	write := func(p []byte) error {
-		k, err := bw.Write(p)
-		n += int64(k)
-		return err
-	}
-	if err := write([]byte(modelMagic)); err != nil {
-		return n, err
-	}
-	var v [4]byte
-	binary.LittleEndian.PutUint32(v[:], modelVersion)
-	if err := write(v[:]); err != nil {
-		return n, err
-	}
-	for _, g := range []*ngram{m.code, m.data} {
-		buf := make([]byte, 4*numTok)
-		for i, f := range g.uniLogP {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(float32(f)))
-		}
-		if err := write(buf); err != nil {
-			return n, err
-		}
-		row := make([]byte, 4*numTok)
-		for a := 0; a < numTok; a++ {
-			for b := 0; b < numTok; b++ {
-				binary.LittleEndian.PutUint32(row[4*b:],
-					math.Float32bits(float32(g.bi[a*numTok+b])))
-			}
-			if err := write(row); err != nil {
-				return n, err
-			}
+	buf := make([]byte, 0, 8+8*(numTok+len(m.biDiff)))
+	buf = binary.LittleEndian.AppendUint32(append(buf, modelMagic...), modelVersion)
+	for _, t := range [][]float64{m.uniDiff[:], m.biDiff} {
+		for _, f := range t {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 		}
 	}
-	return n, bw.Flush()
+	n, err := w.Write(buf)
+	return int64(n), err
 }
 
 // ReadModel deserialises a model written by WriteTo.
 func ReadModel(r io.Reader) (*Model, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
 	head := make([]byte, 8)
-	if _, err := io.ReadFull(br, head); err != nil {
+	if _, err := io.ReadFull(r, head); err != nil {
 		return nil, fmt.Errorf("stats: reading model header: %w", err)
 	}
 	if string(head[:4]) != modelMagic {
 		return nil, fmt.Errorf("stats: bad model magic %q", head[:4])
 	}
-	if v := binary.LittleEndian.Uint32(head[4:]); v != modelVersion {
+	switch v := binary.LittleEndian.Uint32(head[4:]); v {
+	case modelVersion:
+	case 1:
+		return nil, fmt.Errorf("stats: model file version 1 stores rounded float32 tables; re-run cmd/train to write version %d", modelVersion)
+	default:
 		return nil, fmt.Errorf("stats: unsupported model version %d", v)
 	}
-	m := NewModel()
-	for _, g := range []*ngram{m.code, m.data} {
-		buf := make([]byte, 4*numTok)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("stats: reading unigram table: %w", err)
-		}
-		for i := range g.uniLogP {
-			g.uniLogP[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:])))
-		}
-		row := make([]byte, 4*numTok)
-		for a := 0; a < numTok; a++ {
-			if _, err := io.ReadFull(br, row); err != nil {
-				return nil, fmt.Errorf("stats: reading bigram row %d: %w", a, err)
-			}
-			for b := 0; b < numTok; b++ {
-				g.bi[a*numTok+b] = float64(math.Float32frombits(binary.LittleEndian.Uint32(row[4*b:])))
-			}
-		}
-		g.final = true
+	m := &Model{biDiff: make([]float64, numTok*numTok)}
+	if err := binary.Read(r, binary.LittleEndian, m.uniDiff[:]); err != nil {
+		return nil, fmt.Errorf("stats: reading unigram table: %w", err)
 	}
-	m.buildDiff()
+	if err := binary.Read(r, binary.LittleEndian, m.biDiff); err != nil {
+		return nil, fmt.Errorf("stats: reading bigram table: %w", err)
+	}
 	return m, nil
 }

@@ -2,7 +2,7 @@ package stats
 
 import (
 	"bytes"
-	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,6 +10,8 @@ import (
 	"probedis/internal/synth"
 )
 
+// TestModelRoundTrip: a saved and loaded model is the model that was
+// saved, and scores every offset of a held-out binary to the same bits.
 func TestModelRoundTrip(t *testing.T) {
 	m := trainModel(t)
 	var buf bytes.Buffer
@@ -20,6 +22,9 @@ func TestModelRoundTrip(t *testing.T) {
 	if n != int64(buf.Len()) {
 		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
+	if want := int64(8 + 8*numTok + 8*numTok*numTok); n != want {
+		t.Errorf("WriteTo wrote %d bytes, want %d", n, want)
+	}
 	m2, err := ReadModel(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -27,32 +32,16 @@ func TestModelRoundTrip(t *testing.T) {
 	if !m2.Ready() {
 		t.Fatal("deserialised model not ready")
 	}
+	if !reflect.DeepEqual(m, m2) {
+		t.Fatal("deserialised model differs from the saved one")
+	}
 
-	// Scores must agree to float32 precision on a held-out binary.
 	b, err := synth.Generate(synth.Config{Seed: 96, Profile: synth.ProfileO2, NumFuncs: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := superset.Build(b.Code, b.Base)
-	s1 := m.ScoreAll(g, 8)
-	s2 := m2.ScoreAll(g, 8)
-	for i := range s1 {
-		if s1[i] <= -1e8 {
-			if s2[i] > -1e8 {
-				t.Fatalf("offset %d: invalid marker lost", i)
-			}
-			continue
-		}
-		if math.Abs(s1[i]-s2[i]) > 1e-3*(1+math.Abs(s1[i])) {
-			t.Fatalf("offset %d: score %v != %v", i, s1[i], s2[i])
-		}
-	}
-	// Classification sign must be identical (what the pipeline consumes).
-	for i := range s1 {
-		if (s1[i] > 0) != (s2[i] > 0) && math.Abs(s1[i]) > 1e-3 {
-			t.Fatalf("offset %d: classification flipped (%v vs %v)", i, s1[i], s2[i])
-		}
-	}
+	sameBits(t, "ScoreAll", m2.ScoreAll(g, 8), m.ScoreAll(g, 8))
 }
 
 func TestWriteUnfinalized(t *testing.T) {
@@ -63,22 +52,22 @@ func TestWriteUnfinalized(t *testing.T) {
 }
 
 func TestReadModelErrors(t *testing.T) {
-	cases := []string{
-		"",                     // empty
-		"XXXX\x01\x00",         // bad magic
-		"PDMD\xff\x00\x00\x00", // bad version
-		"PDMD\x01\x00\x00\x00", // truncated tables
+	tables := 8*numTok + 8*numTok*numTok
+	cases := []struct{ name, in, want string }{
+		{"empty", "", "header"},
+		{"short header", "XXXX\x01\x00", "header"},
+		{"bad magic", "XXXX\x02\x00\x00\x00", "magic"},
+		{"bad version", "PDMD\xff\x00\x00\x00", "unsupported model version 255"},
+		// A version-1 file is as long as a version-2 one, so only the
+		// version tells them apart.
+		{"version 1", "PDMD\x01\x00\x00\x00" + strings.Repeat("\x00", tables), "re-run cmd/train"},
+		{"no tables", "PDMD\x02\x00\x00\x00", "unigram table"},
+		{"truncated bigram table", "PDMD\x02\x00\x00\x00" + strings.Repeat("\x00", tables-3), "bigram table"},
 	}
 	for _, c := range cases {
-		if _, err := ReadModel(strings.NewReader(c)); err == nil {
-			t.Errorf("ReadModel(%q...) succeeded", c[:min(len(c), 4)])
+		_, err := ReadModel(strings.NewReader(c.in))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: ReadModel error = %v, want one containing %q", c.name, err, c.want)
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

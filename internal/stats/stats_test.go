@@ -2,7 +2,9 @@ package stats
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"probedis/internal/superset"
@@ -12,6 +14,15 @@ import (
 
 // trainModel fits a model on a small corpus (seeds disjoint from eval).
 func trainModel(t testing.TB) *Model {
+	t.Helper()
+	m := trainCounts(t)
+	m.Finalize()
+	return m
+}
+
+// trainCounts is trainModel before Finalize: the model holds only its
+// training counts.
+func trainCounts(t testing.TB) *Model {
 	t.Helper()
 	m := NewModel()
 	for seed, p := range map[int64]synth.Profile{
@@ -33,8 +44,97 @@ func trainModel(t testing.TB) *Model {
 	soup := make([]byte, 1<<14)
 	rng.Read(soup)
 	m.AddRandomData(soup, 0x500000)
-	m.Finalize()
 	return m
+}
+
+// denseDiff is Finalize's reference: each model's counts become a dense
+// float64 table, finalized in place into smoothed log-probabilities
+// (every row summed, then every entry logged), and the code and data
+// tables are subtracted entry by entry.
+func denseDiff(code, data *ngram) (uniDiff [numTok]float64, biDiff []float64) {
+	logP := func(n *ngram) (uni [numTok]float64, bi []float64) {
+		bi = make([]float64, numTok*numTok)
+		for i, c := range n.bi {
+			bi[i] = float64(c)
+		}
+		for a := 0; a < numTok; a++ {
+			var t float64
+			for b := 0; b < numTok; b++ {
+				t += bi[a*numTok+b]
+			}
+			den := math.Log(t + alpha*numTok)
+			for b := 0; b < numTok; b++ {
+				bi[a*numTok+b] = math.Log(bi[a*numTok+b]+alpha) - den
+			}
+			uni[a] = math.Log(float64(n.uni[a])+alpha) - math.Log(float64(n.uniTot)+alpha*numTok)
+		}
+		return uni, bi
+	}
+	cu, cb := logP(code)
+	du, db := logP(data)
+	biDiff = make([]float64, numTok*numTok)
+	for i := range biDiff {
+		biDiff[i] = cb[i] - db[i]
+	}
+	for a := range uniDiff {
+		uniDiff[a] = cu[a] - du[a]
+	}
+	return uniDiff, biDiff
+}
+
+// sameBits fails t at the first entry where got and want differ in any
+// bit.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v (%#x), want %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestFinalizeMatchesDenseReference: the score tables Finalize builds from
+// integer counts are bit-identical to the dense float64 reference, on a
+// trained model and on hand-set rows that are empty in both models, in
+// one of them, or mix zero, small and near-maximal counts.
+func TestFinalizeMatchesDenseReference(t *testing.T) {
+	hand := NewModel()
+	hand.code.addPair(1, 7) // row 1: code only
+	hand.data.addPair(2, 0) // row 2: data only
+	hand.data.addOne(2)
+	for b, c := range []uint32{0, 1, 0, 3, math.MaxUint32, 0, 12345} { // row 3: both
+		hand.code.bi[3*numTok+b] = c
+		hand.data.bi[3*numTok+numTok-1-b] = c / 2
+	}
+	hand.code.uni[3], hand.code.uniTot = math.MaxUint32, math.MaxUint32+9
+	hand.data.uni[3], hand.data.uniTot = 7, 9
+	for name, m := range map[string]*Model{"trained": trainCounts(t), "hand-set": hand} {
+		wantUni, wantBi := denseDiff(m.code, m.data)
+		m.Finalize()
+		sameBits(t, name+" uniDiff", m.uniDiff[:], wantUni[:])
+		sameBits(t, name+" biDiff", m.biDiff, wantBi)
+	}
+}
+
+// TestFinalizedModelRetainsOnlyScoreTables pins a finalized model's
+// retained heap, measured as TestViabilityRetainsOnlyMask measures: once
+// Finalize returns and a GC runs, only the score tables stay live (8 MiB
+// of biDiff and 8 KiB of uniDiff). A model that kept its training counts
+// would retain 8 MiB more; one that kept them as float64 16 MiB more.
+func TestFinalizedModelRetainsOnlyScoreTables(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := trainModel(t)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	mib := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / (1 << 20)
+	t.Logf("a trained model retains %.2f MiB", mib)
+	if mib > 8.1 {
+		t.Fatalf("a trained model retains %.2f MiB after GC, want at most 8.1 (the score tables alone are 8.0)", mib)
+	}
 }
 
 // TestModelDiscriminates: on a held-out binary, true instruction starts
