@@ -23,7 +23,7 @@ test:
 # work pool races at 4 whatever the machine's CPU count.
 race:
 	go test -race ./...
-	go test -race -cpu 1,4 -run 'Parallel|Cancel|Workers|Deterministic|Trace|Shard' ./internal/core/
+	go test -race -cpu 1,4 -run 'Parallel|Cancel|Workers|Deterministic|Trace' ./internal/core/
 
 # The repo benchmark (bench/, run by bench/run.sh) is its own Go module,
 # so the root go test ./... never builds it. Its tests include the
@@ -86,8 +86,7 @@ cover:
 		END { exit bad }'
 
 # Short coverage-guided fuzz passes (CI smoke): the whole pipeline, the
-# shard seams (sharded output must equal unsharded on fuzzed bytes and
-# tilings), the ELF parser, whose zero-copy aliasing serving relies on,
+# ELF parser, whose zero-copy aliasing serving relies on,
 # then the retraction worklist against the full-scan reference fixpoint,
 # the corrector's radix-ordered commit records against SortHints,
 # viability's sweep and worklist against the naive fixpoint, the
@@ -97,7 +96,6 @@ cover:
 # and delta arithmetic near the top of the address space.
 fuzz-smoke:
 	go test -fuzz=FuzzPipeline -fuzztime=30s .
-	go test -run '^$$' -fuzz=FuzzShardSplit -fuzztime=20s .
 	go test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/elfx
 	go test -run '^$$' -fuzz=FuzzRetractMatchesReference -fuzztime=10s ./internal/correct
 	go test -run '^$$' -fuzz=FuzzCommitOrderMatchesSortHints -fuzztime=10s ./internal/correct

@@ -659,18 +659,13 @@ func BenchmarkLargeSectionPipeline(b *testing.B) {
 	writeAllocReport(b, tr)
 }
 
-// BenchmarkLargeSectionSharded runs the sharded pipeline over the >= 8
-// MiB single section at 256 KiB shards, serial (workers=1) vs the full
-// worker pool. Sharding splits the anchored hint analyses into
-// per-shard tasks over the section's one superset graph, so at
-// workers=1 its ns/op and allocs/op should track
-// BenchmarkLargeSectionPipeline's. Output stays byte-identical to the
-// unsharded run (core.TestShardedMatchesUnsharded,
-// TestShardSeamBoundarySweep).
-func BenchmarkLargeSectionSharded(b *testing.B) {
+// BenchmarkLargeSectionWorkers runs the pipeline over the >= 8 MiB
+// single section serial (workers=1) vs the full worker pool: the one
+// multi-worker section benchmark. At workers=1 its ns/op and allocs/op
+// track BenchmarkLargeSectionPipeline's.
+func BenchmarkLargeSectionWorkers(b *testing.B) {
 	e := benchSetup(b)
 	code, base := largeSection(b)
-	const shardBytes = 256 << 10
 	workerSets := []int{1}
 	if max := runtime.GOMAXPROCS(0); max > 1 {
 		workerSets = append(workerSets, max)
@@ -681,7 +676,7 @@ func BenchmarkLargeSectionSharded(b *testing.B) {
 			name = "workers=max"
 		}
 		b.Run(name, func(b *testing.B) {
-			d := core.New(e.model, core.WithWorkers(w), core.WithShardBytes(shardBytes))
+			d := core.New(e.model, core.WithWorkers(w))
 			b.SetBytes(int64(len(code)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

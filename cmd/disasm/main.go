@@ -40,7 +40,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	modelPath := fs.String("model", "", "load a trained model (see cmd/train); default trains in-process")
 	workers := fs.Int("workers", 0, "size of the one work pool that sections, superset decode, hint analyses and scoring share (0 = GOMAXPROCS, 1 = the whole run on one goroutine; output is identical)")
 	selfcheck := fs.Bool("selfcheck", false, "run the verification oracle on this binary: re-disassemble serially and in parallel, check every structural invariant, and exit nonzero on any violation")
-	shardBytes := fs.Int("shard-bytes", 0, "split sections larger than this into shards whose hint analyses run as separate tasks on the worker pool (0 = one shard per section; output is identical)")
 	trace := fs.Bool("trace", false, "print the per-stage span tree (wall time, bytes, allocs, counters) after the summary; runs at -workers 1 unless -workers is set, so the whole run stays on one goroutine and stage durations account for total wall time")
 	traceJSON := fs.Bool("trace-json", false, "emit the span tree as JSON on stdout instead of any other output")
 	if err := fs.Parse(args); err != nil {
@@ -74,11 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if (*trace || *traceJSON) && *workers == 0 {
 		*workers = 1
 	}
-	opts := []core.Option{core.WithWorkers(*workers)}
-	if *shardBytes > 0 {
-		opts = append(opts, core.WithShardBytes(*shardBytes))
-	}
-	d := core.New(model, opts...)
+	d := core.New(model, core.WithWorkers(*workers))
 	if *selfcheck {
 		rep, err := oracle.CheckELF(context.Background(), d, img)
 		if err != nil {

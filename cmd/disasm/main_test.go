@@ -202,23 +202,3 @@ func TestTraceJSONConsistency(t *testing.T) {
 	t.Errorf("section %s: stages cover %.1f%% of wall time, want >= 95%% (%d attempts)",
 		lastLabel, 100*lastCoverage, attempts)
 }
-
-// TestShardBytesOutputIdentical: -shard-bytes changes scheduling and
-// memory shape only; every byte of CLI output must match the default
-// whole-section run.
-func TestShardBytesOutputIdentical(t *testing.T) {
-	path := writeSynthELF(t, 40)
-	code, want, stderr := runCLI(t, "-summary", path)
-	if code != 0 {
-		t.Fatalf("exit = %d, stderr: %s", code, stderr)
-	}
-	for _, sb := range []string{"311", "4096"} {
-		code, got, stderr := runCLI(t, "-summary", "-shard-bytes", sb, path)
-		if code != 0 {
-			t.Fatalf("-shard-bytes %s: exit = %d, stderr: %s", sb, code, stderr)
-		}
-		if got != want {
-			t.Errorf("-shard-bytes %s output differs from whole-section run:\n--- want\n%s\n--- got\n%s", sb, want, got)
-		}
-	}
-}

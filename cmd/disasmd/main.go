@@ -5,8 +5,8 @@
 //
 //	disasmd [-addr :8421] [-workers 0] [-batch 0] [-queue 0]
 //	        [-max-bytes 67108864] [-deadline 0] [-cache-entries 128]
-//	        [-cache-bytes 67108864] [-model m.pdmd] [-shard-bytes 0]
-//	        [-spool-bytes 524288] [-store-dir dir] [-store-bytes 1073741824]
+//	        [-cache-bytes 67108864] [-model m.pdmd] [-spool-bytes 524288]
+//	        [-store-dir dir] [-store-bytes 1073741824]
 //
 // Endpoints:
 //
@@ -70,7 +70,6 @@ func main() {
 	cacheEntries := flag.Int("cache-entries", 128, "result cache capacity in entries (0 = disable cache)")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result cache capacity in body bytes")
 	modelPath := flag.String("model", "", "load a trained model (see cmd/train); default trains in-process")
-	shardBytes := flag.Int("shard-bytes", 0, "split sections larger than this into shards whose hint analyses run as separate tasks on the request's worker pool (0 = one shard per section; output is identical)")
 	spoolBytes := flag.Int64("spool-bytes", 0, "largest upload kept in memory; larger bodies spool to a mmap-ed temp file (0 = 512 KiB, negative = buffer whole bodies)")
 	storeDir := flag.String("store-dir", "", "persistent content-addressed result store root, shareable between replicas (empty = disabled)")
 	storeBytes := flag.Int64("store-bytes", 0, "result store byte budget, LRU-swept past it (0 = 1 GiB)")
@@ -78,7 +77,7 @@ func main() {
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: disasmd [-addr :8421] [-workers n] [-batch n] [-queue n]"+
 			" [-max-bytes n] [-deadline d] [-cache-entries n] [-cache-bytes n] [-model m.pdmd]"+
-			" [-shard-bytes n] [-spool-bytes n] [-store-dir dir] [-store-bytes n]")
+			" [-spool-bytes n] [-store-dir dir] [-store-bytes n]")
 		os.Exit(2)
 	}
 
@@ -98,11 +97,7 @@ func main() {
 		model = core.DefaultModel()
 	}
 
-	copts := []core.Option{core.WithWorkers(*workers)}
-	if *shardBytes > 0 {
-		copts = append(copts, core.WithShardBytes(*shardBytes))
-	}
-	d := core.New(model, copts...)
+	d := core.New(model, core.WithWorkers(*workers))
 	s, err := serve.New(d, serve.Config{
 		Slots:        *batch,
 		Queue:        *queue,

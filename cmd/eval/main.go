@@ -4,7 +4,7 @@
 // Usage:
 //
 //	eval                 # run everything
-//	eval -experiment T2  # run one experiment (T1-T10, F1-F4, E1-E4)
+//	eval -experiment T2  # run one experiment (T1-T9, F1-F4, E1-E4)
 package main
 
 import (
@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("experiment", "", "experiment ID to run (T1-T10, F1-F4, E1-E4); empty runs all")
+	exp := flag.String("experiment", "", "experiment ID to run (T1-T9, F1-F4, E1-E4); empty runs all")
 	format := flag.String("format", "text", "output format: text or csv")
 	realDir := flag.String("real", "testdata/real", "real-binary corpus directory (E4)")
 	flag.Parse()
@@ -74,8 +74,6 @@ func main() {
 		run(noErr(r.T8StageCost()))
 	case "T9":
 		run(noErr(r.T9TierSettlement()))
-	case "T10":
-		run(r.T10ShardScaling())
 	case "F1":
 		run(r.F1Density())
 	case "F2":

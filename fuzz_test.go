@@ -46,50 +46,3 @@ func FuzzPipeline(f *testing.F) {
 		}
 	})
 }
-
-// FuzzShardSplit fuzzes the shard seam-resolution contract: for an
-// arbitrary input and an arbitrary shard size, the sharded pipeline must
-// be byte-identical to the unsharded one and independently satisfy every
-// structural invariant (oracle.CheckShards). Seeds are the FuzzPipeline
-// corpus — including the adversarial anti-disassembly seeds — each paired
-// with an odd shard size so seams start unaligned.
-func FuzzShardSplit(f *testing.F) {
-	for _, cfg := range []synth.Config{
-		{Seed: 3, Profile: synth.ProfileO2, NumFuncs: 2},
-		{Seed: 4, Profile: synth.ProfileAdversarial, NumFuncs: 2},
-		{Seed: 5, Profile: synth.ProfileAdvOverlap, NumFuncs: 2},
-		{Seed: 6, Profile: synth.ProfileAdvObf, NumFuncs: 2},
-	} {
-		bin, err := synth.Generate(cfg)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(bin.Code, int(bin.Entry-bin.Base), 311)
-		f.Add(bin.Code, int(bin.Entry-bin.Base), 1024)
-	}
-	f.Add([]byte{0x55, 0x48, 0x89, 0xe5, 0x5d, 0xc3}, 0, 256)
-	f.Add([]byte{}, 0, 0)
-
-	d := probedis.New(probedis.DefaultModel())
-	f.Fuzz(func(t *testing.T, code []byte, entry int, shardBytes int) {
-		if len(code) > 4<<10 {
-			t.Skip("oversized input")
-		}
-		if entry < -1 || entry >= len(code) {
-			entry = -1
-		}
-		if shardBytes < 0 {
-			shardBytes = -shardBytes
-		}
-		// Keep the fuzzed size in the multi-shard regime: anything at or
-		// above len(code) degenerates to the unsharded path, which
-		// FuzzPipeline already covers.
-		if n := len(code); n > 0 && shardBytes >= n {
-			shardBytes = shardBytes%n + 1
-		}
-		rep := oracle.CheckShards(d, code, 0x401000, entry, shardBytes)
-		for _, v := range rep.Violations {
-			t.Errorf("oracle: %s", v)
-		}
-	})
-}

@@ -22,33 +22,13 @@ func EntryHint(g *superset.Graph, entry int) []Hint {
 // distinct direct-call sites target each offset. Offsets called from two
 // or more places are near-certain function entries (behavioural property:
 // data bytes rarely conspire to form multiple consistent calls to one
-// target); single-caller targets are medium evidence.
+// target); single-caller targets are medium evidence. Only the graph's
+// anchor sites can be direct calls, so the loop visits those alone. The
+// hints come out in ascending target order (sorted, because map
+// iteration is unordered).
 func CallTargetHints(g *superset.Graph, viable []bool) []Hint {
 	counts := make(map[int]int32)
-	CallTargetCountsRange(g, viable, 0, g.Len(), counts)
-	return CallTargetHintsFromCounts(counts)
-}
-
-func callTargetHint(t int, n int32) Hint {
-	prio := PrioMedium
-	if n >= 2 {
-		prio = PrioStrong
-	}
-	return Hint{
-		Kind: HintCode, Off: t, Prio: prio,
-		Score: float64(n), Src: "calltarget",
-	}
-}
-
-// CallTargetCountsRange accumulates, into counts, the per-target caller
-// counts contributed by direct-call sites in [from, to). Targets may lie
-// anywhere in the section: the caller-count property is global (two
-// callers in different shards still prove one entry), so the sharded
-// pipeline counts each shard's call sites separately and merges the maps
-// before emitting hints via CallTargetHintsFromCounts. Only the graph's
-// anchor sites can be direct calls, so the loop visits those alone.
-func CallTargetCountsRange(g *superset.Graph, viable []bool, from, to int, counts map[int]int32) {
-	for off := g.NextAnchor(from); off < to; off = g.NextAnchor(off + 1) {
+	for off := g.NextAnchor(0); off < g.Len(); off = g.NextAnchor(off + 1) {
 		if !viable[off] || g.At(off).Flow() != x86.FlowCall {
 			continue
 		}
@@ -56,13 +36,6 @@ func CallTargetCountsRange(g *superset.Graph, viable []bool, from, to int, count
 			counts[t]++
 		}
 	}
-}
-
-// CallTargetHintsFromCounts emits the call-target hints of merged
-// per-shard counts: targets in ascending offset order (sorted here,
-// because map iteration is unordered), priority from the global caller
-// total. Any tiling's merged counts give CallTargetHints' sequence.
-func CallTargetHintsFromCounts(counts map[int]int32) []Hint {
 	if len(counts) == 0 {
 		return nil
 	}
@@ -76,6 +49,17 @@ func CallTargetHintsFromCounts(counts map[int]int32) []Hint {
 		hs = append(hs, callTargetHint(t, counts[t]))
 	}
 	return hs
+}
+
+func callTargetHint(t int, n int32) Hint {
+	prio := PrioMedium
+	if n >= 2 {
+		prio = PrioStrong
+	}
+	return Hint{
+		Kind: HintCode, Off: t, Prio: prio,
+		Score: float64(n), Src: "calltarget",
+	}
 }
 
 // prologuePatterns are byte sequences, at most four bytes each, that
@@ -94,24 +78,15 @@ var prologuePatterns = [][]byte{
 
 // PrologueHints matches prologue byte patterns at offsets that follow a
 // padding byte, a return/jump boundary, or 16-byte alignment.
-func PrologueHints(g *superset.Graph, viable []bool) []Hint {
-	return PrologueHintsRange(g, viable, 0, g.Len(), nil)
-}
-
-// PrologueHintsRange is PrologueHints restricted to match offsets in
-// [from, to), appending to dst. The pattern bytes and the one-byte
-// lookback read the section globally, so a shard sees exactly what the
-// full scan sees at every offset it owns; concatenating the shards'
-// output in shard order reproduces the full scan's sequence verbatim.
 //
 // Each offset costs one 32-bit load: its low two bytes index the
 // prologuePairs bitset, which rejects almost every offset, and the
 // masked-word tests (prologueAt) run only behind a set bit. Viability is
 // read only at a match.
-func PrologueHintsRange(g *superset.Graph, viable []bool, from, to int, dst []Hint) []Hint {
-	hs := dst
+func PrologueHints(g *superset.Graph, viable []bool) []Hint {
+	var hs []Hint
 	code := g.Code
-	for off := from; off < to; off++ {
+	for off := range code {
 		var w uint32
 		avail := len(code) - off
 		if avail >= 4 {

@@ -29,22 +29,11 @@ const maxTableEntries = 1024
 //  3. lea r,[rip+table]; movsxd r2,[r+idx*4]; add r2,r; jmp r2 (PIC)
 //
 // A validated table proves its bytes are data and its targets are code.
+// Every dispatch anchor (a memory-indirect jump or a RIP-relative lea) is
+// an anchor site of the graph, so the loop visits those alone.
 func FindJumpTables(g *superset.Graph, viable []bool) []JumpTable {
-	return FindJumpTablesRange(g, viable, 0, g.Len(), nil)
-}
-
-// FindJumpTablesRange is FindJumpTables restricted to dispatch sites
-// anchored in [from, to), appending to dst. Only the anchor is bounded:
-// the dispatch chain, the bounds-check lookback and the table scan all
-// read the graph globally, so a table whose parts straddle a shard seam
-// is recovered identically by whichever shard owns its anchor —
-// concatenating shard outputs in shard order reproduces FindJumpTables'
-// sequence verbatim. Every dispatch anchor (a memory-indirect jump or a
-// RIP-relative lea) is an anchor site of the graph, so the loop visits
-// those alone.
-func FindJumpTablesRange(g *superset.Graph, viable []bool, from, to int, dst []JumpTable) []JumpTable {
-	out := dst
-	for off := g.NextAnchor(from); off < to; off = g.NextAnchor(off + 1) {
+	var out []JumpTable
+	for off := g.NextAnchor(0); off < g.Len(); off = g.NextAnchor(off + 1) {
 		if jt, ok := jumpTableAt(g, viable, off); ok {
 			out = append(out, jt)
 		}

@@ -37,22 +37,12 @@ func looksLikeDouble(b []byte) bool {
 // LiteralPoolHints proves embedded floating-point constant pools: a
 // RIP-relative memory operand on an SSE/x87 instruction, or a RIP-relative
 // lea whose register is then dereferenced by an SSE/x87 load, pins the
-// referenced bytes as data.
-func LiteralPoolHints(g *superset.Graph, viable []bool) []Hint {
-	return LiteralPoolHintsRange(g, viable, 0, g.Len(), nil)
-}
-
-// LiteralPoolHintsRange is LiteralPoolHints restricted to referencing
-// instructions anchored in [from, to), appending to dst. The pool
-// extension and the lea-deref chain read the section globally, so a pool
-// sitting across a shard seam is proven identically by the shard owning
-// its referencing load; shard outputs concatenated in shard order equal
-// the full scan's sequence. Every referencing instruction has a
+// referenced bytes as data. Every referencing instruction has a
 // RIP-relative operand, so it is an anchor site of the graph, and the
 // loop visits those alone.
-func LiteralPoolHintsRange(g *superset.Graph, viable []bool, from, to int, dst []Hint) []Hint {
-	hs := dst
-	for off := g.NextAnchor(from); off < to; off = g.NextAnchor(off + 1) {
+func LiteralPoolHints(g *superset.Graph, viable []bool) []Hint {
+	var hs []Hint
+	for off := g.NextAnchor(0); off < g.Len(); off = g.NextAnchor(off + 1) {
 		hs = literalPoolAt(g, viable, off, hs)
 	}
 	return hs

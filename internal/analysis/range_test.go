@@ -5,16 +5,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"probedis/internal/superset"
 	"probedis/internal/synth"
 )
 
-// rangeTestGraphs yields graphs covering the constructs whose hints can
-// straddle shard seams: every adversarial synth profile plus raw byte
-// soup (dense invalid decodes stress the viability fixpoint).
+// rangeTestGraphs yields generated graphs: the O2 profile and three
+// adversarial synth profiles, plus raw byte soup (dense invalid decodes
+// stress the viability fixpoint).
 func rangeTestGraphs(t *testing.T) []*superset.Graph {
 	t.Helper()
 	var gs []*superset.Graph
@@ -35,22 +34,6 @@ func rangeTestGraphs(t *testing.T) []*superset.Graph {
 	rng.Read(soup)
 	gs = append(gs, superset.Build(soup, 0x400000))
 	return gs
-}
-
-// tile splits [0, n) into shards of the given size (last one short).
-func tile(n, shard int) [][2]int {
-	var out [][2]int
-	for from := 0; from < n; from += shard {
-		to := from + shard
-		if to > n {
-			to = n
-		}
-		out = append(out, [2]int{from, to})
-	}
-	if out == nil {
-		out = [][2]int{{0, 0}}
-	}
-	return out
 }
 
 // naiveViability is the viability definition run literally, as an
@@ -244,63 +227,4 @@ func FuzzViabilityMatchesNaive(f *testing.F) {
 		}
 		checkViabilityMatchesNaive(t, viabilityGraph(code, ext), "fuzz")
 	})
-}
-
-// TestRangeAnalysesMatchGlobal proves each per-shard hint analysis,
-// concatenated over a shard tiling, reproduces its global counterpart's
-// output element for element — the property the sharded pipeline's exact
-// hint merge rests on.
-func TestRangeAnalysesMatchGlobal(t *testing.T) {
-	for gi, g := range rangeTestGraphs(t) {
-		viable := Viability(g)
-		for _, shard := range []int{128, 1000, 4096} {
-			shards := tile(g.Len(), shard)
-
-			var pro []Hint
-			for _, s := range shards {
-				pro = PrologueHintsRange(g, viable, s[0], s[1], pro)
-			}
-			if want := PrologueHints(g, viable); !hintsEq(want, pro) {
-				t.Fatalf("graph %d shard %d: prologue hints diverge", gi, shard)
-			}
-
-			var lit []Hint
-			for _, s := range shards {
-				lit = LiteralPoolHintsRange(g, viable, s[0], s[1], lit)
-			}
-			if want := LiteralPoolHints(g, viable); !hintsEq(want, lit) {
-				t.Fatalf("graph %d shard %d: literal-pool hints diverge", gi, shard)
-			}
-
-			var jts []JumpTable
-			for _, s := range shards {
-				jts = FindJumpTablesRange(g, viable, s[0], s[1], jts)
-			}
-			if want := FindJumpTables(g, viable); !reflect.DeepEqual(want, jts) &&
-				!(len(want) == 0 && len(jts) == 0) {
-				t.Fatalf("graph %d shard %d: jump tables diverge (%d vs %d)",
-					gi, shard, len(want), len(jts))
-			}
-
-			counts := map[int]int32{}
-			for _, s := range shards {
-				CallTargetCountsRange(g, viable, s[0], s[1], counts)
-			}
-			if want := CallTargetHints(g, viable); !hintsEq(want, CallTargetHintsFromCounts(counts)) {
-				t.Fatalf("graph %d shard %d: call-target hints diverge", gi, shard)
-			}
-		}
-	}
-}
-
-func hintsEq(a, b []Hint) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -135,77 +135,3 @@ func TestDisassembleSectionContextCancels(t *testing.T) {
 		t.Fatal("partial detail returned")
 	}
 }
-
-// TestShardedSectionCancelsAtEveryCheckpoint sweeps the countdown over
-// every cancellation poll of a sharded serial section run. With
-// workers=1 the shard pool runs every task inline, so the poll sequence
-// is deterministic and n=1..polls lands a cancellation inside every
-// phase the shard scheduler has — viability, the per-shard hint tasks,
-// the merge, tiered correction and the finish — each of which must
-// yield (nil, context.Canceled) and never a partial Detail.
-func TestShardedSectionCancelsAtEveryCheckpoint(t *testing.T) {
-	bin := shardTestBins(t)[1]
-	entry := int(bin.Entry - bin.Base)
-	d := New(DefaultModel(), WithShardBytes(777), WithWorkers(1))
-
-	probe := &pollCtx{Context: context.Background()}
-	if _, err := d.DisassembleSectionTraceContext(probe, bin.Code, bin.Base, entry, nil, nil); err != nil {
-		t.Fatalf("probe run: %v", err)
-	}
-	polls := int(probe.polls.Load())
-	if polls < 8 {
-		t.Fatalf("sharded run made only %d cancellation polls", polls)
-	}
-	stride := 1
-	if polls > 128 {
-		stride = polls / 128
-	}
-	for n := 1; n <= polls; n += stride {
-		out, err := d.DisassembleSectionTraceContext(
-			ctxutil.CancelAfterChecks(context.Background(), n), bin.Code, bin.Base, entry, nil, nil)
-		if err != context.Canceled {
-			t.Fatalf("checkpoint %d/%d: err = %v, want context.Canceled", n, polls, err)
-		}
-		if out != nil {
-			t.Fatalf("checkpoint %d/%d: partial detail returned", n, polls)
-		}
-	}
-	// Past the final checkpoint the run completes and still matches the
-	// unsharded reference byte for byte.
-	got, err := d.DisassembleSectionTraceContext(
-		ctxutil.CancelAfterChecks(context.Background(), polls+1), bin.Code, bin.Base, entry, nil, nil)
-	if err != nil {
-		t.Fatalf("countdown past final checkpoint: %v", err)
-	}
-	want, _ := New(DefaultModel()).DisassembleSectionTraceContext(nil, bin.Code, bin.Base, entry, nil, nil)
-	requireSameDetail(t, "past-final countdown", want, got)
-}
-
-// TestShardedELFParallelCancel drives the sharded whole-image path with
-// a live worker pool under -race: shard tasks from several sections
-// share one countdown context, and wherever the n-th poll lands the run
-// must abort to (nil, context.Canceled) with no partial section list and
-// no stuck shard slot (a leaked slot would deadlock the later runs in
-// this loop, which reuse the same configuration).
-func TestShardedELFParallelCancel(t *testing.T) {
-	img := buildMultiSectionELF(t, 4, 10)
-	d := New(DefaultModel(), WithShardBytes(1024), WithWorkers(4))
-	for _, n := range []int{1, 2, 5, 17, 63} {
-		out, err := d.DisassembleELFTraceContext(ctxutil.CancelAfterChecks(context.Background(), n), img, nil)
-		if err != context.Canceled {
-			t.Fatalf("n=%d: err = %v, want context.Canceled", n, err)
-		}
-		if out != nil {
-			t.Fatalf("n=%d: partial section list returned", n)
-		}
-	}
-	got, err := d.DisassembleELFTraceContext(context.Background(), img, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := New(DefaultModel(), WithWorkers(1)).DisassembleELFTraceContext(nil, img, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameSections(t, "sharded parallel cancel survivors", want, got)
-}

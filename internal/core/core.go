@@ -12,6 +12,9 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
+	"math"
 	"runtime"
 	"slices"
 
@@ -68,29 +71,12 @@ func WithThreshold(t float64) Option { return func(d *Disassembler) { d.threshol
 // parallelism only changes wall-clock time.
 func WithWorkers(n int) Option { return func(d *Disassembler) { d.workers = n } }
 
-// WithShardBytes splits sections larger than n bytes into ~n-byte shards
-// for the anchored hint analyses: each runs as one task per shard on the
-// worker pool — stealing slots across shards and sections within one
-// request — over the section's one superset graph, and the per-shard
-// outputs merge deterministically into the exact stream a one-shard run
-// produces, so the final classification is byte-identical for every
-// shard size (enforced by oracle.CheckShards and the seam boundary-sweep
-// suite). Viability and every later stage run over the whole section.
-// Sharding splits work, not memory: the graph's 8-byte-per-offset side
-// table is resident either way. n <= 0 (the default) runs every section
-// as a single shard; positive values are clamped to a 256-byte floor.
-// Tests sweep tiny values to park seams on adversarial constructs.
-func WithShardBytes(n int) Option {
-	return func(d *Disassembler) {
-		if n > 0 && n < minShardBytes {
-			n = minShardBytes
-		}
-		d.shardBytes = n
-	}
-}
-
-// ShardBytes returns the configured shard size (0 = one shard per section).
-func (d *Disassembler) ShardBytes() int { return d.shardBytes }
+// WithShardBytes has no effect: every hint analysis runs over the whole
+// section as one task on the work pool.
+//
+// Deprecated: kept only for callers that still pass it; it will be
+// deleted.
+func WithShardBytes(int) Option { return func(*Disassembler) {} }
 
 // Disassembler is a configured metadata-free disassembly pipeline. It is
 // safe for concurrent use: all per-run state lives on the stack of
@@ -104,7 +90,6 @@ type Disassembler struct {
 	penaltyWeight float64
 	threshold     float64
 	workers       int
-	shardBytes    int
 }
 
 // Workers returns the effective worker-pool size (see WithWorkers).
@@ -146,7 +131,7 @@ func (d *Disassembler) Clone(opts ...Option) *Disassembler {
 
 // HintsFor returns the single-phase hint list for one section (unsorted,
 // priorities flattened under WithoutPrioritization): the structural
-// stream a one-shard run collects, followed by statistical hints over the
+// stream the pipeline collects, followed by statistical hints over the
 // whole section rather than only its contested windows, with viability
 // and window scores recomputed from the graph. Exposed for the verification
 // oracle, which checks that the hint stream is deterministic and totally
@@ -156,7 +141,7 @@ func (d *Disassembler) Clone(opts ...Option) *Disassembler {
 func (d *Disassembler) HintsFor(g *superset.Graph, entry int) []analysis.Hint {
 	viable := analysis.Viability(g)
 	pool := newWorkPool(d.Workers())
-	hints, _ := d.collectHints(nil, g, viable, entry, ShardPlan(g.Len(), 0), nil, pool)
+	hints, _ := d.collectHints(nil, g, viable, entry, nil, pool)
 	if d.useStats {
 		// One contested window covering the section: the partition a
 		// WithoutPrioritization run scores.
@@ -179,6 +164,22 @@ func (d *Disassembler) flatten(hints []analysis.Hint) {
 		hints[i].Prio = analysis.PrioStat
 		hints[i].Score = 0
 	}
+}
+
+// Fingerprint names what this disassembler's results depend on, for the
+// persistent result store: PipelineFingerprint, then a short digest of
+// the statistical model and of every option that changes output. Workers
+// never change output, so they are not part of it.
+func (d *Disassembler) Fingerprint() string {
+	h := sha256.New()
+	if d.useStats {
+		sum := d.model.Digest()
+		h.Write(sum[:])
+	}
+	fmt.Fprintf(h, "stats=%t jumptables=%t flat=%t penalty=%x threshold=%x",
+		d.useStats, d.useJumpTables, d.flatPrio,
+		math.Float64bits(d.penaltyWeight), math.Float64bits(d.threshold))
+	return fmt.Sprintf("%s/%x", PipelineFingerprint, h.Sum(nil)[:8])
 }
 
 // Name implements dis.Engine.
@@ -210,27 +211,18 @@ type Detail struct {
 }
 
 // run is the section pipeline on a built superset graph. Viability runs
-// over the whole section; the per-shard hint analyses fan out over the
-// shard plan on the work-stealing pool, and so do the scoring pieces of
-// the contested windows; without sharding the plan is the single shard
-// [0, n). The per-shard outputs merge into one canonical hint stream
-// (each analysis emits in ascending anchor order, so concatenation in
-// shard order reproduces the whole-section scan; call-target counts merge
-// globally before emission), and the tiered corrector consumes it under
-// its usual total order — which is the whole seam-resolution rule: no
-// seam-local tie-breaking exists to get wrong, so the output is
-// byte-identical for every shard size (enforced by oracle.CheckShards
-// and the boundary-sweep suite).
+// over the whole section; the structural hint analyses run as
+// whole-section tasks on the work pool, and so do the scoring pieces of
+// the contested windows. The hint stream merges in one canonical order,
+// and the tiered corrector consumes it under its usual total order, so
+// the output is byte-identical for every worker count.
 //
 // sp is the enclosing (per-section) trace span, or nil when tracing is
 // off; every stage is a direct child of sp, so a rendered trace accounts
 // for the whole run. ctx is polled at every stage boundary and inside the
-// per-shard and correction loops; once it is done the run returns
+// hint and correction loops; once it is done the run returns
 // (nil, ctx.Err()) and partial stage output is discarded, never surfaced.
 func (d *Disassembler) run(ctx context.Context, g *superset.Graph, entry int, sp *obs.Span, pool *workPool) (*Detail, error) {
-	shards := ShardPlan(g.Len(), d.shardBytes)
-	sp.Count("shards", int64(len(shards)))
-
 	if ctxutil.Cancelled(ctx) {
 		return nil, ctxutil.Err(ctx)
 	}
@@ -239,7 +231,7 @@ func (d *Disassembler) run(ctx context.Context, g *superset.Graph, entry int, sp
 	vsp.End()
 
 	hsp := sp.StartChild("hints")
-	hints, tables := d.collectHints(ctx, g, viable, entry, shards, hsp, pool)
+	hints, tables := d.collectHints(ctx, g, viable, entry, hsp, pool)
 	// The seeds and the count are all finish needs of the stream, so it
 	// dies once SplitHints has copied it into the two phases.
 	seeds, nhints := funcSeeds(entry, hints), len(hints)
@@ -353,75 +345,39 @@ func (d *Disassembler) finish(ctx context.Context, g *superset.Graph, viable []b
 	}, nil
 }
 
-// collectHints runs the structural analyses over the shard plan: the
-// anchored analyses (jump tables, call targets, prologues, literal pools)
-// run once per shard as independent tasks on the pool, while the
-// inherently global stages (entry; the raw-byte data-pattern runs, whose
-// fill/string/pointer runs are unbounded and must not be split) stay
-// whole-section tasks riding the same pool. Outputs merge in the fixed
-// canonical stage order — entry, jump tables, call targets, prologues,
-// data patterns, literal pools — with shards
-// ascending inside each stage, which reproduces the whole-section
-// analyses' stream element for element, whatever the tiling or the
-// order tasks finished in.
+// collectHints runs the six structural analyses as whole-section tasks
+// on the pool, each inside its own child span of sp that records the
+// hints it emitted. Each task writes only its own output, and the merge
+// concatenates them in the fixed canonical stage order — entry, jump
+// tables, call targets, prologues, data patterns, literal pools —
+// whatever order the tasks finished in.
 //
-// Each task runs inside its own child span of sp. ctx is polled before
-// each task starts; once it is done the remaining tasks are skipped,
-// leaving an incomplete stream the caller must discard after its own ctx
-// check.
-func (d *Disassembler) collectHints(ctx context.Context, g *superset.Graph, viable []bool, entry int, shards [][2]int, sp *obs.Span, pool *workPool) ([]analysis.Hint, []analysis.JumpTable) {
-	k := len(shards)
-	var entryPart, dataPart []analysis.Hint
-	jtParts := make([][]analysis.JumpTable, k)
-	jtHints := make([][]analysis.Hint, k)
-	ctCounts := make([]map[int]int32, k)
-	proParts := make([][]analysis.Hint, k)
-	litParts := make([][]analysis.Hint, k)
-
-	// Task order is shard-major — the whole-section tasks first, then every
-	// per-shard analysis for shard 0, then shard 1, ... — so consecutive
-	// tasks read the same stretch of the graph while it is still in cache.
-	// Execution order buys locality only: each task writes only its own
-	// slot, and the merge below imposes the canonical stage order. Each
-	// task returns the number of hints it emitted, which its span records.
+// ctx is polled before each task starts; once it is done the remaining
+// tasks are skipped, leaving an incomplete stream the caller must discard
+// after its own ctx check.
+func (d *Disassembler) collectHints(ctx context.Context, g *superset.Graph, viable []bool, entry int, sp *obs.Span, pool *workPool) ([]analysis.Hint, []analysis.JumpTable) {
+	var tables []analysis.JumpTable
+	var entryH, jtH, ctH, proH, dataH, litH []analysis.Hint
 	type task struct {
 		name string
 		fn   func() int
 	}
 	tasks := []task{
-		{"entry", func() int { entryPart = analysis.EntryHint(g, entry); return len(entryPart) }},
-		{"datapattern", func() int { dataPart = analysis.DataPatternHints(g); return len(dataPart) }},
+		{"entry", func() int { entryH = analysis.EntryHint(g, entry); return len(entryH) }},
+		{"datapattern", func() int { dataH = analysis.DataPatternHints(g); return len(dataH) }},
 	}
-	ctTask := -1
-	for i := range shards {
-		i := i
-		if d.useJumpTables {
-			tasks = append(tasks, task{"jumptable", func() int {
-				jtParts[i] = analysis.FindJumpTablesRange(g, viable, shards[i][0], shards[i][1], nil)
-				jtHints[i] = analysis.JumpTableHints(jtParts[i])
-				return len(jtHints[i])
-			}})
-		}
-		if ctTask < 0 {
-			ctTask = len(tasks)
-		}
-		tasks = append(tasks, task{"calltarget", func() int {
-			m := make(map[int]int32)
-			analysis.CallTargetCountsRange(g, viable, shards[i][0], shards[i][1], m)
-			ctCounts[i] = m
-			return 0 // hints exist only after the global count merge
-		}})
-		tasks = append(tasks, task{"prologue", func() int {
-			proParts[i] = analysis.PrologueHintsRange(g, viable, shards[i][0], shards[i][1], nil)
-			return len(proParts[i])
-		}})
-		tasks = append(tasks, task{"literalpool", func() int {
-			litParts[i] = analysis.LiteralPoolHintsRange(g, viable, shards[i][0], shards[i][1], nil)
-			return len(litParts[i])
+	if d.useJumpTables {
+		tasks = append(tasks, task{"jumptable", func() int {
+			tables = analysis.FindJumpTables(g, viable)
+			jtH = analysis.JumpTableHints(tables)
+			return len(jtH)
 		}})
 	}
-
-	spans := make([]*obs.Span, len(tasks))
+	tasks = append(tasks,
+		task{"calltarget", func() int { ctH = analysis.CallTargetHints(g, viable); return len(ctH) }},
+		task{"prologue", func() int { proH = analysis.PrologueHints(g, viable); return len(proH) }},
+		task{"literalpool", func() int { litH = analysis.LiteralPoolHints(g, viable); return len(litH) }},
+	)
 	pool.run(len(tasks), func(ti int) {
 		if ctxutil.Cancelled(ctx) {
 			return
@@ -429,29 +385,6 @@ func (d *Disassembler) collectHints(ctx context.Context, g *superset.Graph, viab
 		ssp := sp.StartChild(tasks[ti].name)
 		ssp.Count("hints", int64(tasks[ti].fn()))
 		ssp.End()
-		spans[ti] = ssp
 	})
-
-	// Merge: canonical stage order, shards ascending within a stage. Jump
-	// table hints are emitted table by table, so the per-shard hint lists
-	// concatenate to the hints of the concatenated tables.
-	var tables []analysis.JumpTable
-	for _, p := range jtParts {
-		tables = append(tables, p...)
-	}
-	counts := make(map[int]int32)
-	for _, m := range ctCounts {
-		for t, n := range m {
-			counts[t] += n
-		}
-	}
-	ctHints := analysis.CallTargetHintsFromCounts(counts)
-	spans[ctTask].Count("hints", int64(len(ctHints)))
-	parts := [][]analysis.Hint{entryPart}
-	parts = append(parts, jtHints...)
-	parts = append(parts, ctHints)
-	parts = append(parts, proParts...)
-	parts = append(parts, dataPart)
-	parts = append(parts, litParts...)
-	return slices.Concat(parts...), tables
+	return slices.Concat(entryH, jtH, ctH, proH, dataH, litH), tables
 }

@@ -51,8 +51,7 @@ const decodeChunkBytes = 256 << 10
 // disassembleSectionPool is DisassembleSectionTraceContext on a work
 // pool the caller supplies (one per request, shared across sections; see
 // workPool). The superset graph is decoded up front, one task per
-// decodeChunkBytes range, and every section, sharded or not, runs over
-// it.
+// decodeChunkBytes range, and every later stage runs over it.
 func (d *Disassembler) disassembleSectionPool(ctx context.Context, code []byte, base uint64, entry int, extern []superset.Range, sp *obs.Span, pool *workPool) (*Detail, error) {
 	sp.SetBytes(int64(len(code)))
 	bsp := sp.StartChild("superset")

@@ -7,34 +7,6 @@ import (
 	"probedis/internal/tier"
 )
 
-// minShardBytes floors the configurable shard size. It exceeds the widest
-// structural reach of any per-shard analysis — the 15-byte maximum
-// instruction length, the 24-byte bounds-check lookback and the ~120-byte
-// dispatch/literal chain walks (8 steps x 15 bytes) — so a shard's reads
-// mostly stay near its own bytes. Correctness never depends on it: every
-// analysis reads the section's one graph, seam or not.
-const minShardBytes = 256
-
-// ShardPlan tiles [0, n) into consecutive shards of at most shardBytes
-// bytes (the last one short). shardBytes <= 0, or a section no larger
-// than one shard, yields a single shard covering the section. The plan is
-// a pure function of (n, shardBytes): the oracle recomputes it to locate
-// seams, and tests sweep shardBytes to steer seams onto constructs.
-func ShardPlan(n, shardBytes int) [][2]int {
-	if shardBytes <= 0 || n <= shardBytes {
-		return [][2]int{{0, n}}
-	}
-	out := make([][2]int, 0, (n+shardBytes-1)/shardBytes)
-	for from := 0; from < n; from += shardBytes {
-		to := from + shardBytes
-		if to > n {
-			to = n
-		}
-		out = append(out, [2]int{from, to})
-	}
-	return out
-}
-
 // workPool is the request-scoped work-stealing pool and the pipeline's
 // only scheduler: sections, superset decode chunks, hint tasks and
 // scoring pieces are all its tasks, and every section of one request

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -77,8 +76,8 @@ func requireMatchesSinglePhase(tb testing.TB, label string, d *Disassembler, cod
 }
 
 // TestMatchesSinglePhaseReference pins every configuration of the one
-// pipeline path — the default and each ablation, unsharded and at a small
-// shard size — to the single-phase reference over every synth profile.
+// pipeline path — the default and each ablation — to the single-phase
+// reference over every synth profile.
 // WithoutPrioritization and WithoutStats are the degenerate cases of the
 // tiered corrector (one whole-section window; no statistical phase), so
 // this is what lets them share its code.
@@ -104,11 +103,8 @@ func TestMatchesSinglePhaseReference(t *testing.T) {
 		entry := int(bin.Entry - bin.Base)
 		for _, c := range configs {
 			d := New(model, c.opts...)
-			for _, shard := range []int{0, 512} {
-				label := fmt.Sprintf("%s/%s/shard=%d", prof.Name, c.name, shard)
-				got, _ := d.Clone(WithShardBytes(shard)).DisassembleSectionTraceContext(nil, bin.Code, bin.Base, entry, nil, nil)
-				requireMatchesSinglePhase(t, label, d, bin.Code, bin.Base, entry, got)
-			}
+			got, _ := d.DisassembleSectionTraceContext(nil, bin.Code, bin.Base, entry, nil, nil)
+			requireMatchesSinglePhase(t, prof.Name+"/"+c.name, d, bin.Code, bin.Base, entry, got)
 		}
 	}
 }
@@ -118,7 +114,7 @@ func TestMatchesSinglePhaseReference(t *testing.T) {
 // every hint carries the flat priority and zero score the pipeline
 // commits it with.
 func TestHintsForFlattensWithoutPrioritization(t *testing.T) {
-	bin := shardTestBins(t)[0]
+	bin := testBins(t)[0]
 	d := New(DefaultModel(), WithoutPrioritization())
 	g := superset.Build(bin.Code, bin.Base)
 	hints := d.HintsFor(g, int(bin.Entry-bin.Base))

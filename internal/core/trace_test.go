@@ -103,17 +103,15 @@ func TestTraceSpanTree(t *testing.T) {
 				st.Counter("hints"), statCount, secs[i].Detail.Hints)
 		}
 		// Per-analysis child spans under "hints", in serial execution
-		// order: the whole-section tasks, then the per-shard analyses of
-		// the single shard. The "stat" analysis runs inside the correction
-		// stage, so it is absent here.
+		// order. The "stat" analysis runs inside the correction stage, so
+		// it is absent here.
 		an := names(stages["hints"].Children())
 		wantAn := []string{"entry", "datapattern", "jumptable", "calltarget", "prologue", "literalpool"}
 		if !reflect.DeepEqual(an, wantAn) {
 			t.Errorf("analysis spans = %v, want %v", an, wantAn)
 		}
-		// Each analysis span counts the hints it contributed (call
-		// targets after the global count merge), so they add up to the
-		// collected stream.
+		// Each analysis span counts the hints it contributed, so they add
+		// up to the collected stream.
 		var perAnalysis int64
 		for _, c := range stages["hints"].Children() {
 			perAnalysis += c.Counter("hints")

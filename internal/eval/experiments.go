@@ -497,11 +497,7 @@ func (r *Runner) All() ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t10, err := r.T10ShardScaling()
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, t10, f1, f2, f3, r.F4Threshold(), e1, e2, e3)
+	out = append(out, f1, f2, f3, r.F4Threshold(), e1, e2, e3)
 	return out, nil
 }
 

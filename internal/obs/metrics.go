@@ -213,10 +213,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // matter what binaries a long-running server sees. The root span is
 // folded like any other stage.
 // Span counters (Span.Count) fold into
-// <prefix>_stage_counters_total{stage=Name,counter=...}: under the
-// sharded pipeline this streams per-shard progress — shard counts,
-// settled/contested bytes, per-stage hint counts — into the scrape
-// without any per-shard label cardinality.
+// <prefix>_stage_counters_total{stage=Name,counter=...}: this streams
+// pipeline progress — settled/contested bytes, per-stage hint counts —
+// into the scrape with labels only from those fixed names.
 func (r *Registry) FoldSpans(prefix string, root *Span) {
 	root.Walk(func(sp *Span, depth int) {
 		r.Counter(prefix+"_stage_nanos_total", "stage", sp.Name).Add(int64(sp.Dur))

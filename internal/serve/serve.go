@@ -65,8 +65,9 @@ type Config struct {
 	StoreDir string
 	// StoreBytes bounds the store (0 = store.DefaultMaxBytes).
 	StoreBytes int64
-	// Fingerprint tags store entries with the pipeline generation; a
-	// mismatch invalidates them wholesale ("" = core.PipelineFingerprint).
+	// Fingerprint tags store entries with what produced them; a
+	// mismatch invalidates them wholesale ("" = the Disassembler's
+	// Fingerprint: the pipeline generation, its model and its options).
 	// Tests override it to exercise invalidation.
 	Fingerprint string
 	// Clock injects a fake clock in tests (nil = wall clock).
@@ -125,8 +126,8 @@ func New(d *core.Disassembler, cfg Config) (*Server, error) {
 		// ever spills and the full image stays on the heap.
 		cfg.SpoolBytes = cfg.MaxBytes
 	}
-	if cfg.Fingerprint == "" {
-		cfg.Fingerprint = core.PipelineFingerprint
+	if cfg.Fingerprint == "" && cfg.StoreDir != "" {
+		cfg.Fingerprint = d.Fingerprint()
 	}
 	s := &Server{
 		d:        d,
@@ -159,7 +160,7 @@ func New(d *core.Disassembler, cfg Config) (*Server, error) {
 	s.reg.SetHelp("probedis_stage_calls_total", "pipeline stage executions")
 	s.reg.SetHelp("probedis_stage_bytes_total", "bytes processed per pipeline stage")
 	s.reg.SetHelp("probedis_stage_counters_total",
-		"pipeline stage progress counters (shards scheduled, settled/contested bytes, hints)")
+		"pipeline stage progress counters (settled/contested bytes, hints)")
 	s.reg.SetHelp("probedis_inflight_requests", "disassembly requests currently executing")
 	s.reg.SetHelp("probedis_queue_waiting", "requests waiting for an admission slot")
 	s.reg.SetHelp("probedis_cache_hits_total", "requests answered from the result cache (flight joins included)")

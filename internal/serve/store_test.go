@@ -12,6 +12,7 @@ import (
 
 	"probedis/internal/core"
 	"probedis/internal/obs"
+	"probedis/internal/stats"
 )
 
 // replica builds a model-free server over a shared store root.
@@ -154,6 +155,51 @@ func TestFingerprintChangeInvalidatesStore(t *testing.T) {
 	// The old entry was invalidated as stale, not quarantined as corrupt.
 	if n := b.Store().CorruptionCount(); n != 0 {
 		t.Fatalf("fingerprint rotation produced %d corruption reports", n)
+	}
+}
+
+// TestStoreSeparatesModels: with no Config.Fingerprint, the store is
+// tagged with the disassembler's own fingerprint, which names its
+// statistical model. A server with another model never answers from the
+// entries a server with the first one wrote, and a server reopened with
+// the first model still answers from disk.
+func TestStoreSeparatesModels(t *testing.T) {
+	dir := t.TempDir()
+	img := synthELF(t, 24)
+	other := core.TrainModel(2_000_000, 1, 20)
+	request := func(m *stats.Model) (body []byte, cache string) {
+		t.Helper()
+		s, err := New(core.New(m, core.WithWorkers(1)), Config{
+			Slots: 1, MaxBytes: 1 << 20, CacheEntries: 8, CacheBytes: 1 << 20, StoreDir: dir,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := post(t, s, "/disassemble", img)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes(), rec.Header().Get("X-Probedis-Cache")
+	}
+
+	first, cache := request(core.DefaultModel())
+	if cache != "miss" {
+		t.Fatalf("first server: cache state %q, want miss", cache)
+	}
+	if again, cache := request(core.DefaultModel()); cache != "disk" || !bytes.Equal(again, first) {
+		t.Fatalf("server reopened with the same model: cache state %q, same body %v; want a disk hit with the stored body",
+			cache, bytes.Equal(again, first))
+	}
+	otherBody, cache := request(other)
+	if cache != "miss" {
+		t.Fatalf("server with another model: cache state %q, want miss", cache)
+	}
+	if bytes.Equal(otherBody, first) {
+		t.Fatal("precondition: both models give the same body on this image")
+	}
+	if again, cache := request(other); cache != "disk" || !bytes.Equal(again, otherBody) {
+		t.Fatalf("server reopened with the other model: cache state %q, same body %v; want a disk hit with its body",
+			cache, bytes.Equal(again, otherBody))
 	}
 }
 

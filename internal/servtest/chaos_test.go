@@ -382,21 +382,20 @@ func TestSlowAndAbortiveClientsDontLeak(t *testing.T) {
 	}
 }
 
-// TestGiantSectionShardCancelDoesNotLeak is the sharded-pipeline chaos
-// scenario: a single ~100 KiB text section is served by a sharded
-// multi-worker disassembler, and a countdown context cancels each
-// request mid-shard — at different depths into the shard schedule, from
-// the first poll to deep inside the per-shard hint fan-out.
-// Cancelling between the scheduler's phases must (a) never leak a shard
-// worker goroutine, (b) release every shard slot (the follow-up clean
-// request reuses the same server and must complete), and (c) drain the
-// admission gauges.
+// TestGiantSectionCancelDoesNotLeak is the multi-worker chaos scenario:
+// a single ~100 KiB text section is served by a four-worker
+// disassembler, and a countdown context cancels each request at a
+// different depth into the run, from the first poll to deep inside the
+// pool's decode, hint and scoring tasks. Cancelling mid-run must (a)
+// never leak a pool goroutine, (b) release every pool and admission slot
+// (the follow-up clean request reuses the same server and must
+// complete), and (c) drain the admission gauges.
 //
 // The countdown wraps the request context inside the pipeline override,
 // so the request context itself stays alive: the server classifies the
 // abort as a pipeline error (400), which the client observes as a
 // well-formed error envelope rather than a hung response.
-func TestGiantSectionShardCancelDoesNotLeak(t *testing.T) {
+func TestGiantSectionCancelDoesNotLeak(t *testing.T) {
 	bin, err := synth.Generate(synth.Config{Seed: 9, Profile: synth.ProfileComplex, NumFuncs: 300})
 	if err != nil {
 		t.Fatal(err)
@@ -406,18 +405,18 @@ func TestGiantSectionShardCancelDoesNotLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	inner := core.New(nil, core.WithWorkers(4), core.WithShardBytes(4096))
+	inner := core.New(nil, core.WithWorkers(4))
 
 	// Measure the run's cancellation poll count once, then spread the
 	// cancellation depths across the full schedule — first poll, early
-	// shard fan-out, mid-run, and just before the merge/finish.
+	// decode, mid-run, and just before the finish.
 	probe := &countingDone{Context: context.Background()}
 	if _, err := inner.DisassembleELFTraceContext(probe, img, nil); err != nil {
 		t.Fatal(err)
 	}
 	polls := int(probe.polls.Load())
 	if polls < 16 {
-		t.Fatalf("sharded run made only %d polls", polls)
+		t.Fatalf("run made only %d polls", polls)
 	}
 	var depth atomic.Int64
 	depths := []int{1, 2, polls / 8, polls / 4, polls / 2, polls - polls/8}
@@ -449,7 +448,7 @@ func TestGiantSectionShardCancelDoesNotLeak(t *testing.T) {
 			statuses[res.Status]++
 			mu.Unlock()
 			if res.Status != 400 || !WellFormedError(res.Body) {
-				t.Errorf("cancelled shard request: status %d body %.80q", res.Status, res.Body)
+				t.Errorf("cancelled request: status %d body %.80q", res.Status, res.Body)
 			}
 		}()
 	}
@@ -468,7 +467,7 @@ func TestGiantSectionShardCancelDoesNotLeak(t *testing.T) {
 	}
 
 	if err := WaitGoroutines(baseline, 8, 15*time.Second); err != nil {
-		t.Errorf("shard cancellation leaked: %v", err)
+		t.Errorf("cancellation leaked: %v", err)
 	}
 	m, err := h.Metrics()
 	if err != nil {
@@ -491,11 +490,11 @@ func (p *countingDone) Done() <-chan struct{} {
 	return nil
 }
 
-// TestShardProgressCountersInScrape: a sharded server must stream shard
-// scheduling progress into /metrics — the section span's "shards"
-// counter and one per-shard stage execution per shard — with bounded
-// label cardinality (stage and counter names only, never shard indices).
-func TestShardProgressCountersInScrape(t *testing.T) {
+// TestStageCountersInScrape: the server folds each request's span tree
+// into /metrics with bounded label cardinality (stage and counter names
+// only): every hint analysis runs once per section, so each counts one
+// stage execution per section of the request.
+func TestStageCountersInScrape(t *testing.T) {
 	bin, err := synth.Generate(synth.Config{Seed: 10, Profile: synth.ProfileComplex, NumFuncs: 120})
 	if err != nil {
 		t.Fatal(err)
@@ -504,13 +503,8 @@ func TestShardProgressCountersInScrape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantShards := float64(len(core.ShardPlan(len(bin.Code), 4096)))
-	if wantShards < 2 {
-		t.Fatalf("section too small to shard: %d bytes", len(bin.Code))
-	}
 
-	h := startWith(t, core.New(nil, core.WithWorkers(2), core.WithShardBytes(4096)),
-		serve.Config{Slots: 2, MaxBytes: 1 << 20})
+	h := startWith(t, core.New(nil, core.WithWorkers(2)), serve.Config{Slots: 2, MaxBytes: 1 << 20})
 	res, err := h.Post(img, "")
 	if err != nil {
 		t.Fatal(err)
@@ -522,12 +516,16 @@ func TestShardProgressCountersInScrape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m[`probedis_stage_counters_total{stage="section",counter="shards"}`]; got != wantShards {
-		t.Errorf("shards counter = %v, want %v", got, wantShards)
+	sections := m[`probedis_stage_calls_total{stage="section"}`]
+	if sections < 1 {
+		t.Fatalf("section stage ran %v times", sections)
 	}
-	// Work-stealing fans every shard's prologue scan out as its own span,
-	// so stage executions count shard progress one for one.
-	if got := m[`probedis_stage_calls_total{stage="prologue"}`]; got < wantShards {
-		t.Errorf("prologue stage ran %v times, want >= %v (one per shard)", got, wantShards)
+	for _, stage := range []string{"entry", "datapattern", "jumptable", "calltarget", "prologue", "literalpool"} {
+		if got := m[`probedis_stage_calls_total{stage="`+stage+`"}`]; got != sections {
+			t.Errorf("%s stage ran %v times, want %v (once per section)", stage, got, sections)
+		}
+	}
+	if got := m[`probedis_stage_counters_total{stage="hints",counter="hints"}`]; got <= 0 {
+		t.Errorf("hints counter = %v, want the collected stream's size", got)
 	}
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -63,4 +64,26 @@ func ReadModel(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("stats: reading bigram table: %w", err)
 	}
 	return m, nil
+}
+
+// Digest returns the SHA-256 of the model's score tables, the bits of
+// uniDiff then biDiff as little-endian float64 (the file's body after
+// its header): two models score every offset alike when their digests
+// match. The tables are hashed a few KiB at a time, not copied whole.
+func (m *Model) Digest() [sha256.Size]byte {
+	h := sha256.New()
+	var buf [4 << 10]byte
+	for _, t := range [][]float64{m.uniDiff[:], m.biDiff} {
+		for len(t) > 0 {
+			n := min(len(t), len(buf)/8)
+			for i, f := range t[:n] {
+				binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(f))
+			}
+			h.Write(buf[:8*n])
+			t = t[n:]
+		}
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }

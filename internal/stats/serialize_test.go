@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 
 // TestModelRoundTrip: a saved and loaded model is the model that was
 // saved, and scores every offset of a held-out binary to the same bits.
+// Its Digest hashes the tables exactly as the file stores them.
 func TestModelRoundTrip(t *testing.T) {
 	m := trainModel(t)
 	var buf bytes.Buffer
@@ -24,6 +26,9 @@ func TestModelRoundTrip(t *testing.T) {
 	}
 	if want := int64(8 + 8*numTok + 8*numTok*numTok); n != want {
 		t.Errorf("WriteTo wrote %d bytes, want %d", n, want)
+	}
+	if sha256.Sum256(buf.Bytes()[8:]) != m.Digest() {
+		t.Error("Digest is not the SHA-256 of the saved tables")
 	}
 	m2, err := ReadModel(&buf)
 	if err != nil {

@@ -1,9 +1,8 @@
 // Package store is the persistent content-addressed result store
 // behind the disasmd in-memory result cache: a directory of serialized
 // pipeline results keyed by the SHA-256 of the input image, shared by
-// every replica pointed at the same root. It is the durable half of
-// the shard-and-stream architecture — a fleet of replicas computes each
-// unique image once, fleet-wide.
+// every replica pointed at the same root, so replicas compute each
+// unique image once between them.
 //
 // Layout:
 //
@@ -18,7 +17,7 @@
 //	magic   [8]byte  "PBDSTOR1"
 //	version uint32   entryVersion
 //	fpLen   uint32   fingerprint length
-//	fp      []byte   pipeline/corpus fingerprint (see serve)
+//	fp      []byte   pipeline, model and options fingerprint (see serve)
 //	bodyLen uint64
 //	body    []byte
 //	sum     [32]byte SHA-256 over everything before it

@@ -57,24 +57,6 @@ func FromStates(st []correct.State) *Partition {
 	return p
 }
 
-// ContestedAt reports whether off falls inside a contested window
-// (binary search over the sorted windows).
-func (p *Partition) ContestedAt(off int) bool {
-	lo, hi := 0, len(p.Windows)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch w := p.Windows[mid]; {
-		case off < w[0]:
-			hi = mid
-		case off >= w[1]:
-			lo = mid + 1
-		default:
-			return true
-		}
-	}
-	return false
-}
-
 // SplitHints partitions a hint stream into the structural prefix (strictly
 // above statistical priority) and the rest (statistical and weaker, e.g.
 // offset-table guesses). Order within each half is preserved, so sorting

@@ -65,19 +65,6 @@ func TestFromStates(t *testing.T) {
 	}
 }
 
-// TestContestedAt cross-checks the binary search against the window list
-// at every offset of a partition with several windows.
-func TestContestedAt(t *testing.T) {
-	in := ".c.d..c...dd.c"
-	p := FromStates(states(in))
-	for off := -1; off <= len(in); off++ {
-		want := off >= 0 && off < len(in) && in[off] == '.'
-		if got := p.ContestedAt(off); got != want {
-			t.Errorf("ContestedAt(%d) = %v, want %v (states %q)", off, got, want, in)
-		}
-	}
-}
-
 func TestSplitHints(t *testing.T) {
 	hints := []analysis.Hint{
 		{Off: 0, Prio: analysis.PrioProof},

@@ -54,5 +54,4 @@ var (
 	WithoutPrioritization = core.WithoutPrioritization
 	WithThreshold         = core.WithThreshold
 	WithWorkers           = core.WithWorkers
-	WithShardBytes        = core.WithShardBytes
 )
