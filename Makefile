@@ -89,11 +89,11 @@ cover:
 # ELF parser, whose zero-copy aliasing serving relies on,
 # then the retraction worklist against the full-scan reference fixpoint,
 # the corrector's radix-ordered commit records against SortHints,
-# viability's sweep and worklist against the naive fixpoint, the
-# anchor-site hint analyses against their full walks, the probing
-# data-pattern scans against their byte loops, the scan kernel's packed
-# records against the full decoder, and the graph's wrapped address
-# and delta arithmetic near the top of the address space.
+# viability's sweep and worklist against the naive fixpoint at fuzzed
+# section bases, the anchor-site hint analyses against their full walks,
+# the probing data-pattern scans against their byte loops, the scan
+# kernel's packed records against the full decoder, and the graph's
+# wrapped address and delta arithmetic near the top of the address space.
 fuzz-smoke:
 	go test -fuzz=FuzzPipeline -fuzztime=30s .
 	go test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/elfx

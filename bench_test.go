@@ -445,6 +445,19 @@ func BenchmarkViability(b *testing.B) {
 	}
 }
 
+// BenchmarkLargeSectionViability is BenchmarkViability on the >= 8 MiB
+// largeSection, whose graph is built outside the timer: the sweep, the
+// edge sort and the worklist at the scale offline-large runs them.
+func BenchmarkLargeSectionViability(b *testing.B) {
+	code, base := largeSection(b)
+	g := superset.Build(code, base)
+	b.SetBytes(int64(len(code)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		analysis.Viability(g)
+	}
+}
+
 // BenchmarkHintAnalyses times each structural hint analysis, and the
 // raw-byte data patterns, over the large section's graph and viability
 // mask, both built once outside the timer. Run it at -cpu 1: each

@@ -164,7 +164,7 @@ func anchoredCases(tb testing.TB) []anchoredCase {
 // differential is not vacuous.
 func TestAnchoredMatchesReference(t *testing.T) {
 	for _, c := range anchoredCases(t) {
-		g := viabilityGraph(c.code, c.ext)
+		g := viabilityGraph(c.code, viabilityBase, c.ext)
 		viable := Viability(g)
 		switch c.name {
 		case "prologue in the last 3 bytes":
@@ -205,6 +205,6 @@ func FuzzAnchoredMatchesReference(f *testing.F) {
 		if len(code) > 4<<10 {
 			return
 		}
-		checkAnchoredMatchesReference(t, "fuzz", viabilityGraph(code, ext))
+		checkAnchoredMatchesReference(t, "fuzz", viabilityGraph(code, viabilityBase, ext))
 	})
 }

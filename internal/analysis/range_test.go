@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"probedis/internal/superset"
 	"probedis/internal/synth"
+	"probedis/internal/x86"
 )
 
 // rangeTestGraphs yields generated graphs: the O2 profile and three
@@ -38,24 +40,23 @@ func rangeTestGraphs(t *testing.T) []*superset.Graph {
 
 // naiveViability is the viability definition run literally, as an
 // independent reference for Viability's sweep and worklist: start from
-// every valid offset, then clear any offset with an impossible or
-// non-viable forced successor, sweeping the whole section until a sweep
-// clears nothing.
+// every offset with a valid decode and no escaping successor, then clear
+// any offset with a non-viable forced successor, sweeping the whole
+// section until a sweep clears nothing.
 func naiveViability(g *superset.Graph) []bool {
 	viable := make([]bool, g.Len())
+	succs := make([][]int, g.Len())
 	for off := range viable {
-		viable[off] = g.Valid(off)
+		succs[off], viable[off] = naiveSuccs(g, off)
 	}
-	var succs []int
 	for changed := true; changed; {
 		changed = false
 		for off := range viable {
 			if !viable[off] {
 				continue
 			}
-			succs = g.ForcedSuccs(succs[:0], off)
-			for _, s := range succs {
-				if s < 0 || !viable[s] {
+			for _, s := range succs[off] {
+				if !viable[s] {
 					viable[off] = false
 					changed = true
 					break
@@ -66,15 +67,61 @@ func naiveViability(g *superset.Graph) []bool {
 	return viable
 }
 
+// naiveSuccs derives the in-section forced successors of off from its
+// full decode (InstAt's Flow, Len and Target) and the section's address
+// tests, never from the packed record, so the differential also catches
+// a flow or Delta packing error. ok is false when the decode is invalid
+// or a successor escapes: a fallthrough past the section end not into an
+// extern range, a direct target outside the section and every extern
+// range, or any successor address past 2^64 or below 0.
+func naiveSuccs(g *superset.Graph, off int) (succs []int, ok bool) {
+	inst := g.InstAt(off)
+	if inst.Flow == x86.FlowInvalid {
+		return nil, false
+	}
+	if inst.Flow.HasFallthrough() {
+		if next := off + inst.Len; next < g.Len() {
+			succs = append(succs, next)
+		} else if end := g.Base + uint64(g.Len()); end < g.Base || !g.ExternTarget(end) {
+			return nil, false
+		}
+	}
+	switch inst.Flow {
+	case x86.FlowJump, x86.FlowCondJump, x86.FlowCall:
+		d := int64(inst.Target - inst.Addr)
+		switch {
+		case (d >= 0) != (inst.Target >= inst.Addr):
+			return nil, false // wrapped around the address space
+		case g.Contains(inst.Target):
+			succs = append(succs, int(inst.Target-g.Base))
+		case !g.ExternTarget(inst.Target):
+			return nil, false
+		}
+	}
+	return succs, true
+}
+
 // viabilityCase is a crafted section for the viability tests: its bytes,
 // whether viabilityGraph registers extern ranges around it, and offsets
-// the fixpoint must leave non-viable (dead) and viable (live). Offset 0
+// the fixpoint must leave non-viable (dead) and viable (live) with the
+// section at viabilityBase, or ending at 2^64 when top is set. Offset 0
 // holds an invalid byte (0x06) wherever a case needs poison.
 type viabilityCase struct {
 	name       string
 	code       []byte
-	ext        bool
+	ext, top   bool
 	dead, live []int
+}
+
+// viabilityBase is where the crafted cases' expectations hold, unless
+// they set top.
+const viabilityBase = 0x1000
+
+// retFill pads a crafted case with rets, so that the offsets of interest
+// lie below superset's StraightLimit and the sweep decides them by its
+// straight-line path.
+func retFill(code ...byte) []byte {
+	return append(code, bytes.Repeat([]byte{0xc3}, x86.MaxInstLen+1)...)
 }
 
 var viabilityCases = []viabilityCase{
@@ -85,18 +132,21 @@ var viabilityCases = []viabilityCase{
 	{name: "forward pred of look-back poison",
 		code: []byte{0x06, 0xeb, 0x03, 0xc3, 0xc3, 0xc3, 0x90, 0xeb, 0xf7},
 		dead: []int{1, 6, 7}, live: []int{3, 4, 5}},
+	{name: "same below the straight limit",
+		code: retFill(0x06, 0xeb, 0x03, 0xc3, 0xc3, 0xc3, 0x90, 0xeb, 0xf7),
+		dead: []int{1, 6, 7}, live: []int{3, 4, 5}},
 	// jmp to its own end (1 -> 3), then a jmp back onto offset 0: the
 	// branch records no edge, so only the look-back finds it.
 	{name: "jmp to own end",
-		code: []byte{0x06, 0xeb, 0x00, 0xeb, 0xfb},
+		code: retFill(0x06, 0xeb, 0x00, 0xeb, 0xfb),
 		dead: []int{1, 3}},
 	// je to its own end: both forced successors are offset 3.
 	{name: "jcc with coinciding successors",
-		code: []byte{0x06, 0x74, 0x00, 0xeb, 0xfb},
+		code: retFill(0x06, 0x74, 0x00, 0xeb, 0xfb),
 		dead: []int{1, 3}},
 	// jmp $ beside the poison: its only successor is itself.
 	{name: "jmp to itself",
-		code: []byte{0x06, 0xeb, 0xfe},
+		code: retFill(0x06, 0xeb, 0xfe),
 		live: []int{1}},
 	// call into the extern range below the section, then a nop falling
 	// off the end into the extern range above it.
@@ -106,18 +156,59 @@ var viabilityCases = []viabilityCase{
 	{name: "same without extern ranges",
 		code: []byte{0xe8, 0xdb, 0xff, 0xff, 0xff, 0x90},
 		dead: []int{0, 5}},
+	// A nop falling off a section that ends at 2^64: its fallthrough
+	// address wraps to 0, where the extern range above the section
+	// starts, and escapes all the same.
+	{name: "nop falling off 2^64", ext: true, top: true,
+		code: []byte{0x90}, dead: []int{0}},
+	// jmp rel32 0x7fffffff: 2 GiB on, where the delta does not fit the
+	// packed record (x86.DeltaRedecode), into the far extern range.
+	{name: "far jmp into an extern range", ext: true,
+		code: retFill(0xe9, 0xff, 0xff, 0xff, 0x7f), live: []int{0}},
+	{name: "far jmp without extern ranges",
+		code: retFill(0xe9, 0xff, 0xff, 0xff, 0x7f), dead: []int{0}},
+	// je 2 -> 7 around a call into the extern range below the section,
+	// falling through to the ret at 7: the sweep's general path decides
+	// the call between two straight-line decisions with in-section
+	// targets.
+	{name: "call into an extern range between in-section targets", ext: true,
+		code: retFill(0x74, 0x05, 0xe8, 0xd9, 0xff, 0xff, 0xff, 0xc3),
+		live: []int{0, 2}},
+	{name: "same call without extern ranges",
+		code: retFill(0x74, 0x05, 0xe8, 0xd9, 0xff, 0xff, 0xff, 0xc3),
+		dead: []int{0, 2}, live: []int{7}},
 }
 
-// viabilityGraph builds code at 0x1000; with ext it registers 64-byte
-// extern ranges right below and right above the section.
-func viabilityGraph(code []byte, ext bool) *superset.Graph {
-	const base = 0x1000
+// viabilityGraph builds code at base. With ext it registers extern
+// ranges right below and right above the section, and one 2 GiB past its
+// start, where a far rel32 branch whose delta does not fit the packed
+// record lands. Each range is clipped at 2^64 but keeps its start modulo
+// 2^64, so a successor address that wraps can meet one.
+func viabilityGraph(code []byte, base uint64, ext bool) *superset.Graph {
 	g := superset.Build(code, base)
 	if ext {
-		end := base + uint64(len(code))
-		g.SetExtern([]superset.Range{{Start: base - 0x40, End: base}, {Start: end, End: end + 0x40}})
+		span := func(start, size uint64) superset.Range {
+			if start+size < start {
+				return superset.Range{Start: start, End: math.MaxUint64}
+			}
+			return superset.Range{Start: start, End: start + size}
+		}
+		below := min(base, 0x40)
+		g.SetExtern([]superset.Range{
+			span(base-below, below),
+			span(base+uint64(len(code)), 0x40),
+			span(base+1<<31, 0x100),
+		})
 	}
 	return g
+}
+
+// viabilityBases returns the bases the differential builds code at:
+// viabilityBase, the one that ends the section exactly at 2^64, one just
+// above 0, so that successor addresses past 2^64 and below 0 reach the
+// sweep, and one that wraps the section's second half past 2^64.
+func viabilityBases(code []byte) []uint64 {
+	return []uint64{viabilityBase, -uint64(len(code)), 1, -uint64(len(code) / 2)}
 }
 
 // TestViabilityMatchesNaive checks Viability against naiveViability on
@@ -173,18 +264,12 @@ func TestViabilityMatchesNaive(t *testing.T) {
 	if naiveViability(superset.Build(zig, 0x1000))[hops[0]] {
 		t.Fatal("naiveViability left the zig-zag chain's first hop viable")
 	}
-	for _, code := range [][]byte{
-		{},     // empty section
-		{0xc3}, // ret: viable
-		{0x90}, // nop falling off the section end: not viable
-		chain,
-		zig,
-	} {
-		gs = append(gs, superset.Build(code, 0x1000))
-	}
 	for _, c := range viabilityCases {
-		g := viabilityGraph(c.code, c.ext)
-		v := naiveViability(g)
+		base := uint64(viabilityBase)
+		if c.top {
+			base = -uint64(len(c.code))
+		}
+		v := naiveViability(viabilityGraph(c.code, base, c.ext))
 		for _, off := range c.dead {
 			if v[off] {
 				t.Errorf("%s: offset %d viable, want non-viable", c.name, off)
@@ -195,10 +280,28 @@ func TestViabilityMatchesNaive(t *testing.T) {
 				t.Errorf("%s: offset %d non-viable, want viable", c.name, off)
 			}
 		}
-		checkViabilityMatchesNaive(t, g, c.name)
+		for _, base := range viabilityBases(c.code) {
+			for _, ext := range []bool{false, true} {
+				checkViabilityMatchesNaive(t, viabilityGraph(c.code, base, ext),
+					fmt.Sprintf("%s at %#x, extern %v", c.name, base, ext))
+			}
+		}
 	}
-	for gi, g := range gs {
-		checkViabilityMatchesNaive(t, g, fmt.Sprintf("graph %d", gi))
+	codes := [][]byte{
+		{},     // empty section
+		{0xc3}, // ret: viable
+		{0x90}, // nop falling off the section end: not viable
+		chain,
+		zig,
+	}
+	for _, g := range gs {
+		codes = append(codes, g.Code)
+	}
+	for ci, code := range codes {
+		for _, base := range viabilityBases(code) {
+			checkViabilityMatchesNaive(t, viabilityGraph(code, base, false),
+				fmt.Sprintf("section %d at %#x", ci, base))
+		}
 	}
 }
 
@@ -214,17 +317,20 @@ func checkViabilityMatchesNaive(t *testing.T, g *superset.Graph, name string) {
 	}
 }
 
-// FuzzViabilityMatchesNaive extends the differential to fuzzed bytes,
-// with and without extern ranges around the section. Run with
-// `go test -fuzz=FuzzViabilityMatchesNaive ./internal/analysis`.
+// FuzzViabilityMatchesNaive extends the differential to fuzzed bytes at
+// fuzzed section bases, with and without extern ranges around the
+// section. The seeds put every crafted case at each of viabilityBases.
+// Run with `go test -fuzz=FuzzViabilityMatchesNaive ./internal/analysis`.
 func FuzzViabilityMatchesNaive(f *testing.F) {
 	for _, c := range viabilityCases {
-		f.Add(c.code, c.ext)
+		for _, base := range viabilityBases(c.code) {
+			f.Add(c.code, base, c.ext)
+		}
 	}
-	f.Fuzz(func(t *testing.T, code []byte, ext bool) {
+	f.Fuzz(func(t *testing.T, code []byte, base uint64, ext bool) {
 		if len(code) > 4<<10 {
 			return
 		}
-		checkViabilityMatchesNaive(t, viabilityGraph(code, ext), "fuzz")
+		checkViabilityMatchesNaive(t, viabilityGraph(code, base, ext), "fuzz")
 	})
 }

@@ -37,7 +37,6 @@ func (Recursive) Disassemble(code []byte, base uint64, entry int) *dis.Result {
 // traverse marks everything reachable from seeds.
 func traverse(g *superset.Graph, res *dis.Result, seeds []int) {
 	stack := append([]int(nil), seeds...)
-	var succs []int
 	for len(stack) > 0 {
 		off := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -49,8 +48,8 @@ func traverse(g *superset.Graph, res *dis.Result, seeds []int) {
 		for i := off; i < off+length && i < g.Len(); i++ {
 			res.IsCode[i] = true
 		}
-		succs = g.ForcedSuccs(succs[:0], off)
-		for _, s := range succs {
+		ft, tgt := g.ForcedSuccs(off)
+		for _, s := range [2]int{ft, tgt} {
 			if s >= 0 {
 				stack = append(stack, s)
 			}

@@ -256,8 +256,8 @@ func (d *Disassembler) run(ctx context.Context, g *superset.Graph, entry int, sp
 		opts.ScoreAt = ws.at
 	}
 	out, err := correct.RunTieredContext(ctx, g, viable, structural, func(o *correct.Outcome) []analysis.Hint {
-		part = tier.FromStates(o.State)
 		tsp := csp.StartChild("tier")
+		part = tier.FromStates(o.State)
 		tsp.Count("settled", int64(part.SettledBytes))
 		tsp.Count("contested", int64(part.ContestedBytes))
 		tsp.Count("windows", int64(len(part.Windows)))

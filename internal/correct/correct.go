@@ -293,10 +293,10 @@ func (c *corrector) retract(ctx context.Context) (int, error) {
 // another committed instruction: the predicate retraction and gap fill's
 // tile unwinding both remove instructions by.
 func (c *corrector) contradicted(off int) bool {
-	c.succs = c.g.ForcedSuccs(c.succs[:0], off)
-	for _, s := range c.succs {
-		if s < 0 || c.out.State[s] == Data ||
-			(c.out.State[s] == Code && !c.out.InstStart[s]) {
+	ft, tgt := c.g.ForcedSuccs(off)
+	for _, s := range [2]int{ft, tgt} {
+		if s == superset.Escape || s >= 0 && (c.out.State[s] == Data ||
+			c.out.State[s] == Code && !c.out.InstStart[s]) {
 			return true
 		}
 	}
@@ -516,11 +516,11 @@ type corrector struct {
 	g      *superset.Graph
 	viable []bool
 	out    *Outcome
-	// Work buffers, reused across the run's commits and scans so the
-	// per-instruction ForcedSuccs calls append without allocating.
+	// Work buffers, reused across the run's commits and scans.
 	stack []uint64 // commitChain's pending successors, source<<32 | successor
-	succs []int    // forced successors of the offset canPlace last passed
 	tiles []int    // gap fill's committed tile starts
+	// The forced successors of the offset canPlace last passed.
+	ft, tgt int
 	// The commit records and the radix sort's second buffer, reused by
 	// the second phase of a tiered run.
 	recs, tmp []commitRec
@@ -553,7 +553,7 @@ func (c *corrector) internSrc(s string) uint8 {
 // canPlace reports whether a new instruction can be committed at off
 // without contradicting existing facts: every byte it occupies is still
 // Unknown, and none of its forced successors starts on a data byte. When
-// it passes, it leaves those successors in c.succs.
+// it passes, it leaves those successors in c.ft and c.tgt.
 func (c *corrector) canPlace(off int) bool {
 	if off < 0 || off >= c.g.Len() || !c.viable[off] {
 		return false
@@ -569,8 +569,8 @@ func (c *corrector) canPlace(off int) bool {
 	}
 	// One-step lookahead: an instruction whose forced successor starts on
 	// a proven-data byte cannot be code (code never falls into data).
-	c.succs = c.g.ForcedSuccs(c.succs[:0], off)
-	for _, s := range c.succs {
+	c.ft, c.tgt = c.g.ForcedSuccs(off)
+	for _, s := range [2]int{c.ft, c.tgt} {
 		if s >= 0 && c.out.State[s] == Data {
 			return false
 		}
@@ -595,15 +595,19 @@ func (c *corrector) commitChain(off int) bool {
 	}
 	c.stack = c.stack[:0]
 	for o := off; ; {
-		// canPlace(o) passed and left o's forced successors in c.succs.
+		// canPlace(o) passed and left o's forced successors in c.ft and
+		// c.tgt.
 		from, to := c.g.Occupies(o)
 		for i := from; i < to; i++ {
 			c.out.State[i] = Code
 			c.out.SrcOf[i] = c.curSrc
 		}
 		c.out.InstStart[o] = true
-		for _, s := range c.succs {
-			if s < 0 {
+		for _, s := range [2]int{c.ft, c.tgt} {
+			if s == superset.NoSucc {
+				continue
+			}
+			if s == superset.Escape {
 				c.seeds = append(c.seeds, int32(o))
 				continue
 			}

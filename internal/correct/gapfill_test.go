@@ -13,15 +13,14 @@ import (
 // after retraction) must preserve.
 func assertNoCommitIntoData(t *testing.T, g *superset.Graph, out *Outcome) {
 	t.Helper()
-	var succs []int
 	for off := 0; off < g.Len(); off++ {
 		if !out.InstStart[off] {
 			continue
 		}
-		succs = g.ForcedSuccs(succs[:0], off)
-		for _, s := range succs {
+		ft, tgt := g.ForcedSuccs(off)
+		for _, s := range [2]int{ft, tgt} {
 			if s < 0 {
-				continue // static escapes are viability's job
+				continue // no successor; static escapes are viability's job
 			}
 			if out.State[s] == Data {
 				t.Errorf("committed instruction at +%d has forced successor +%d classified Data", off, s)

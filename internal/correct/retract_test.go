@@ -15,7 +15,6 @@ import (
 // returns the number of instructions retracted.
 func retractReference(g *superset.Graph, out *Outcome) int {
 	total := 0
-	var succs []int
 	for {
 		changed := 0
 		for off := g.Len() - 1; off >= 0; off-- {
@@ -23,10 +22,10 @@ func retractReference(g *superset.Graph, out *Outcome) int {
 				continue
 			}
 			bad := false
-			succs = g.ForcedSuccs(succs[:0], off)
-			for _, s := range succs {
-				if s < 0 || out.State[s] == Data ||
-					(out.State[s] == Code && !out.InstStart[s]) {
+			ft, tgt := g.ForcedSuccs(off)
+			for _, s := range [2]int{ft, tgt} {
+				if s == superset.Escape || s >= 0 && (out.State[s] == Data ||
+					out.State[s] == Code && !out.InstStart[s]) {
 					bad = true
 					break
 				}

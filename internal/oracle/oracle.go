@@ -47,6 +47,7 @@ import (
 	"probedis/internal/correct"
 	"probedis/internal/ctxutil"
 	"probedis/internal/dis"
+	"probedis/internal/superset"
 	"probedis/internal/tier"
 	"probedis/internal/x86"
 )
@@ -100,23 +101,6 @@ const violationCap = 32
 
 func (r *Report) full() bool { return len(r.Violations) >= violationCap }
 
-// CheckResult checks the invariants expressible on a bare classification
-// (no pipeline internals): partition, instruction integrity against a
-// fresh decode, code ownership and function-start ordering. It applies to
-// any dis.Engine output, including the baseline engines.
-func CheckResult(rep *Report, sec string, code []byte, res *dis.Result) {
-	if res.Len() != len(code) {
-		rep.addf(InvPartition, sec, -1, "result covers %d bytes, section has %d", res.Len(), len(code))
-		return
-	}
-	if len(res.InstStart) != len(code) {
-		rep.addf(InvPartition, sec, -1, "InstStart covers %d bytes, section has %d", len(res.InstStart), len(code))
-		return
-	}
-	checkInstWalk(rep, sec, code, res, nil)
-	checkFuncStarts(rep, sec, res)
-}
-
 // CheckDetail checks every structural invariant on one section's full
 // pipeline output.
 func CheckDetail(rep *Report, sec string, code []byte, det *core.Detail) {
@@ -146,12 +130,10 @@ func CheckDetail(rep *Report, sec string, code []byte, det *core.Detail) {
 
 // checkInstWalk verifies instruction integrity and code ownership by
 // walking the section once: every code byte lies in exactly one committed
-// instruction, and every instruction byte is code. det may be nil
-// (bare-result mode); when present, viability and forced-successor facts
-// are checked too.
+// instruction, and every instruction byte is code. It also checks each
+// committed instruction's viability and forced successors.
 func checkInstWalk(rep *Report, sec string, code []byte, res *dis.Result, det *core.Detail) {
 	n := len(code)
-	var succs []int
 	for off := 0; off < n; {
 		if rep.full() {
 			return
@@ -184,16 +166,14 @@ func checkInstWalk(rep *Report, sec string, code []byte, res *dis.Result, det *c
 				rep.addf(InvInstIntegrity, sec, off, "overlapping instruction start inside [%#x,%#x)", off, end)
 			}
 		}
-		if det != nil {
-			if !det.Viable[off] {
-				rep.addf(InvViability, sec, off, "committed instruction start is non-viable")
-			}
-			succs = det.Graph.ForcedSuccs(succs[:0], off)
-			for _, s := range succs {
-				if s < 0 {
-					rep.addf(InvViability, sec, off,
-						"forced successor escapes the section outside any registered extern range")
-				}
+		if !det.Viable[off] {
+			rep.addf(InvViability, sec, off, "committed instruction start is non-viable")
+		}
+		ft, tgt := det.Graph.ForcedSuccs(off)
+		for _, s := range [2]int{ft, tgt} {
+			if s == superset.Escape {
+				rep.addf(InvViability, sec, off,
+					"forced successor escapes the section outside any registered extern range")
 			}
 		}
 		off = end
@@ -203,18 +183,11 @@ func checkInstWalk(rep *Report, sec string, code []byte, res *dis.Result, det *c
 // decoded is the minimal decode fact the walk needs.
 type decoded struct{ len int }
 
-// decodeAt re-derives the instruction at off. With a graph available the
-// superset decode is authoritative (it is what the pipeline committed)
-// but must agree with a fresh decode; without one the walk decodes the
-// raw bytes directly.
+// decodeAt re-derives the instruction at off. The superset decode is
+// authoritative (it is what the pipeline committed) but must agree with
+// a fresh decode.
 func decodeAt(code []byte, base uint64, off int, det *core.Detail) (decoded, error) {
 	inst, err := x86.Decode(code[off:], base+uint64(off))
-	if det == nil {
-		if err != nil {
-			return decoded{}, err
-		}
-		return decoded{len: inst.Len}, nil
-	}
 	if !det.Graph.Valid(off) {
 		return decoded{}, fmt.Errorf("superset graph has no valid decode")
 	}

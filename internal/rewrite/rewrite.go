@@ -282,15 +282,6 @@ func Rewrite(det *core.Detail, opts Options) (*Output, error) {
 	}, nil
 }
 
-// MapVA maps an original virtual address to the rewritten image.
-func (o *Output) MapVA(oldVA, oldBase uint64) (uint64, bool) {
-	no, ok := o.InstMap[int(oldVA-oldBase)]
-	if !ok {
-		return 0, false
-	}
-	return o.Base + uint64(no), true
-}
-
 // classifyBranch marks rel8 direct branches for widening.
 func classifyBranch(it *item) error {
 	inst := &it.inst

@@ -65,10 +65,11 @@ type Config struct {
 	StoreDir string
 	// StoreBytes bounds the store (0 = store.DefaultMaxBytes).
 	StoreBytes int64
-	// Fingerprint tags store entries with what produced them; a
-	// mismatch invalidates them wholesale ("" = the Disassembler's
+	// Fingerprint keys store entries by what produced them: a server
+	// reads only entries of its own fingerprint, and servers with
+	// different ones keep theirs side by side ("" = the Disassembler's
 	// Fingerprint: the pipeline generation, its model and its options).
-	// Tests override it to exercise invalidation.
+	// Tests override it to exercise the separation.
 	Fingerprint string
 	// Clock injects a fake clock in tests (nil = wall clock).
 	Clock vclock.Clock

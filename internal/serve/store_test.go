@@ -160,9 +160,10 @@ func TestFingerprintChangeInvalidatesStore(t *testing.T) {
 
 // TestStoreSeparatesModels: with no Config.Fingerprint, the store is
 // tagged with the disassembler's own fingerprint, which names its
-// statistical model. A server with another model never answers from the
-// entries a server with the first one wrote, and a server reopened with
-// the first model still answers from disk.
+// statistical model. Servers with the default model and with another one
+// alternate on one store directory: neither answers from the entries the
+// other wrote, and neither deletes them, so the third and fourth requests
+// are disk hits, each with its own model's body.
 func TestStoreSeparatesModels(t *testing.T) {
 	dir := t.TempDir()
 	img := synthELF(t, 24)
@@ -186,16 +187,16 @@ func TestStoreSeparatesModels(t *testing.T) {
 	if cache != "miss" {
 		t.Fatalf("first server: cache state %q, want miss", cache)
 	}
-	if again, cache := request(core.DefaultModel()); cache != "disk" || !bytes.Equal(again, first) {
-		t.Fatalf("server reopened with the same model: cache state %q, same body %v; want a disk hit with the stored body",
-			cache, bytes.Equal(again, first))
-	}
 	otherBody, cache := request(other)
 	if cache != "miss" {
 		t.Fatalf("server with another model: cache state %q, want miss", cache)
 	}
 	if bytes.Equal(otherBody, first) {
 		t.Fatal("precondition: both models give the same body on this image")
+	}
+	if again, cache := request(core.DefaultModel()); cache != "disk" || !bytes.Equal(again, first) {
+		t.Fatalf("server reopened with the default model: cache state %q, same body %v; want a disk hit with the stored body",
+			cache, bytes.Equal(again, first))
 	}
 	if again, cache := request(other); cache != "disk" || !bytes.Equal(again, otherBody) {
 		t.Fatalf("server reopened with the other model: cache state %q, same body %v; want a disk hit with its body",

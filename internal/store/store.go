@@ -1,16 +1,20 @@
 // Package store is the persistent content-addressed result store
 // behind the disasmd in-memory result cache: a directory of serialized
-// pipeline results keyed by the SHA-256 of the input image, shared by
-// every replica pointed at the same root, so replicas compute each
-// unique image once between them.
+// pipeline results keyed by the fingerprint of the pipeline that made
+// them and the SHA-256 of the input image, shared by every replica
+// pointed at the same root, so replicas compute each unique image once
+// between them, and replicas with different fingerprints (another model,
+// another pipeline version) keep their results side by side.
 //
 // Layout:
 //
-//	<root>/sha256/ab/abcdef...   one entry per key (ab = first key byte)
-//	<root>/tmp/                  in-progress writes (crash orphans are
-//	                             swept at Open)
-//	<root>/quarantine/           entries that failed validation, kept
-//	                             for inspection, never served
+//	<root>/sha256/<fp>/ab/abcdef...  one entry per key (fp = hex SHA-256
+//	                                 of the fingerprint, ab = first key
+//	                                 byte)
+//	<root>/tmp/                      in-progress writes (crash orphans
+//	                                 are swept at Open)
+//	<root>/quarantine/               entries that failed validation,
+//	                                 kept for inspection, never served
 //
 // Entry format (little-endian):
 //
@@ -27,15 +31,20 @@
 // at rest — are detected and quarantined, never served. Publishes are
 // atomic: entries are staged under tmp/ and moved into place with one
 // rename, so a reader observes either the old complete entry or the
-// new complete entry, nothing in between. A fingerprint mismatch is
-// not corruption but staleness (the pipeline changed, wholesale
-// invalidation): stale entries are deleted on sight and at Open.
+// new complete entry, nothing in between. An intact entry under the
+// store's own fingerprint directory whose header names another format
+// version or fingerprint is not corruption but staleness: it is deleted
+// on sight and at Open. Entries under other fingerprints belong to other
+// replicas; a store never reads, validates or deletes them, except by
+// the byte budget.
 //
-// The store is bounded by payload bytes: when a Put pushes the total
-// over budget, the least-recently-used entries (by access time, which
-// Get maintains by touching mtime) are swept until it fits. A body
-// that cannot fit even in an empty store returns ErrFull — the serving
-// layer maps that to 507.
+// The store is bounded by payload bytes over the whole root, every
+// fingerprint's entries together: when a Put pushes the total over
+// budget, the least-recently-used entries (by access time, which Get
+// maintains by touching mtime) are swept until it fits, so the entries
+// of a fingerprint no replica uses any more age out. A body that cannot
+// fit even in an empty store returns ErrFull — the serving layer maps
+// that to 507.
 package store
 
 import (
@@ -48,6 +57,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,6 +91,7 @@ type Store struct {
 	root     string
 	maxBytes int64
 	fp       string
+	fpDir    string // this fingerprint's entry directory
 
 	mu    sync.Mutex
 	bytes int64 // approximate resident payload bytes (entry file sizes)
@@ -97,14 +108,16 @@ type Store struct {
 }
 
 // Open prepares root (creating it if needed), sweeps crash orphans out
-// of tmp/, drops entries whose fingerprint does not match fp (wholesale
-// invalidation on pipeline change) and derives the resident byte count.
+// of tmp/, drops stale entries from fp's directory, quarantines corrupt
+// ones there and derives the resident byte count of the whole root.
 func Open(root string, maxBytes int64, fp string) (*Store, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
+	digest := sha256.Sum256([]byte(fp))
 	s := &Store{root: root, maxBytes: maxBytes, fp: fp, rename: os.Rename}
-	for _, d := range []string{s.entriesDir(), s.tmpDir(), s.quarantineDir()} {
+	s.fpDir = filepath.Join(s.entriesDir(), hex.EncodeToString(digest[:]))
+	for _, d := range []string{s.fpDir, s.tmpDir(), s.quarantineDir()} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
@@ -127,7 +140,7 @@ func (s *Store) quarantineDir() string { return filepath.Join(s.root, "quarantin
 
 func (s *Store) entryPath(key [32]byte) string {
 	hexKey := hex.EncodeToString(key[:])
-	return filepath.Join(s.entriesDir(), hexKey[:2], hexKey)
+	return filepath.Join(s.fpDir, hexKey[:2], hexKey)
 }
 
 // SetRenameHook substitutes the publish rename — test-only, simulating
@@ -139,10 +152,11 @@ func (s *Store) SetRenameHook(f func(oldpath, newpath string) error) {
 	s.rename = f
 }
 
-// Get returns the stored body for key, or ok=false on miss. Corrupt
-// entries (bad magic, short file, checksum mismatch) are quarantined
-// and reported as a miss; entries with a different format version or
-// pipeline fingerprint are stale — deleted and reported as a miss.
+// Get returns the stored body for key under the store's fingerprint, or
+// ok=false on miss. Corrupt entries (bad magic, short file, checksum
+// mismatch) are quarantined and reported as a miss; entries whose header
+// names a different format version or fingerprint are stale — deleted
+// and reported as a miss.
 func (s *Store) Get(key [32]byte) (body []byte, ok bool) {
 	path := s.entryPath(key)
 	raw, err := os.ReadFile(path)
@@ -264,11 +278,13 @@ type walkedEntry struct {
 	atime time.Time
 }
 
-// walk scans the entries directory: total size, count, and (when
-// sweepStale) deletes entries whose header carries a different
-// fingerprint or version. Orphan files that do not look like entries
-// are left alone.
+// walk scans the entries directory of every fingerprint: total size,
+// count, and (when sweepStale) deletes the entries of this store's
+// fingerprint directory whose header carries a different fingerprint or
+// version, and quarantines its corrupt ones. Orphan files that do not
+// look like entries are left alone.
 func (s *Store) walk(sweepStale bool) (bytes, count int64, entries []walkedEntry) {
+	own := s.fpDir + string(filepath.Separator)
 	filepath.WalkDir(s.entriesDir(), func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return nil
@@ -277,7 +293,7 @@ func (s *Store) walk(sweepStale bool) (bytes, count int64, entries []walkedEntry
 		if err != nil {
 			return nil
 		}
-		if sweepStale {
+		if sweepStale && strings.HasPrefix(path, own) {
 			switch checkHeader(path, s.fp) {
 			case entryStale:
 				os.Remove(path)
@@ -365,9 +381,6 @@ func (s *Store) ByteCount() int64 {
 // CI job uploads it as an artifact when fault-injection tests fail).
 func (s *Store) QuarantineDir() string { return s.quarantineDir() }
 
-// Root returns the store root directory.
-func (s *Store) Root() string { return s.root }
-
 // entry validation verdicts.
 type verdict int
 
@@ -425,7 +438,7 @@ func decodeEntry(raw []byte, fp string) ([]byte, verdict) {
 
 // checkHeader classifies the entry at path by reading it fully (entries
 // are result-sized, small relative to images). Used by the Open-time
-// stale sweep.
+// stale sweep of the store's own fingerprint directory.
 func checkHeader(path, fp string) verdict {
 	raw, err := os.ReadFile(path)
 	if err != nil {

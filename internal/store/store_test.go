@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -89,64 +90,130 @@ func TestSharedRootAcrossStores(t *testing.T) {
 	}
 }
 
-// TestFingerprintInvalidation: entries written under an old pipeline
-// fingerprint are ignored and swept — lazily by Get and wholesale at
-// Open.
+// TestFingerprintInvalidation: a store never serves an entry written
+// under another fingerprint (another pipeline version or model), and
+// never deletes one, at Open or at Get: replicas with different
+// fingerprints alternating on one root read miss, miss, then each its
+// own entry back, and the root's accounting counts both.
 func TestFingerprintInvalidation(t *testing.T) {
 	root := t.TempDir()
-	old := open(t, root, 1<<20, "fp-v1")
-	b1, b2 := []byte("result-one"), []byte("result-two")
-	if err := old.Put(key(b1), b1); err != nil {
-		t.Fatal(err)
+	k := key([]byte("one image"))
+	bodies := map[string][]byte{"fp-v1": []byte("result-under-v1"), "fp-v2": []byte("result-under-v2")}
+	for i, fp := range []string{"fp-v1", "fp-v2", "fp-v1", "fp-v2"} {
+		s := open(t, root, 1<<20, fp)
+		got, ok := s.Get(k)
+		if i < 2 {
+			if ok {
+				t.Fatalf("request %d (%s): served %q before this fingerprint stored anything", i, fp, got)
+			}
+			if err := s.Put(k, bodies[fp]); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if !ok || !bytes.Equal(got, bodies[fp]) {
+			t.Fatalf("request %d (%s): ok=%v body=%q, want its own stored body", i, fp, ok, got)
+		}
+		if s.EntryCount() != 2 || s.CorruptionCount() != 0 {
+			t.Errorf("request %d (%s): %d entries, %d corrupt; want both fingerprints' entries and none corrupt",
+				i, fp, s.EntryCount(), s.CorruptionCount())
+		}
 	}
-	if err := old.Put(key(b2), b2); err != nil {
-		t.Fatal(err)
-	}
-
-	// Lazy sweep: a replica on the new fingerprint misses and deletes.
-	nw, err := Open(root, 1<<20, "fp-v2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nw.EntryCount() != 0 {
-		t.Errorf("Open with new fingerprint kept %d stale entries", nw.EntryCount())
-	}
-	if _, ok := nw.Get(key(b1)); ok {
-		t.Fatal("stale-fingerprint entry served")
-	}
-	if nw.CorruptionCount() != 0 {
-		t.Errorf("stale entries counted as corruption: %d", nw.CorruptionCount())
-	}
-	// Stale entries are deleted, not quarantined.
-	if ents, _ := os.ReadDir(nw.QuarantineDir()); len(ents) != 0 {
-		t.Errorf("stale entries quarantined: %d", len(ents))
-	}
-	// And the store still works on the new fingerprint.
-	if err := nw.Put(key(b1), b1); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := nw.Get(key(b1)); !ok || !bytes.Equal(got, b1) {
-		t.Fatalf("recompute after invalidation: ok=%v body=%q", ok, got)
+	if ents, _ := os.ReadDir(filepath.Join(root, "quarantine")); len(ents) != 0 {
+		t.Errorf("entries quarantined: %d", len(ents))
 	}
 }
 
 // TestLazyStaleSweepOnGet covers the other sweep path: the stale entry
-// appears after this store opened (written by a replica still on the
-// old fingerprint).
+// appears after this store opened. An entry another fingerprint's
+// replica writes is not this store's to judge, so Get misses and leaves
+// it; an entry of another format version at the store's own path (a
+// replica of another store generation) is stale, so Get deletes it.
 func TestLazyStaleSweepOnGet(t *testing.T) {
 	root := t.TempDir()
 	nw := open(t, root, 1<<20, "fp-v2")
 	old := open(t, root, 1<<20, "fp-v1")
-	body := []byte("written-by-old-replica")
+	body := []byte("written-after-open")
 	k := key(body)
 	if err := old.Put(k, body); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := nw.Get(k); ok {
+		t.Fatal("another fingerprint's entry served")
+	}
+	if _, err := os.Stat(old.entryPath(k)); err != nil {
+		t.Errorf("Get deleted another fingerprint's entry: %v", err)
+	}
+
+	writeOtherVersion(t, nw, k, body)
+	if _, ok := nw.Get(k); ok {
 		t.Fatal("stale entry served")
 	}
 	if _, err := os.Stat(nw.entryPath(k)); !os.IsNotExist(err) {
 		t.Error("stale entry not swept by Get")
+	}
+}
+
+// TestOpenSweepsStaleEntries covers the Open-time sweep: an entry of
+// another format version at the store's own path (written before a
+// version bump) is deleted when the store opens, and is neither counted
+// nor quarantined as corrupt.
+func TestOpenSweepsStaleEntries(t *testing.T) {
+	root := t.TempDir()
+	s := open(t, root, 1<<20, testFP)
+	body := []byte("written-before-a-version-bump")
+	k := key(body)
+	writeOtherVersion(t, s, k, body)
+
+	s2 := open(t, root, 1<<20, testFP)
+	if s2.EntryCount() != 0 || s2.CorruptionCount() != 0 {
+		t.Errorf("after reopen: %d entries, %d corrupt; want none", s2.EntryCount(), s2.CorruptionCount())
+	}
+	if _, err := os.Stat(s2.entryPath(k)); !os.IsNotExist(err) {
+		t.Error("stale entry not swept by Open")
+	}
+	if q, _ := os.ReadDir(s2.QuarantineDir()); len(q) != 0 {
+		t.Errorf("quarantine holds %d files, want none", len(q))
+	}
+}
+
+// writeOtherVersion writes body at s's own path for k as an intact entry
+// of another format version: the header's version changed and the
+// checksum recomputed over it, so s must judge it stale, not corrupt.
+func writeOtherVersion(t *testing.T, s *Store, k [32]byte, body []byte) {
+	t.Helper()
+	enc := encodeEntry(body, s.fp)
+	payload := bytes.Clone(enc[:len(enc)-sha256.Size])
+	binary.LittleEndian.PutUint32(payload[8:], entryVersion+1)
+	if err := os.MkdirAll(filepath.Dir(s.entryPath(k)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, s.entryPath(k), encodeRaw(payload))
+}
+
+// TestByteBudgetSpansFingerprints: the byte budget and its LRU cover the
+// whole root, so the entries of a fingerprint no replica uses any more
+// age out as another fingerprint's replica publishes.
+func TestByteBudgetSpansFingerprints(t *testing.T) {
+	root := t.TempDir()
+	body := bytes.Repeat([]byte{'x'}, 1000)
+	old := open(t, root, 2500, "fp-v1")
+	if err := old.Put(key([]byte("old")), body); err != nil {
+		t.Fatal(err)
+	}
+	past := time.Now().Add(-time.Hour)
+	os.Chtimes(old.entryPath(key([]byte("old"))), past, past)
+	nw := open(t, root, 2500, "fp-v2")
+	for _, name := range []string{"a", "b"} {
+		if err := nw.Put(key([]byte(name)), body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(old.entryPath(key([]byte("old")))); !os.IsNotExist(err) {
+		t.Error("the unused fingerprint's least-recently-used entry survived the sweep")
+	}
+	if nw.EntryCount() != 2 || nw.EvictionCount() != 1 {
+		t.Errorf("entries %d, evictions %d; want 2 and 1", nw.EntryCount(), nw.EvictionCount())
 	}
 }
 

@@ -74,7 +74,7 @@ type Graph struct {
 	// landing there are legitimate (cross-section tail calls, PLT stubs)
 	// rather than evidence of a misdecode. Kept sorted by Start and
 	// merged disjoint by SetExtern so ExternTarget can binary-search —
-	// it sits inside the corrector's canPlace/ForcedSuccs hot path.
+	// it sits inside ForcedSuccs, which the corrector calls per placement.
 	extern []Range
 
 	// anchors holds one bit per offset, set by Decode for every anchor
@@ -414,48 +414,94 @@ func (g *Graph) MemAddrAt(off int) (addr uint64, ok bool) {
 	return inst.MemAddr()
 }
 
-// ForcedSuccs appends to dst the offsets that MUST be instructions if off
-// is an instruction: the fallthrough successor and the direct branch
-// target. A direct branch leaving the section yields a -1 entry,
-// signalling an impossible instruction (application code does not branch
-// into nothing) — unless the target lies in a registered external
-// executable range (cross-section tail call), in which case it imposes no
-// local constraint and is omitted. A fallthrough ending exactly at the
-// section boundary gets the same escape: if a registered external
-// executable range begins right there (two adjacent text sections),
-// execution legitimately continues into it, so no -1 is emitted.
-func (g *Graph) ForcedSuccs(dst []int, off int) []int {
+// Escape and NoSucc are the values ForcedSuccs returns besides section
+// offsets.
+const (
+	// Escape is a forced successor outside the section and outside every
+	// registered extern range, or one whose address wraps around 2^64:
+	// an instruction with one cannot execute.
+	Escape = -1
+	// NoSucc is no successor: the flow has none of that kind, or it
+	// continues into a registered extern range, which imposes no local
+	// constraint.
+	NoSucc = -2
+)
+
+// ForcedSuccs returns the offsets that MUST be instructions if off is an
+// instruction: ft, the fallthrough successor, then tgt, the direct branch
+// target, each a section offset, Escape or NoSucc. An invalid offset has
+// neither. A direct branch leaving the section escapes (application code
+// does not branch into nothing) unless the target lies in a registered
+// external executable range (a cross-section tail call). A fallthrough
+// ending exactly at the section boundary gets the same exemption when an
+// extern range begins right there (two adjacent text sections). An
+// address that wraps around the address space always escapes.
+func (g *Graph) ForcedSuccs(off int) (ft, tgt int) {
+	ft, tgt = NoSucc, NoSucc
 	e := g.At(off)
 	if !e.Valid() {
-		return dst
+		return ft, tgt
 	}
 	flow := e.Flow()
 	if flow.HasFallthrough() {
-		next := off + e.Len()
-		if next < len(g.Code) {
-			dst = append(dst, next)
-		} else if end := g.Base + uint64(next); end < g.Base || !g.ExternTarget(end) {
-			// end < Base: the section boundary sits at 2^64, so there is no
-			// address for execution to continue at — never an extern match.
-			dst = append(dst, -1)
+		if ft = off + e.Len(); ft == len(g.Code) {
+			// end < Base: the section boundary sits at 2^64, so there is
+			// no address for execution to continue at.
+			if end := g.Base + uint64(ft); end < g.Base {
+				ft = Escape
+			} else {
+				ft = g.outside(end)
+			}
 		}
 	}
 	switch flow {
 	case x86.FlowJump, x86.FlowCondJump, x86.FlowCall:
-		tgt, ok := g.target(off, e)
-		if !ok {
-			// Target arithmetic wrapped around the address space: an
-			// impossible instruction, regardless of extern ranges.
-			dst = append(dst, -1)
-			return dst
-		}
-		if t := g.OffsetOf(tgt); t >= 0 {
-			dst = append(dst, t)
-		} else if !g.ExternTarget(tgt) {
-			dst = append(dst, -1)
+		if addr, ok := g.target(off, e); !ok {
+			tgt = Escape
+		} else if tgt = g.OffsetOf(addr); tgt < 0 {
+			tgt = g.outside(addr)
 		}
 	}
-	return dst
+	return ft, tgt
+}
+
+// outside classifies a successor address outside the section that did
+// not wrap: NoSucc in a registered extern range, Escape elsewhere.
+func (g *Graph) outside(addr uint64) int {
+	if g.ExternTarget(addr) {
+		return NoSucc
+	}
+	return Escape
+}
+
+// StraightLimit returns the offset below which a descending sweep can
+// read ForcedSuccs off the packed record with arithmetic alone, and
+// whether extern ranges are registered. Below it every fallthrough lands
+// in the section, since an instruction is at most x86.MaxInstLen bytes
+// long. It is 0 for a section whose addresses wrap past 2^64 and for one
+// longer than 2^31 bytes, so LocalTarget decides every direct target
+// below it.
+func (g *Graph) StraightLimit() (lim int, extern bool) {
+	n := len(g.Code)
+	if uint64(n) > 1<<31 || n > 0 && g.Base+uint64(n-1) < g.Base {
+		return 0, len(g.extern) > 0
+	}
+	return max(n-x86.MaxInstLen, 0), len(g.extern) > 0
+}
+
+// LocalTarget returns t = off+e.Delta, the offset e's packed delta names,
+// and whether t lies in [0, Len()), with one unsigned comparison. Below
+// StraightLimit it is the direct branch's target in ForcedSuccs without a
+// branch: t when in holds; otherwise the target lies outside the section,
+// and so escapes when no extern range is registered. No wrap test is
+// needed there, since an address that wraps past 2^64 or below 0 lands
+// outside [0, Len()) as an offset too. Nor is an x86.DeltaRedecode test,
+// since the section is at most 2^31 bytes long: such a record names
+// off-2^31, below 0, and its true target lies 2^31 bytes or more away,
+// outside the section as well.
+func (g *Graph) LocalTarget(off int, e Info) (t int, in bool) {
+	t = off + int(e.Delta)
+	return t, uint(t) < uint(len(g.Code))
 }
 
 // Occupies reports the byte range [off, off+len) of the decode at off.

@@ -36,40 +36,26 @@ func TestBuildSimple(t *testing.T) {
 }
 
 func TestForcedSuccs(t *testing.T) {
-	// jmp +0 (to offset 5); ret; call rel32 self+...
-	code := []byte{0xe9, 0x00, 0x00, 0x00, 0x00, 0xc3}
-	g := Build(code, 0x2000)
-	succs := g.ForcedSuccs(nil, 0)
-	if len(succs) != 1 || succs[0] != 5 {
-		t.Errorf("jmp succs = %v, want [5]", succs)
-	}
-	// ret has no successors.
-	if s := g.ForcedSuccs(nil, 5); len(s) != 0 {
-		t.Errorf("ret succs = %v", s)
-	}
-
-	// Conditional branch: fallthrough + target.
-	code = []byte{0x74, 0x01, 0xc3, 0xc3}
-	g = Build(code, 0)
-	succs = g.ForcedSuccs(nil, 0)
-	if len(succs) != 2 || succs[0] != 2 || succs[1] != 3 {
-		t.Errorf("jcc succs = %v, want [2 3]", succs)
-	}
-
-	// Branch out of section: forced successor is -1.
-	code = []byte{0xe9, 0x00, 0x10, 0x00, 0x00}
-	g = Build(code, 0)
-	succs = g.ForcedSuccs(nil, 0)
-	if len(succs) != 1 || succs[0] != -1 {
-		t.Errorf("out-of-section jmp succs = %v, want [-1]", succs)
-	}
-
-	// Fallthrough off the end of the section is also -1.
-	code = []byte{0x90}
-	g = Build(code, 0)
-	succs = g.ForcedSuccs(nil, 0)
-	if len(succs) != 1 || succs[0] != -1 {
-		t.Errorf("end-of-section fallthrough = %v, want [-1]", succs)
+	for _, c := range []struct {
+		name         string
+		code         []byte
+		off          int
+		wantFt, want int
+	}{
+		// jmp +0 lands on offset 5; it has no fallthrough.
+		{"jmp", []byte{0xe9, 0x00, 0x00, 0x00, 0x00, 0xc3}, 0, NoSucc, 5},
+		{"ret", []byte{0xe9, 0x00, 0x00, 0x00, 0x00, 0xc3}, 5, NoSucc, NoSucc},
+		// Conditional branch: fallthrough, then target.
+		{"jcc", []byte{0x74, 0x01, 0xc3, 0xc3}, 0, 2, 3},
+		{"nop", []byte{0x90, 0xc3}, 0, 1, NoSucc},
+		{"jmp out of section", []byte{0xe9, 0x00, 0x10, 0x00, 0x00}, 0, NoSucc, Escape},
+		{"fallthrough off the end", []byte{0x90}, 0, Escape, NoSucc},
+		{"invalid", []byte{0x06, 0xc3}, 0, NoSucc, NoSucc},
+	} {
+		g := Build(c.code, 0x2000)
+		if ft, tgt := g.ForcedSuccs(c.off); ft != c.wantFt || tgt != c.want {
+			t.Errorf("%s: ForcedSuccs = (%d, %d), want (%d, %d)", c.name, ft, tgt, c.wantFt, c.want)
+		}
 	}
 }
 
@@ -129,20 +115,20 @@ func TestForcedSuccsFallthroughAtSectionBoundary(t *testing.T) {
 	code := []byte{0x90} // nop at the last byte: fallthrough lands at len(code)
 	g := Build(code, base)
 
-	if succs := g.ForcedSuccs(nil, 0); len(succs) != 1 || succs[0] != -1 {
-		t.Fatalf("no extern: succs = %v, want [-1]", succs)
+	if ft, tgt := g.ForcedSuccs(0); ft != Escape || tgt != NoSucc {
+		t.Fatalf("no extern: succs = (%d, %d), want (Escape, NoSucc)", ft, tgt)
 	}
 
 	// Contiguous adjacent section: execution continues into it.
 	g.SetExtern([]Range{{Start: base + 1, End: base + 0x100}})
-	if succs := g.ForcedSuccs(nil, 0); len(succs) != 0 {
-		t.Errorf("adjacent extern: succs = %v, want []", succs)
+	if ft, tgt := g.ForcedSuccs(0); ft != NoSucc || tgt != NoSucc {
+		t.Errorf("adjacent extern: succs = (%d, %d), want none", ft, tgt)
 	}
 
 	// Non-contiguous extern (gap after the section): still impossible.
 	g.SetExtern([]Range{{Start: base + 0x40, End: base + 0x100}})
-	if succs := g.ForcedSuccs(nil, 0); len(succs) != 1 || succs[0] != -1 {
-		t.Errorf("gapped extern: succs = %v, want [-1]", succs)
+	if ft, tgt := g.ForcedSuccs(0); ft != Escape || tgt != NoSucc {
+		t.Errorf("gapped extern: succs = (%d, %d), want (Escape, NoSucc)", ft, tgt)
 	}
 }
 

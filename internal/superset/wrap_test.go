@@ -71,12 +71,8 @@ func TestAddressWraparound(t *testing.T) {
 		if got := wg.TargetOff(off); got != -1 {
 			t.Errorf("TargetOff(jmp across wrap) = %d, want -1", got)
 		}
-		var succs []int
-		succs = wg.ForcedSuccs(succs, off)
-		for _, s := range succs {
-			if s != -1 {
-				t.Errorf("ForcedSuccs(jmp across wrap) contains %d, want only escapes", s)
-			}
+		if ft, tgt := wg.ForcedSuccs(off); ft != NoSucc || tgt != Escape {
+			t.Errorf("ForcedSuccs(jmp across wrap) = (%d, %d), want (NoSucc, Escape)", ft, tgt)
 		}
 	})
 
@@ -99,10 +95,8 @@ func TestAddressWraparound(t *testing.T) {
 		}
 		tg := Build(top, base)
 		tg.SetExtern([]Range{{Start: 0x0, End: 0x1000}})
-		var succs []int
-		succs = tg.ForcedSuccs(succs, 0xFFF)
-		if len(succs) != 1 || succs[0] != -1 {
-			t.Errorf("ForcedSuccs(last nop, fallthrough wraps) = %v, want [-1]", succs)
+		if ft, tgt := tg.ForcedSuccs(0xFFF); ft != Escape || tgt != NoSucc {
+			t.Errorf("ForcedSuccs(last nop, fallthrough wraps) = (%d, %d), want (Escape, NoSucc)", ft, tgt)
 		}
 	})
 
@@ -142,7 +136,6 @@ func FuzzWrapGraph(f *testing.F) {
 			t.Skip()
 		}
 		g := Build(code, base)
-		var succs []int
 		for off := 0; off < g.Len(); off++ {
 			addr := base + uint64(off)
 			if addr >= base { // offset reachable without wrapping
@@ -167,12 +160,82 @@ func FuzzWrapGraph(f *testing.F) {
 					t.Fatalf("TargetOff(+%#x) = %d crossed the wrap", off, tgt)
 				}
 			}
-			succs = g.ForcedSuccs(succs[:0], off)
-			for _, s := range succs {
-				if s < -1 || s >= g.Len() {
+			ft, tgt := g.ForcedSuccs(off)
+			for _, s := range [2]int{ft, tgt} {
+				if s < NoSucc || s >= g.Len() {
 					t.Fatalf("ForcedSuccs(+%#x) yielded %d", off, s)
 				}
 			}
 		}
+		checkStraight(t, g)
 	})
+}
+
+// TestStraightLimit checks StraightLimit's bound and, through
+// checkStraight, that LocalTarget decides ForcedSuccs' target below it,
+// on nop-and-branch sections at the bottom of the address space, ending
+// exactly at 2^64, and wrapping past it.
+func TestStraightLimit(t *testing.T) {
+	code := make([]byte, 0x40)
+	for i := range code {
+		code[i] = 0x90
+	}
+	code[0x10], code[0x11] = 0xEB, 0x80 // jmp -128: below offset 0
+	// jmp rel32 0x7fffffff: the delta does not fit the record.
+	copy(code[0x18:], []byte{0xE9, 0xFF, 0xFF, 0xFF, 0x7F})
+	code[0x20], code[0x21] = 0xEB, 0x7F // jmp +127: past the end
+	code[0x30], code[0x31] = 0x74, 0xF0 // je -16: in the section
+	for _, c := range []struct {
+		base uint64
+		want int
+	}{
+		{0, 0x40 - x86.MaxInstLen},
+		{0x1000, 0x40 - x86.MaxInstLen},
+		{1<<64 - 0x40, 0x40 - x86.MaxInstLen}, // ends at 2^64
+		{1<<64 - 0x20, 0},                     // wraps past 2^64
+	} {
+		g := Build(code, c.base)
+		if g.Info[0x18].Delta != x86.DeltaRedecode {
+			t.Fatalf("precondition: far jmp's Delta = %d, want DeltaRedecode", g.Info[0x18].Delta)
+		}
+		if lim, extern := g.StraightLimit(); lim != c.want || extern {
+			t.Errorf("base %#x: StraightLimit = (%d, %v), want (%d, false)", c.base, lim, extern, c.want)
+		}
+		checkStraight(t, g)
+		g.SetExtern([]Range{{Start: 0, End: 0x100}})
+		if _, extern := g.StraightLimit(); !extern {
+			t.Errorf("base %#x: StraightLimit reports no extern ranges", c.base)
+		}
+		checkStraight(t, g)
+	}
+	if lim, _ := Build(code[:4], 0x1000).StraightLimit(); lim != 0 {
+		t.Errorf("4-byte section: StraightLimit = %d, want 0", lim)
+	}
+}
+
+// checkStraight fails unless every valid record below g's StraightLimit
+// has the forced successors the viability sweep reads off it: a
+// fallthrough at off+Len, and for a direct branch, a target at
+// LocalTarget's offset when that lies in the section, and otherwise never
+// an offset, and an escape when no extern range is registered.
+func checkStraight(t *testing.T, g *Graph) {
+	t.Helper()
+	lim, extern := g.StraightLimit()
+	for off := 0; off < lim; off++ {
+		e := g.Info[off]
+		if !e.Valid() {
+			continue
+		}
+		ft, tgt := g.ForcedSuccs(off)
+		if e.Flow().HasFallthrough() && ft != off+e.Len() {
+			t.Fatalf("+%#x: fallthrough %d below StraightLimit %d, want %d", off, ft, lim, off+e.Len())
+		}
+		if x86.DirectFlows>>e.Flow()&1 == 0 {
+			continue
+		}
+		lt, in := g.LocalTarget(off, e)
+		if in && tgt != lt || !in && tgt >= 0 || !in && !extern && tgt != Escape {
+			t.Fatalf("+%#x: ForcedSuccs target %d, LocalTarget (%d, %v), extern %v", off, tgt, lt, in, extern)
+		}
+	}
 }

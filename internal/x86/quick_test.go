@@ -80,7 +80,17 @@ func TestQuickPrefixPadding(t *testing.T) {
 	}
 }
 
-// TestQuickFallthroughConsistency: Flow.HasFallthrough and Flow.IsBranch
+// isBranch reports whether the flow transfers control away from the
+// sequential stream (including calls).
+func isBranch(f Flow) bool {
+	switch f {
+	case FlowJump, FlowCondJump, FlowIndirectJump, FlowCall, FlowIndirectCall, FlowRet:
+		return true
+	}
+	return false
+}
+
+// TestQuickFallthroughConsistency: Flow.HasFallthrough and isBranch
 // partition sanely for every decodable input.
 func TestQuickFallthroughConsistency(t *testing.T) {
 	f := func(code []byte) bool {
@@ -95,9 +105,9 @@ func TestQuickFallthroughConsistency(t *testing.T) {
 		case FlowJump, FlowIndirectJump, FlowRet, FlowHalt:
 			return !inst.Flow.HasFallthrough()
 		case FlowSeq:
-			return inst.Flow.HasFallthrough() && !inst.Flow.IsBranch()
+			return inst.Flow.HasFallthrough() && !isBranch(inst.Flow)
 		case FlowCondJump, FlowCall, FlowIndirectCall:
-			return inst.Flow.HasFallthrough() && inst.Flow.IsBranch()
+			return inst.Flow.HasFallthrough() && isBranch(inst.Flow)
 		case FlowInvalid:
 			return false // successful decode must not be invalid
 		}
@@ -124,5 +134,20 @@ func TestQuickRegisterBits(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFlowMasks pins FallthroughFlows and DirectFlows to the flow classes
+// they stand for, over every value a record's 4-bit flow field can hold.
+func TestFlowMasks(t *testing.T) {
+	for f := Flow(0); f < 16; f++ {
+		fall := f == FlowSeq || f == FlowCondJump || f == FlowCall || f == FlowIndirectCall
+		direct := f == FlowJump || f == FlowCondJump || f == FlowCall
+		if f.HasFallthrough() != fall || FallthroughFlows>>f&1 == 1 != fall {
+			t.Errorf("%v: falls through %v, FallthroughFlows bit %d", f, fall, FallthroughFlows>>f&1)
+		}
+		if DirectFlows>>f&1 == 1 != direct {
+			t.Errorf("%v: direct %v, DirectFlows bit %d", f, direct, DirectFlows>>f&1)
+		}
 	}
 }

@@ -99,25 +99,19 @@ func (f Flow) String() string {
 	return fmt.Sprintf("flow(%d)", uint8(f))
 }
 
+// FallthroughFlows and DirectFlows are flow classes as bit sets over
+// Flow values, so a caller can test a class with a shift and a mask
+// instead of a branch: FallthroughFlows>>f&1 is 1 when execution can
+// continue at the next sequential instruction, DirectFlows>>f&1 when the
+// instruction has a direct branch target.
+const (
+	FallthroughFlows uint16 = 1<<FlowSeq | 1<<FlowCondJump | 1<<FlowCall | 1<<FlowIndirectCall
+	DirectFlows      uint16 = 1<<FlowJump | 1<<FlowCondJump | 1<<FlowCall
+)
+
 // HasFallthrough reports whether execution can continue at the next
 // sequential instruction.
-func (f Flow) HasFallthrough() bool {
-	switch f {
-	case FlowSeq, FlowCondJump, FlowCall, FlowIndirectCall:
-		return true
-	}
-	return false
-}
-
-// IsBranch reports whether the instruction transfers control away from the
-// sequential stream (including calls).
-func (f Flow) IsBranch() bool {
-	switch f {
-	case FlowJump, FlowCondJump, FlowIndirectJump, FlowCall, FlowIndirectCall, FlowRet:
-		return true
-	}
-	return false
-}
+func (f Flow) HasFallthrough() bool { return FallthroughFlows>>f&1 != 0 }
 
 // Cond is a condition code for Jcc/SETcc/CMOVcc (the low nibble of the
 // opcode), or CondNone.

@@ -133,12 +133,6 @@ func (a *Asm) Quad(label string) {
 	a.U64(0)
 }
 
-// Long appends a 4-byte absolute pointer to label.
-func (a *Asm) Long(label string) {
-	a.fixups = append(a.fixups, fixup{at: len(a.buf), kind: fixAbs32, label: label})
-	a.U32(0)
-}
-
 // LongDiff appends the 4-byte value (label - base): a PIC jump-table entry.
 func (a *Asm) LongDiff(label, base string) {
 	a.fixups = append(a.fixups, fixup{at: len(a.buf), kind: fixDiff32, label: label, label2: base})
