@@ -10,8 +10,12 @@ fmt:
 	@out=$$(gofmt -l $$(git ls-files '*.go')); \
 		if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
+# The 386 cross-build keeps the module compiling for a 32-bit int. It
+# checks the build only: the tests stay 64-bit-only (correct's
+# order_test.go pools offsets of 1<<31 and 1<<46).
 build:
 	go build ./...
+	GOARCH=386 go build ./...
 
 vet:
 	go vet ./...

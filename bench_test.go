@@ -179,26 +179,17 @@ func BenchmarkT4Ablation(b *testing.B) {
 }
 
 // BenchmarkT5Throughput measures end-to-end core throughput (bytes/sec as
-// B/s via SetBytes) and reports the decode-cache hit rate: the fraction of
-// InstAt materializations served from the per-graph cache instead of a
-// fresh x86 decode.
+// B/s via SetBytes).
 func BenchmarkT5Throughput(b *testing.B) {
 	e := benchSetup(b)
 	d := core.New(e.model)
 	b.SetBytes(corpusBytes(e.corpus))
-	superset.ResetDecodeCacheStats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, bin := range e.corpus {
 			d.Disassemble(bin.Code, bin.Base, int(bin.Entry-bin.Base))
 		}
 	}
-	b.StopTimer()
-	hits, misses := superset.DecodeCacheStats()
-	if total := hits + misses; total > 0 {
-		b.ReportMetric(float64(hits)/float64(total)*100, "dcache-hit-%")
-	}
-	b.ReportMetric(float64(hits)/float64(b.N), "dcache-hits/op")
 }
 
 // BenchmarkT5ThroughputBaselines times the fastest baseline for contrast.
@@ -632,20 +623,18 @@ func BenchmarkLargeSectionSuperset(b *testing.B) {
 }
 
 // BenchmarkLargeSectionSupersetCancellable is BenchmarkLargeSectionSuperset
-// through the context-aware entry point with a live (never-fired)
-// context: the price of the cancellation checkpoints on the superset
-// hot loop. The acceptance bar for the cancellable pipeline is this
-// staying within 1% of BenchmarkLargeSectionSuperset's ns/op.
+// through New and one Decode with a live (never-fired) context, the
+// path core runs: the price of the cancellation checkpoints on the
+// superset hot loop. The acceptance bar for the cancellable pipeline is
+// this staying within 1% of BenchmarkLargeSectionSuperset's ns/op.
 func BenchmarkLargeSectionSupersetCancellable(b *testing.B) {
 	code, base := largeSection(b)
 	ctx := context.Background()
 	b.SetBytes(int64(len(code)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := superset.BuildContext(ctx, code, base)
-		if err != nil {
-			b.Fatal(err)
-		}
+		g := superset.New(code, base)
+		g.Decode(ctx, 0, len(code))
 		runtime.KeepAlive(g)
 	}
 }

@@ -417,8 +417,8 @@ func hintKey(h *analysis.Hint) (hi, lo uint64) {
 	switch {
 	case h.Off < 0:
 		tail = 1<<(offBits+1) - 1
-	case h.Off < 1<<offBits:
-		tail = uint64(1<<offBits-1-h.Off) << 1
+	case uint64(h.Off) < 1<<offBits:
+		tail = (1<<offBits - 1 - uint64(h.Off)) << 1
 		if h.Kind == analysis.HintCode {
 			tail |= 1
 		}

@@ -7,7 +7,6 @@ import (
 
 	"probedis/internal/core"
 	"probedis/internal/obs"
-	"probedis/internal/superset"
 )
 
 // T8StageCost profiles the pipeline itself: every corpus binary is
@@ -42,8 +41,7 @@ func (r *Runner) T8StageCost() Table {
 		a.calls++
 	}
 
-	fallbacksBefore := superset.ScanFallbacks()
-	var corpusBytes int64
+	var corpusBytes, fallbacks int64
 	for _, b := range r.Corpus {
 		corpusBytes += int64(len(b.Code))
 		tr := obs.NewTraceTimeOnly("disassemble")
@@ -62,6 +60,7 @@ func (r *Runner) T8StageCost() Table {
 					staged += c.Dur
 				}
 				record(path, c.Dur)
+				fallbacks += c.Counter("scan_fallbacks")
 				walk(c, path)
 			}
 		}
@@ -90,7 +89,6 @@ func (r *Runner) T8StageCost() Table {
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf("total traced wall time: %s over %d binaries",
 		total.Round(time.Millisecond), len(r.Corpus)))
-	fallbacks := superset.ScanFallbacks() - fallbacksBefore
 	pct := 0.0
 	if corpusBytes > 0 {
 		pct = 100 * float64(fallbacks) / float64(corpusBytes)

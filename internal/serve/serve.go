@@ -24,7 +24,6 @@ import (
 	"probedis/internal/obs"
 	"probedis/internal/spool"
 	"probedis/internal/store"
-	"probedis/internal/superset"
 	"probedis/internal/vclock"
 )
 
@@ -161,7 +160,7 @@ func New(d *core.Disassembler, cfg Config) (*Server, error) {
 	s.reg.SetHelp("probedis_stage_calls_total", "pipeline stage executions")
 	s.reg.SetHelp("probedis_stage_bytes_total", "bytes processed per pipeline stage")
 	s.reg.SetHelp("probedis_stage_counters_total",
-		"pipeline stage progress counters (settled/contested bytes, hints)")
+		"pipeline stage progress counters (settled/contested bytes, hints, scan fallbacks)")
 	s.reg.SetHelp("probedis_inflight_requests", "disassembly requests currently executing")
 	s.reg.SetHelp("probedis_queue_waiting", "requests waiting for an admission slot")
 	s.reg.SetHelp("probedis_cache_hits_total", "requests answered from the result cache (flight joins included)")
@@ -173,8 +172,6 @@ func New(d *core.Disassembler, cfg Config) (*Server, error) {
 	s.reg.SetHelp("probedis_pipeline_runs_total", "full pipeline executions (traced runs and cache misses)")
 	s.reg.SetHelp("probedis_spool_files", "spilled request bodies currently on disk (process-wide)")
 	s.reg.SetHelp("probedis_spool_bytes", "bytes of spilled request bodies currently on disk (process-wide)")
-	s.reg.SetHelp("probedis_superset_scan_fallbacks_total",
-		"superset pre-decode offsets the length-only scan kernel handed to the full decoder")
 	s.reg.SetHelp("probedis_goroutines", "live goroutines")
 	s.reg.SetHelp("probedis_heap_alloc_bytes", "heap bytes in use")
 	s.reg.Gauge("probedis_inflight_requests", func() float64 { return float64(s.inflight.Load()) })
@@ -210,11 +207,8 @@ func New(d *core.Disassembler, cfg Config) (*Server, error) {
 		s.reg.Gauge("probedis_store_entries", func() float64 { return float64(s.store.EntryCount()) })
 		s.reg.Gauge("probedis_store_bytes", func() float64 { return float64(s.store.ByteCount()) })
 	}
-	// Process-wide, not per-server: the scan kernel's fallback count
-	// lives in the superset package's atomics, so sample it at scrape
-	// time instead of mirroring it into a second counter. Likewise the
-	// spool gauges, which internal/spool maintains.
-	s.reg.CounterFunc("probedis_superset_scan_fallbacks_total", superset.ScanFallbacks)
+	// Process-wide, not per-server: internal/spool maintains the spool
+	// gauges, so sample them at scrape time.
 	s.reg.Gauge("probedis_spool_files", func() float64 { return float64(spool.LiveFiles()) })
 	s.reg.Gauge("probedis_spool_bytes", func() float64 { return float64(spool.LiveBytes()) })
 	s.reg.Gauge("probedis_goroutines", func() float64 { return float64(runtime.NumGoroutine()) })

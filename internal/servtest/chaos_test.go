@@ -493,7 +493,11 @@ func (p *countingDone) Done() <-chan struct{} {
 // TestStageCountersInScrape: the server folds each request's span tree
 // into /metrics with bounded label cardinality (stage and counter names
 // only): every hint analysis runs once per section, so each counts one
-// stage execution per section of the request.
+// stage execution per section of the request. The superset span's
+// scan_fallbacks counter is how the scan kernel's fallback seam shows in
+// the scrape: the request's section holds VEX/EVEX first bytes
+// (c4/c5/62) at some offsets, which the kernel hands to the full
+// decoder, so it must read above zero.
 func TestStageCountersInScrape(t *testing.T) {
 	bin, err := synth.Generate(synth.Config{Seed: 10, Profile: synth.ProfileComplex, NumFuncs: 120})
 	if err != nil {
@@ -527,5 +531,8 @@ func TestStageCountersInScrape(t *testing.T) {
 	}
 	if got := m[`probedis_stage_counters_total{stage="hints",counter="hints"}`]; got <= 0 {
 		t.Errorf("hints counter = %v, want the collected stream's size", got)
+	}
+	if got := m[`probedis_stage_counters_total{stage="superset",counter="scan_fallbacks"}`]; got <= 0 {
+		t.Errorf("superset scan_fallbacks counter = %v after a section with VEX/EVEX bytes; the fallback seam is dead", got)
 	}
 }

@@ -1,15 +1,15 @@
 package superset
 
 import (
-	"bytes"
 	"context"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
 	"probedis/internal/ctxutil"
 )
 
-// buf returns len bytes of decodable machine code (NOP sled with some
+// cancelBuf returns n bytes of decodable machine code (NOP sled with some
 // structure so the graph is non-trivial).
 func cancelBuf(n int) []byte {
 	code := make([]byte, n)
@@ -26,60 +26,56 @@ func cancelBuf(n int) []byte {
 	return code
 }
 
-func TestBuildContextNilMatchesBuild(t *testing.T) {
-	code := cancelBuf(3 * ctxutil.CheckInterval)
-	want := Build(code, 0x1000)
-	got, err := BuildContext(context.Background(), code, 0x1000)
-	if err != nil {
-		t.Fatalf("BuildContext: %v", err)
+// checkDecodeStopsAt asserts that a Decode of g cancelled through ctx
+// stopped at the poll after offset stop: ctx reports context.Canceled,
+// every offset below stop holds the record a full Build gives, and every
+// offset from stop on still holds the zero record New allocated.
+func checkDecodeStopsAt(t *testing.T, what string, ctx context.Context, g, want *Graph, stop int) {
+	t.Helper()
+	if err := ctx.Err(); err != context.Canceled {
+		t.Fatalf("%s: ctx.Err() = %v, want context.Canceled", what, err)
 	}
-	if len(got.Info) != len(want.Info) {
-		t.Fatalf("info sizes differ: %d vs %d", len(got.Info), len(want.Info))
-	}
-	for i := range want.Info {
-		if got.Info[i] != want.Info[i] {
-			t.Fatalf("Info[%d] differs: %+v vs %+v", i, got.Info[i], want.Info[i])
+	for off := range g.Info {
+		if off < stop && g.Info[off] != want.Info[off] {
+			t.Fatalf("%s: Info[%d] = %+v before the cancelling poll, want %+v", what, off, g.Info[off], want.Info[off])
 		}
-	}
-	if !bytes.Equal(got.Code, want.Code) {
-		t.Fatal("code slices differ")
+		if off >= stop && g.Info[off] != (Info{}) {
+			t.Fatalf("%s: Info[%d] = %+v decoded after the cancelling poll at %d", what, off, g.Info[off], stop)
+		}
 	}
 }
 
-func TestBuildContextPreCancelled(t *testing.T) {
+// TestDecodePreCancelled: a context cancelled before Decode starts stops
+// it at its first poll, after the first chunk.
+func TestDecodePreCancelled(t *testing.T) {
+	code := cancelBuf(2 * ctxutil.CheckInterval)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	g, err := BuildContext(ctx, cancelBuf(2*ctxutil.CheckInterval), 0)
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if g != nil {
-		t.Fatal("cancelled build returned a graph")
-	}
+	g := New(code, 0)
+	g.Decode(ctx, 0, len(code))
+	checkDecodeStopsAt(t, "pre-cancelled", ctx, g, Build(code, 0), ctxutil.CheckInterval)
 }
 
-// TestBuildContextCancelsAtEveryCheckpoint sweeps the deterministic
-// countdown context across the serial build's checkpoints: every
-// cancellation point must abort with ctx.Err() and no graph.
-func TestBuildContextCancelsAtEveryCheckpoint(t *testing.T) {
+// TestDecodeCancelsAtEveryCheckpoint sweeps the deterministic countdown
+// context across a whole-section Decode's polls, one every
+// ctxutil.CheckInterval offsets: cancelling at the n-th poll must stop
+// Decode there, with offsets [0, n*CheckInterval) decoded and the rest
+// untouched.
+func TestDecodeCancelsAtEveryCheckpoint(t *testing.T) {
 	code := cancelBuf(4*ctxutil.CheckInterval + 17)
+	want := Build(code, 0)
 	// Count the polls a full run makes.
 	probe := &pollCounter{Context: context.Background()}
-	if _, err := BuildContext(probe, code, 0); err != nil {
-		t.Fatalf("probe run failed: %v", err)
-	}
+	New(code, 0).Decode(probe, 0, len(code))
 	polls := int(probe.polls.Load())
-	if polls == 0 {
-		t.Fatal("build made no cancellation polls on a multi-chunk section")
+	if wantPolls := len(code) / ctxutil.CheckInterval; polls != wantPolls {
+		t.Fatalf("decode made %d cancellation polls, want one after each chunk but the last (%d)", polls, wantPolls)
 	}
 	for n := 1; n <= polls; n++ {
-		g, err := BuildContext(ctxutil.CancelAfterChecks(context.Background(), n), code, 0)
-		if err != context.Canceled {
-			t.Fatalf("checkpoint %d: err = %v, want context.Canceled", n, err)
-		}
-		if g != nil {
-			t.Fatalf("checkpoint %d: got a graph from a cancelled build", n)
-		}
+		ctx := ctxutil.CancelAfterChecks(context.Background(), n)
+		g := New(code, 0)
+		g.Decode(ctx, 0, len(code))
+		checkDecodeStopsAt(t, fmt.Sprintf("checkpoint %d", n), ctx, g, want, n*ctxutil.CheckInterval)
 	}
 }
 

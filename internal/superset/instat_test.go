@@ -48,9 +48,15 @@ func fuzzSeedInputs(t *testing.T) map[string][]byte {
 
 // checkGraphMatchesEagerDecode verifies, for every offset of g, that the
 // packed side-table agrees field-by-field with a fresh full decode, and
-// that InstAt materializes exactly that decode.
+// that InstAt materializes exactly that decode; outside the section it
+// must report FlowInvalid.
 func checkGraphMatchesEagerDecode(t *testing.T, g *Graph) {
 	t.Helper()
+	for _, off := range []int{-1, g.Len()} {
+		if got := g.InstAt(off); got.Flow != x86.FlowInvalid {
+			t.Fatalf("InstAt(%d) = %+v, want FlowInvalid", off, got)
+		}
+	}
 	for off := range g.Code {
 		inst, err := x86.Decode(g.Code[off:], g.Base+uint64(off))
 		e := &g.Info[off]
@@ -100,8 +106,8 @@ func checkGraphMatchesEagerDecode(t *testing.T, g *Graph) {
 
 // TestInstAtMatchesEagerDecode: over the fuzz-seed corpus and a generated
 // binary, every valid offset's packed record must equal the repack of a
-// full re-decode (and InstAt must return that decode); invalid offsets
-// must stay invalid.
+// full re-decode (and InstAt must return that decode); invalid offsets,
+// and the offsets just outside the section, must stay invalid.
 func TestInstAtMatchesEagerDecode(t *testing.T) {
 	for name, code := range fuzzSeedInputs(t) {
 		name, code := name, code

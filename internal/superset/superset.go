@@ -9,20 +9,21 @@
 // storing instructions eagerly costs >100x the section size and turns
 // every downstream scan into a cache-miss parade. Instead Decode keeps
 // the 8 bytes of properties the hot analyses actually read, and InstAt
-// lazily re-decodes the full instruction at the few offsets cold paths
-// (rewriting, listings, jump-table shape checks) inspect in detail.
+// re-decodes the full instruction at the few offsets cold paths (the
+// jump-table and literal-pool shape checks, the rewriter and the
+// x86.DeltaRedecode fallbacks) inspect in detail.
 //
-// The package starts no goroutines. Build decodes serially; a caller
-// that wants a parallel decode allocates the graph with New and runs
-// Decode over disjoint ranges on its own scheduler (internal/core puts
-// them on the request's work pool).
+// Once decoded, a graph is read-only: it holds no cache, no lock and no
+// process-wide state. The package starts no goroutines. Build decodes
+// serially; a caller that wants a parallel decode allocates the graph
+// with New and runs Decode over disjoint ranges on its own scheduler
+// (internal/core puts them on the request's work pool).
 package superset
 
 import (
 	"context"
 	"math/bits"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"probedis/internal/ctxutil"
@@ -48,16 +49,6 @@ func (r Range) Contains(addr uint64) bool { return addr >= r.Start && addr < r.E
 // dispatch tables, without an import cycle or a copy.
 type Info = x86.Info
 
-// scanFallbackTotal counts offsets where the table-driven scan kernel
-// bailed to the full decoder (VEX/EVEX escapes; see x86.Scan), across
-// all graphs since process start. Exposed as the
-// superset_scan_fallbacks_total metric so table-coverage regressions
-// are visible in /metrics rather than silently eating the speedup.
-var scanFallbackTotal atomic.Int64
-
-// ScanFallbacks returns the cumulative scan-kernel fallback count.
-func ScanFallbacks() int64 { return scanFallbackTotal.Load() }
-
 // Graph is the superset disassembly of one text section. Graphs come
 // only from New (or Build, which calls it): the side table and the
 // anchor bitmap are sized there.
@@ -82,17 +73,18 @@ type Graph struct {
 	// or literal-pool match can start. NextAnchor walks it.
 	anchors []uint64
 
-	// dc caches recent full decodes behind InstAt (see instCache).
-	dc instCache
-
 	// scanFB counts this graph's scan-kernel fallbacks (see
-	// ScanFallbacks). Atomic, since Decode ranges may run concurrently.
+	// ScanFallbackCount). Atomic, since Decode ranges may run
+	// concurrently.
 	scanFB atomic.Int64
 }
 
 // ScanFallbackCount returns the number of offsets of this graph that
-// Decode filled through the scan kernel's general-decoder fallback rather
-// than its table-driven fast path.
+// Decode filled through the scan kernel's general-decoder fallback (the
+// VEX/EVEX escapes; see x86.Scan) rather than its table-driven fast
+// path. The pipeline reports it as the superset span's scan_fallbacks
+// counter, so a table-coverage regression shows rather than silently
+// eating the kernel's speedup.
 func (g *Graph) ScanFallbackCount() int64 { return g.scanFB.Load() }
 
 // SetExtern registers additional executable ranges (see Graph.extern).
@@ -136,24 +128,13 @@ func (g *Graph) ExternTarget(addr uint64) bool {
 
 // Build decodes an instruction at every offset of code, packing each
 // result into the 8-byte side-table in the same pass via the x86.Scan
-// length-only kernel. It runs serially on the calling goroutine; the
-// pipeline instead splits Decode into ranges on its own work pool.
+// length-only kernel: New plus one Decode over the whole section. It
+// runs serially on the calling goroutine; the pipeline instead splits
+// Decode into ranges on its own work pool.
 func Build(code []byte, base uint64) *Graph {
-	g, _ := BuildContext(nil, code, base)
-	return g
-}
-
-// BuildContext is Build with cooperative cancellation: New plus one
-// Decode over the whole section. It returns (nil, ctx.Err()) once the
-// context is done, so a cancelled request stops burning CPU within a few
-// thousand decodes.
-func BuildContext(ctx context.Context, code []byte, base uint64) (*Graph, error) {
 	g := New(code, base)
-	g.Decode(ctx, 0, len(code))
-	if ctxutil.Cancelled(ctx) {
-		return nil, ctxutil.Err(ctx)
-	}
-	return g, nil
+	g.Decode(nil, 0, len(code))
+	return g
 }
 
 // New returns the graph of code with its side table and anchor bitmap
@@ -189,7 +170,6 @@ func (g *Graph) Decode(ctx context.Context, from, to int) {
 	}
 	if fallbacks != 0 {
 		g.scanFB.Add(int64(fallbacks))
-		scanFallbackTotal.Add(int64(fallbacks))
 	}
 }
 
@@ -268,77 +248,24 @@ func (g *Graph) At(off int) *Info { return &g.Info[off] }
 // fits within the section.
 func (g *Graph) Valid(off int) bool { return g.Info[off].Valid() }
 
-// decodeCacheSlots sizes the InstAt decode cache (direct-mapped by
-// offset, so a power of two). 128 entries cover the working set of the
-// dispatch-idiom and listing scans, which revisit a small neighbourhood
-// of offsets, at ~17 KiB per graph.
-const decodeCacheSlots = 128
+// DecodeCacheStats reports (0, 0): InstAt no longer caches decodes.
+//
+// Deprecated: kept only for the benchmark's replay, which still reads
+// it; it goes when that replay does.
+func DecodeCacheStats() (hits, misses int64) { return 0, 0 }
 
-// instCache is a small direct-mapped cache of materialized
-// instructions, so hot InstAt consumers (jump-table shape checks, CFG
-// details, listing/rewrite emission, the oracle) stop paying the lazy
-// re-decode tax when they revisit offsets. Embedded by value in Graph:
-// the zero value is ready to use, its backing arrays allocated on the
-// first InstAt. Guarded by a mutex because analyses sharing one graph
-// run concurrently; the lock is uncontended in the serial pipeline and
-// far cheaper than a re-decode.
-type instCache struct {
-	mu    sync.Mutex
-	tags  []int32    // offset+1; 0 = empty slot
-	insts []x86.Inst // nil until the first InstAt
-}
-
-// Decode-cache hit counters, aggregated across graphs (the benchmark
-// baseline records the hit rate; see DecodeCacheStats).
-var dcHits, dcMisses atomic.Int64
-
-// DecodeCacheStats returns the cumulative InstAt decode-cache hits and
-// misses across all graphs since process start (or the last Reset).
-func DecodeCacheStats() (hits, misses int64) {
-	return dcHits.Load(), dcMisses.Load()
-}
-
-// ResetDecodeCacheStats zeroes the decode-cache counters (benchmarks
-// measure per-run rates).
-func ResetDecodeCacheStats() {
-	dcHits.Store(0)
-	dcMisses.Store(0)
-}
-
-// InstAt materializes the full decoded instruction at off, re-decoding
-// the bytes through a small per-graph cache. Offsets without a valid
-// decode return a zero instruction with Flow == FlowInvalid. This is the
-// cold path: downstream consumers call it only at the offsets they
-// inspect in detail (committed instructions, dispatch-idiom candidates,
-// rewrite/listing emission), a tiny fraction of the superset — but those
-// consumers revisit offsets, which the cache absorbs.
+// InstAt materializes the full decoded instruction at off by re-decoding
+// its bytes. Offsets without a valid decode return a zero instruction
+// with Flow == FlowInvalid. This is the cold path: downstream consumers
+// call it only at the offsets they inspect in detail (committed
+// instructions, dispatch-idiom candidates, rewrite emission), a tiny
+// fraction of the superset.
 func (g *Graph) InstAt(off int) x86.Inst {
-	if off < 0 || off >= len(g.Code) || !g.At(off).Valid() {
+	var inst x86.Inst
+	if off < 0 || off >= len(g.Code) || !g.At(off).Valid() ||
+		x86.DecodeInto(&inst, g.Code[off:], g.Base+uint64(off)) != nil {
 		return x86.Inst{Flow: x86.FlowInvalid}
 	}
-	c := &g.dc
-	c.mu.Lock()
-	if c.tags == nil {
-		c.tags = make([]int32, decodeCacheSlots)
-		c.insts = make([]x86.Inst, decodeCacheSlots)
-	}
-	slot := off & (decodeCacheSlots - 1)
-	if c.tags[slot] == int32(off)+1 {
-		inst := c.insts[slot]
-		c.mu.Unlock()
-		dcHits.Add(1)
-		return inst
-	}
-	if x86.DecodeInto(&c.insts[slot], g.Code[off:], g.Base+uint64(off)) != nil {
-		// Unreachable: Decode decoded these very bytes successfully.
-		c.tags[slot] = 0
-		c.mu.Unlock()
-		return x86.Inst{Flow: x86.FlowInvalid}
-	}
-	c.tags[slot] = int32(off) + 1
-	inst := c.insts[slot]
-	c.mu.Unlock()
-	dcMisses.Add(1)
 	return inst
 }
 

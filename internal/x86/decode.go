@@ -97,9 +97,9 @@ func Decode(code []byte, addr uint64) (inst Inst, err error) {
 }
 
 // DecodeInto is Decode writing its result through inst instead of
-// returning it by value. The superset decode cache stores instructions
-// in place, and Inst is large enough (~128 bytes) that the by-value
-// return is measurable on bulk paths.
+// returning it by value. Inst is large enough (112 bytes on amd64) that
+// the by-value return is measurable on bulk paths such as Scan's
+// VEX/EVEX fallback.
 func DecodeInto(inst *Inst, code []byte, addr uint64) error {
 	d := decodeState{code: code, addr: addr}
 	*inst = Inst{Addr: addr, Cond: CondNone, OpSize: 32}

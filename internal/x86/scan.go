@@ -18,9 +18,10 @@ package x86
 // EVEX (62) escapes, whose opcode map is selected by payload bytes —
 // bail to the general decoder, DecodeInto + PackLean. Correctness never
 // depends on the fast path: the fallback produces the same record the
-// eager builder always produced, and the bail count is surfaced as a metric
-// (superset_scan_fallbacks_total) so a table-coverage regression is
-// visible, not silent.
+// eager builder always produced, and the bail count is surfaced as the
+// superset span's scan_fallbacks counter (in /metrics,
+// probedis_stage_counters_total{stage="superset",counter="scan_fallbacks"})
+// so a table-coverage regression is visible, not silent.
 
 // scanEntry shape bits.
 const (
