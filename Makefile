@@ -94,7 +94,8 @@ cover:
 # then the retraction worklist against the full-scan reference fixpoint,
 # the corrector's radix-ordered commit records against SortHints,
 # viability's sweep and worklist against the naive fixpoint at fuzzed
-# section bases, the anchor-site hint analyses against their full walks,
+# section bases, the fused statistical walk against the two-walk scores
+# and hints, the anchor-site hint analyses against their full walks,
 # the probing data-pattern scans against their byte loops, the scan
 # kernel's packed records against the full decoder, and the graph's
 # wrapped address and delta arithmetic near the top of the address space.
@@ -104,6 +105,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz=FuzzRetractMatchesReference -fuzztime=10s ./internal/correct
 	go test -run '^$$' -fuzz=FuzzCommitOrderMatchesSortHints -fuzztime=10s ./internal/correct
 	go test -run '^$$' -fuzz=FuzzViabilityMatchesNaive -fuzztime=10s ./internal/analysis
+	go test -run '^$$' -fuzz=FuzzStatRecordsMatchStatHints -fuzztime=10s ./internal/analysis
 	go test -run '^$$' -fuzz=FuzzAnchoredMatchesReference -fuzztime=10s ./internal/analysis
 	go test -run '^$$' -fuzz=FuzzDataPatternsMatchReference -fuzztime=10s ./internal/stats
 	go test -run '^$$' -fuzz=FuzzScanMatchesDecode -fuzztime=10s ./internal/x86

@@ -479,45 +479,92 @@ func BenchmarkHintAnalyses(b *testing.B) {
 	}
 }
 
-// BenchmarkCorrect times prioritized error correction alone over the large
-// section: correct.RunTieredContext on its real structural hint stream and
-// the phase-two hints (statistical hints over the contested windows, then
-// the weak hints) the pipeline commits after it. Both streams, the graph,
-// the viability mask and the scores are built once outside the timer, so
-// each iteration pays only the corrector's sorts, commits, retraction and
-// gap fill. Run it at -cpu 1: the corrector is serial.
-func BenchmarkCorrect(b *testing.B) {
-	e := benchSetup(b)
+// largePhaseB builds the large section's graph and viability mask, its
+// real structural hint stream split into the structural phase and the
+// weak hints, and the contested windows the structural phase leaves.
+func largePhaseB(b *testing.B) (g *superset.Graph, viable []bool, structural, weak []analysis.Hint, part *tier.Partition) {
 	code, base := largeSection(b)
-	g := superset.Build(code, base)
-	viable := analysis.Viability(g)
+	g = superset.Build(code, base)
+	viable = analysis.Viability(g)
 	hints := analysis.EntryHint(g, largeEntry)
 	hints = append(hints, analysis.JumpTableHints(analysis.FindJumpTables(g, viable))...)
 	hints = append(hints, analysis.CallTargetHints(g, viable)...)
 	hints = append(hints, analysis.PrologueHints(g, viable)...)
 	hints = append(hints, analysis.DataPatternHints(g)...)
 	hints = append(hints, analysis.LiteralPoolHints(g, viable)...)
-	structural, weak := tier.SplitHints(hints)
-	scores := make([]float64, g.Len())
-	opts := correct.Options{Scores: scores}
-	var rest []analysis.Hint
+	structural, weak = tier.SplitHints(hints)
 	correct.RunTieredContext(nil, g, viable, structural, func(o *correct.Outcome) []analysis.Hint {
-		part := tier.FromStates(o.State)
-		e.model.ScoreRangesInto(scores, g, 8, part.Windows)
-		for _, w := range part.Windows {
-			rest = analysis.StatHintsRange(g, viable, scores, 1.0, 0.0, w[0], w[1], rest)
-		}
-		rest = append(rest, weak...)
-		return rest
-	}, opts)
-	phaseTwo := func(*correct.Outcome) []analysis.Hint { return rest }
-	b.SetBytes(int64(len(code)))
+		part = tier.FromStates(o.State)
+		return nil
+	}, correct.Options{NoRetract: true, NoGapFill: true})
+	return g, viable, structural, weak, part
+}
+
+// BenchmarkCorrect times prioritized error correction alone over the large
+// section: correct.RunTiered on its real structural hint stream, then the
+// statistical records of the contested windows merged with the weak
+// hints, as the pipeline commits them. The streams, the records, the
+// graph and the viability mask are built once outside the timer, so each
+// iteration pays only the corrector's sorts, commits, retraction and gap
+// fill (which scores each gap start, as the pipeline's does), plus one
+// copy of the records, which the corrector reorders. Run it at
+// -cpu 1: the corrector is serial.
+func BenchmarkCorrect(b *testing.B) {
+	e := benchSetup(b)
+	g, viable, structural, weak, part := largePhaseB(b)
+	var recs []analysis.StatRec
+	for _, w := range part.Windows {
+		recs = analysis.StatRecords(g, viable, e.model, 1.0, 0.0, w[0], w[1], recs)
+	}
+	buf := make([]analysis.StatRec, len(recs))
+	phaseTwo := func(*correct.Outcome) ([]analysis.StatRec, []analysis.Hint) {
+		return append(buf[:0], recs...), weak
+	}
+	opts := correct.Options{ScoreAt: func(off int) float64 { return e.model.Score(g, off, analysis.StatWindow) }}
+	b.SetBytes(int64(g.Len()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		correct.RunTieredContext(nil, g, viable, structural, phaseTwo, opts)
+		correct.RunTiered(nil, g, viable, structural, phaseTwo, opts)
 	}
-	b.ReportMetric(float64(len(structural)+len(rest)), "hints")
+	b.ReportMetric(float64(len(structural)+len(recs)+len(weak)), "hints")
+}
+
+// BenchmarkStatPhase times the statistical walk over the large section's
+// real contested windows, two ways: fused, analysis.StatRecords' one walk
+// per offset, as the pipeline runs it; and reference, the two-walk path
+// it replaced (Model.ScoreRangesInto, then analysis.StatHintsRange). Both
+// reuse their buffers across iterations, so they time the walks alone.
+// Run it at -cpu 1: each is one serial pass.
+func BenchmarkStatPhase(b *testing.B) {
+	e := benchSetup(b)
+	g, viable, _, _, part := largePhaseB(b)
+	b.Run("fused", func(b *testing.B) {
+		var recs []analysis.StatRec
+		b.SetBytes(int64(part.ContestedBytes))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			recs = recs[:0]
+			for _, w := range part.Windows {
+				recs = analysis.StatRecords(g, viable, e.model, 1.0, 0.0, w[0], w[1], recs)
+			}
+		}
+		b.ReportMetric(float64(len(recs)), "hints")
+	})
+	b.Run("reference", func(b *testing.B) {
+		scores := make([]float64, g.Len())
+		var hints []analysis.Hint
+		b.SetBytes(int64(part.ContestedBytes))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			hints = hints[:0]
+			e.model.ScoreRangesInto(scores, g, analysis.StatWindow, part.Windows)
+			for _, w := range part.Windows {
+				hints = analysis.StatHintsRange(g, viable, scores, 1.0, 0.0, w[0], w[1], hints)
+			}
+		}
+		b.ReportMetric(float64(len(hints)), "hints")
+	})
 }
 
 // largeSection lazily builds a production-scale synthetic text section

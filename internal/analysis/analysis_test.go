@@ -301,51 +301,6 @@ func TestBehaviorPenalty(t *testing.T) {
 	}
 }
 
-// TestStatHintBoundRel: the bound the pipeline sizes its stat-hint
-// buffer by is never below the hints StatHintsRangeRel emits, is exact
-// at penalty weight 0 (the penalty then changes no score), and falls
-// back to the window length under a negative weight.
-func TestStatHintBoundRel(t *testing.T) {
-	b, g := genBin(t, 17, synth.ProfileComplex, 40)
-	viable := Viability(g)
-	rng := rand.New(rand.NewSource(3))
-	scores := make([]float64, len(b.Code))
-	for i := range scores {
-		switch rng.Intn(8) {
-		case 0:
-			scores[i] = -1e9
-		case 1:
-			scores[i] = 0.25 // exactly the threshold below
-		default:
-			scores[i] = rng.Float64()*2 - 1
-		}
-	}
-	emitted := 0
-	for _, w := range [][2]int{{0, len(b.Code)}, {-5, 100}, {333, 2000}, {len(b.Code) - 50, len(b.Code) + 9}} {
-		rel := scores[max(w[0], 0):]
-		if w[0] < 0 {
-			rel = append(make([]float64, -w[0]), scores...)
-		}
-		for _, weight := range []float64{0, 1, 2.5, -1} {
-			bound := StatHintBoundRel(g, viable, rel, weight, 0.25, w[0], w[1])
-			hints := StatHintsRangeRel(g, viable, rel, weight, 0.25, w[0], w[1], nil)
-			emitted += len(hints)
-			if len(hints) > bound {
-				t.Errorf("window %v weight %v: %d hints over bound %d", w, weight, len(hints), bound)
-			}
-			if weight == 0 && len(hints) != bound {
-				t.Errorf("window %v weight 0: bound %d, want exactly the %d hints", w, bound, len(hints))
-			}
-			if n := min(w[1], len(b.Code)) - max(w[0], 0); weight < 0 && bound != n {
-				t.Errorf("window %v negative weight: bound %d, want window length %d", w, bound, n)
-			}
-		}
-	}
-	if emitted == 0 {
-		t.Fatal("no stat hints emitted: the bound was never tested")
-	}
-}
-
 func TestSortHints(t *testing.T) {
 	hs := []Hint{
 		{Kind: HintCode, Off: 5, Prio: PrioStat, Score: 1},

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"probedis/internal/stats"
 	"probedis/internal/superset"
 	"probedis/internal/x86"
 )
@@ -45,6 +46,14 @@ func BehaviorPenalty(g *superset.Graph, off, window int) float64 {
 	return penalty
 }
 
+// StatWindow is the decode-chain length, in instructions, that the
+// statistical hints score (stats.Model.LogOdds) and penalise
+// (BehaviorPenalty) over.
+const StatWindow = 8
+
+// StatSrc is the source name of every statistical hint.
+const StatSrc = "stat"
+
 // StatHints produces the statistical classification hints: for each viable
 // offset, the model's normalized log-odds (adjusted by the behavioural
 // penalty) yields a code hint (positive) or data hint (negative). scores
@@ -62,72 +71,33 @@ func StatHints(g *superset.Graph, viable []bool, scores []float64, penaltyWeight
 		make([]Hint, 0, g.Len()/2))
 }
 
-// StatHintsRange is StatHints restricted to offsets [from, to): it emits
-// exactly the hints StatHints would emit at those offsets (the behaviour
-// penalty's chain walk still reads the whole graph, so values are
-// identical). The tiered pipeline calls it once per contested window,
-// appending to dst. from/to are clamped to the section.
+// StatHintsRange is StatHints restricted to offsets [from, to), appending
+// to dst: it emits exactly the hints StatHints would emit at those
+// offsets (the behaviour penalty's chain walk still reads the whole
+// graph, so values are identical). from/to are clamped to the section.
+// With whole-section scores it is the two-walk reference StatRecords is
+// checked against.
 func StatHintsRange(g *superset.Graph, viable []bool, scores []float64, penaltyWeight, threshold float64, from, to int, dst []Hint) []Hint {
-	return statHintsImpl(g, viable, scores, 0, penaltyWeight, threshold, from, to, dst)
-}
-
-// StatHintsRangeRel is StatHintsRange with a window-relative score
-// buffer: scores[i] holds the score of offset from+i (and must cover
-// to-from entries). The pipeline stores scores per contested window
-// instead of in one section-length slice, so score residency is
-// O(contested bytes) rather than O(section); the emitted hints are
-// identical.
-func StatHintsRangeRel(g *superset.Graph, viable []bool, scores []float64, penaltyWeight, threshold float64, from, to int, dst []Hint) []Hint {
-	return statHintsImpl(g, viable, scores, from, penaltyWeight, threshold, from, to, dst)
-}
-
-// StatHintBoundRel bounds the number of hints StatHintsRangeRel emits
-// with the same arguments, so a caller can size its buffer once. With a
-// non-negative penalty weight only an offset that is valid and viable and
-// whose raw score exceeds the threshold can emit: the penalty only lowers
-// the score. A negative weight can lift any scored offset over the
-// threshold, so the bound is then the window's length.
-func StatHintBoundRel(g *superset.Graph, viable []bool, scores []float64, penaltyWeight, threshold float64, from, to int) int {
-	if penaltyWeight < 0 {
-		return max(min(to, g.Len())-max(from, 0), 0)
-	}
-	n := 0
-	for off := max(from, 0); off < min(to, g.Len()); off++ {
-		if s := scores[off-from]; s > -1e8 && s-threshold > 0 && viable[off] && g.Valid(off) {
-			n++
-		}
-	}
-	return n
-}
-
-func statHintsImpl(g *superset.Graph, viable []bool, scores []float64, scoreBase int, penaltyWeight, threshold float64, from, to int, dst []Hint) []Hint {
-	if from < 0 {
-		from = 0
-	}
-	if to > g.Len() {
-		to = g.Len()
-	}
 	hs := dst
-	for off := from; off < to; off++ {
+	for off := max(from, 0); off < min(to, g.Len()); off++ {
 		if !g.Valid(off) {
 			continue
 		}
-		s := scores[off-scoreBase]
+		s := scores[off]
 		if s <= -1e8 {
 			continue
 		}
 		// The penalty is non-negative, so when the raw score is already at
 		// or below the threshold (or the offset is not viable) no hint can
-		// result — skip the 8-step chain walk entirely. Only valid when the
+		// result — skip the chain walk entirely. Only valid when the
 		// weight cannot flip the penalty's sign.
 		if penaltyWeight >= 0 && (s-threshold <= 0 || !viable[off]) {
 			continue
 		}
-		s -= penaltyWeight * BehaviorPenalty(g, off, 8)
+		s -= penaltyWeight * BehaviorPenalty(g, off, StatWindow)
 		s -= threshold
 		if s > 0 && viable[off] {
-			hs = append(hs, Hint{Kind: HintCode, Off: off, Prio: PrioStat,
-				Score: s, Src: "stat"})
+			hs = append(hs, StatRec{s, off}.Hint())
 		}
 		// Negative-scoring offsets emit no hint: they are usually the
 		// *middles* of real instructions (padding NOPs, dead blocks), and
@@ -136,4 +106,92 @@ func statHintsImpl(g *superset.Graph, viable []bool, scores []float64, scoreBase
 		// which is driven by these same scores.
 	}
 	return hs
+}
+
+// StatRec is one statistical hint in the 16 bytes the corrector sorts and
+// commits it from: its score and offset. Every statistical hint shares
+// its other fields, which Hint restores.
+type StatRec struct {
+	Score float64
+	Off   int
+}
+
+// Hint returns the hint r stands for.
+func (r StatRec) Hint() Hint {
+	return Hint{Kind: HintCode, Off: r.Off, Prio: PrioStat, Score: r.Score, Src: StatSrc}
+}
+
+// StatRecords appends to dst the records of exactly the hints
+// StatHintsRange emits over [from, to) from m.ScoreAll(g, StatWindow)'s
+// scores, in the same (ascending offset) order and with bit-identical
+// scores. from/to are clamped to the section.
+//
+// It walks each offset's decode chain once, for its log-odds and its
+// behaviour penalty together, repeating both reference walks' floating-
+// point operations in their order: the log-odds terms summed left to right
+// and divided by the step count; the penalty over the same chain up to and
+// including its first instruction without fallthrough (LogOdds follows an
+// unconditional direct jump, BehaviorPenalty stops there); then
+// s -= weight*penalty and s -= threshold. The penalty's terms (3, 1.5 and
+// 2) are multiples of one half, and so is every partial sum of at most
+// StatWindow steps, so each float addition BehaviorPenalty makes is exact:
+// counting half-units in an integer gives the same penalty. An offset
+// that is invalid or not viable emits nothing for any weight, so it is
+// skipped unwalked.
+func StatRecords(g *superset.Graph, viable []bool, m *stats.Model, penaltyWeight, threshold float64, from, to int, dst []StatRec) []StatRec {
+	n := g.Len()
+	for off := max(from, 0); off < min(to, n); off++ {
+		if !viable[off] || !g.Valid(off) {
+			continue
+		}
+		var score float64
+		var stack int64
+		prev, steps, halves := -1, 0, 0
+		inPenalty := true
+		for o := off; steps < StatWindow && o < n; {
+			e := g.Info[o]
+			if !e.Valid() {
+				break
+			}
+			tok := e.Tok()
+			score += m.Step(prev, tok)
+			steps++
+			prev = tok
+			if inPenalty {
+				// BehaviorPenalty's step, in half-units.
+				if e.Rare() {
+					halves += 6
+				}
+				if e.SegPrefix() {
+					halves += 3
+				}
+				stack += int64(e.StackDelta())
+				if op := e.Op(); op == x86.LEAVE || op == x86.ENTER {
+					stack = 0
+				}
+				if stack > 64 || stack < -65536 {
+					halves += 4
+				}
+			}
+			if !e.Flow().HasFallthrough() {
+				inPenalty = false
+				if t := g.TargetOff(o); t >= 0 && e.Flow() == x86.FlowJump {
+					o = t
+					continue
+				}
+				break
+			}
+			o += e.Len()
+		}
+		s := score / float64(steps)
+		if s <= -1e8 {
+			continue
+		}
+		s -= penaltyWeight * (float64(halves) / 2)
+		s -= threshold
+		if s > 0 {
+			dst = append(dst, StatRec{s, off})
+		}
+	}
+	return dst
 }

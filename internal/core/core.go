@@ -133,21 +133,19 @@ func (d *Disassembler) Clone(opts ...Option) *Disassembler {
 // priorities flattened under WithoutPrioritization): the structural
 // stream the pipeline collects, followed by statistical hints over the
 // whole section rather than only its contested windows, with viability
-// and window scores recomputed from the graph. Exposed for the verification
-// oracle, which checks that the hint stream is deterministic and totally
-// ordered and rebuilds the tier partition from it, and for the
-// convergence experiment, which replays correction with a bounded hint
-// budget.
+// recomputed from the graph. The statistical hints come from the two-walk
+// reference (whole-section Model.ScoreAll, then analysis.StatHints), so
+// the single-phase references built on HintsFor check the pipeline's
+// fused walk. Exposed for the verification oracle, which checks that the
+// hint stream is deterministic and totally ordered and rebuilds the tier
+// partition from it, and for the convergence experiment, which replays
+// correction with a bounded hint budget.
 func (d *Disassembler) HintsFor(g *superset.Graph, entry int) []analysis.Hint {
 	viable := analysis.Viability(g)
-	pool := newWorkPool(d.Workers())
-	hints, _ := d.collectHints(nil, g, viable, entry, nil, pool)
+	hints, _ := d.collectHints(nil, g, viable, entry, nil, newWorkPool(d.Workers()))
 	if d.useStats {
-		// One contested window covering the section: the partition a
-		// WithoutPrioritization run scores.
-		ws := &windowScores{}
-		ws.score(d, g, &tier.Partition{Windows: [][2]int{{0, g.Len()}}, Total: g.Len(), ContestedBytes: g.Len()}, pool)
-		hints = append(hints, analysis.StatHints(g, viable, ws.bufs[0], d.penaltyWeight, d.threshold)...)
+		scores := d.model.ScoreAll(g, analysis.StatWindow)
+		hints = append(hints, analysis.StatHints(g, viable, scores, d.penaltyWeight, d.threshold)...)
 	}
 	d.flatten(hints)
 	return hints
@@ -212,10 +210,10 @@ type Detail struct {
 
 // run is the section pipeline on a built superset graph. Viability runs
 // over the whole section; the structural hint analyses run as
-// whole-section tasks on the work pool, and so do the scoring pieces of
-// the contested windows. The hint stream merges in one canonical order,
-// and the tiered corrector consumes it under its usual total order, so
-// the output is byte-identical for every worker count.
+// whole-section tasks on the work pool, and so do the statistical walk's
+// pieces of the contested windows. The hint stream merges in one
+// canonical order, and the tiered corrector consumes it under its usual
+// total order, so the output is byte-identical for every worker count.
 //
 // sp is the enclosing (per-section) trace span, or nil when tracing is
 // off; every stage is a direct child of sp, so a rendered trace accounts
@@ -249,13 +247,14 @@ func (d *Disassembler) run(ctx context.Context, g *superset.Graph, entry int, sp
 	csp := sp.StartChild("correct")
 	structural, weak := tier.SplitHints(hints)
 	var part *tier.Partition
-	ws := &windowScores{}
 	statHints := 0
 	opts := correct.Options{Trace: csp}
 	if d.useStats {
-		opts.ScoreAt = ws.at
+		// Gap fill reads a score only at each gap start, so it is
+		// computed there, where it equals ScoreAll's.
+		opts.ScoreAt = func(off int) float64 { return d.model.Score(g, off, analysis.StatWindow) }
 	}
-	out, err := correct.RunTieredContext(ctx, g, viable, structural, func(o *correct.Outcome) []analysis.Hint {
+	out, err := correct.RunTiered(ctx, g, viable, structural, func(o *correct.Outcome) ([]analysis.StatRec, []analysis.Hint) {
 		tsp := csp.StartChild("tier")
 		part = tier.FromStates(o.State)
 		tsp.Count("settled", int64(part.SettledBytes))
@@ -263,30 +262,11 @@ func (d *Disassembler) run(ctx context.Context, g *superset.Graph, entry int, sp
 		tsp.Count("windows", int64(len(part.Windows)))
 		tsp.End()
 		if !d.useStats {
-			return weak
+			return nil, weak
 		}
-		ssp := csp.StartChild("stats")
-		ws.score(d, g, part, pool)
-		ssp.Count("scored", int64(part.ContestedBytes))
-		ssp.End()
-		shsp := csp.StartChild("stathints")
-		// Room for every offset that can emit, and for the weak hints
-		// appended after them: the buffer never regrows.
-		n := len(weak)
-		for i, w := range part.Windows {
-			n += analysis.StatHintBoundRel(g, viable, ws.bufs[i],
-				d.penaltyWeight, d.threshold, w[0], w[1])
-		}
-		stat := make([]analysis.Hint, 0, n)
-		for i, w := range part.Windows {
-			stat = analysis.StatHintsRangeRel(g, viable, ws.bufs[i],
-				d.penaltyWeight, d.threshold, w[0], w[1], stat)
-		}
-		d.flatten(stat)
-		shsp.Count("hints", int64(len(stat)))
-		shsp.End()
+		stat := d.statRecords(g, viable, part, pool, csp)
 		statHints = len(stat)
-		return append(stat, weak...)
+		return stat, weak
 	}, opts)
 	csp.End()
 	if err != nil {

@@ -11,9 +11,11 @@ import (
 	"sync"
 	"testing"
 
+	"probedis/internal/analysis"
 	"probedis/internal/elfx"
 	"probedis/internal/superset"
 	"probedis/internal/synth"
+	"probedis/internal/tier"
 )
 
 // buildMultiSectionELF assembles nsec generated text sections into one
@@ -133,8 +135,10 @@ func TestParallelDisassembleMatchesSerialOnCorpus(t *testing.T) {
 // TestHintsForDeterministic: the concurrently collected hint slice
 // must equal the serial one element-for-element (the canonical merge
 // order), and repeated runs must not reorder it. Jump-table hints are
-// emitted table by table, so equal streams imply equal tables, and the
-// statistical hints pin the scores computed piecewise on the pool.
+// emitted table by table, so equal streams imply equal tables. The
+// pipeline's statistical records, walked over one whole-section window
+// in several pool tasks, must stand for the stream's statistical hints,
+// in order, at every worker count.
 func TestHintsForDeterministic(t *testing.T) {
 	model := DefaultModel()
 	bin, err := synth.Generate(synth.Config{
@@ -143,10 +147,8 @@ func TestHintsForDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Past one scoring piece, so the whole-section window scores as
-	// several pool tasks.
-	if len(bin.Code) <= scoreChunkBytes {
-		t.Fatalf("section is %d bytes, want more than one %d-byte scoring piece", len(bin.Code), scoreChunkBytes)
+	if len(bin.Code) <= statPieceBytes {
+		t.Fatalf("section is %d bytes, want more than one %d-byte walk piece", len(bin.Code), statPieceBytes)
 	}
 	g := superset.Build(bin.Code, bin.Base)
 	entry := int(bin.Entry - bin.Base)
@@ -161,6 +163,26 @@ func TestHintsForDeterministic(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("rep %d: hint %d = %+v, want %+v", rep, i, got[i], want[i])
+			}
+		}
+	}
+
+	var stat []analysis.Hint
+	for _, h := range want {
+		if h.Src == analysis.StatSrc {
+			stat = append(stat, h)
+		}
+	}
+	viable := analysis.Viability(g)
+	whole := &tier.Partition{Windows: [][2]int{{0, g.Len()}}, Total: g.Len(), ContestedBytes: g.Len()}
+	for _, workers := range []int{1, 8} {
+		recs := New(model, WithWorkers(workers)).statRecords(g, viable, whole, newWorkPool(workers), nil)
+		if len(recs) != len(stat) {
+			t.Fatalf("workers %d: %d records, HintsFor has %d statistical hints", workers, len(recs), len(stat))
+		}
+		for i, r := range recs {
+			if r.Hint() != stat[i] {
+				t.Fatalf("workers %d: record %d stands for %+v, HintsFor has %+v", workers, i, r.Hint(), stat[i])
 			}
 		}
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"sync"
 
+	"probedis/internal/analysis"
+	"probedis/internal/obs"
 	"probedis/internal/superset"
 	"probedis/internal/tier"
 )
@@ -53,60 +55,86 @@ func (p *workPool) run(n int, fn func(int)) {
 	wg.Wait()
 }
 
-// windowScores holds the statistical scores one contested window at a
-// time, sized O(contested bytes) instead of O(section).
-type windowScores struct {
-	windows [][2]int
-	bufs    [][]float64
-}
+// statPieceBytes bounds the contested bytes one statistical walk task
+// covers, so a window wider than that — the whole section under
+// WithoutPrioritization — still spreads over the pool, while a run of
+// small windows shares one task instead of paying for one each.
+const statPieceBytes = 1 << 14
 
-// scoreWindow is the statistical scoring window in instructions.
-const scoreWindow = 8
-
-// scoreChunkBytes bounds one scoring task, so a window wider than that —
-// the whole section under WithoutPrioritization and in HintsFor — still
-// spreads over the pool instead of scoring on one worker.
-const scoreChunkBytes = 1 << 14
-
-// score fills one buffer per contested window on the pool, one task per
-// window or per scoreChunkBytes piece of a wider one (the pieces are
-// disjoint, so writes never overlap; values are bit-identical to a full
-// pass). The buffers are consecutive slices of one contested-size array.
-func (ws *windowScores) score(d *Disassembler, g *superset.Graph, part *tier.Partition, pool *workPool) {
-	ws.windows = part.Windows
-	ws.bufs = make([][]float64, len(part.Windows))
-	backing := make([]float64, part.ContestedBytes)
-	type piece struct{ win, from, to int }
-	pieces := make([]piece, 0, len(part.Windows))
-	for i, w := range part.Windows {
-		ws.bufs[i], backing = backing[:w[1]-w[0]], backing[w[1]-w[0]:]
-		for from := w[0]; from < w[1]; from += scoreChunkBytes {
-			pieces = append(pieces, piece{i, from, min(from+scoreChunkBytes, w[1])})
+// statRecords runs analysis.StatRecords over the contested windows on
+// the pool, inside a "stats" child span of sp, then packs the records in
+// a "stathints" child span and returns them in ascending offset order.
+// Each task walks one piece: a statPieceBytes slice of a wide window or a
+// run of whole small windows. It appends into its own slot of one buffer,
+// sized by the viable offsets of its piece (only those can emit), and the
+// slots are then packed in piece order, so the result is the same at
+// every worker count.
+func (d *Disassembler) statRecords(g *superset.Graph, viable []bool, part *tier.Partition, pool *workPool, sp *obs.Span) []analysis.StatRec {
+	ssp := sp.StartChild("stats")
+	windows := part.Windows
+	// A piece covers windows w0..w1-1, clipped to [from, to).
+	type piece struct {
+		w0, w1, from, to int
+		out              []analysis.StatRec
+	}
+	pieces := make([]piece, 0, part.ContestedBytes/statPieceBytes+1)
+	for w := 0; w < len(windows); {
+		a, b := windows[w][0], windows[w][1]
+		if b-a > statPieceBytes {
+			for from := a; from < b; from += statPieceBytes {
+				pieces = append(pieces, piece{w0: w, w1: w + 1, from: from, to: min(from+statPieceBytes, b)})
+			}
+			w++
+			continue
+		}
+		w1, size := w, 0
+		for w1 < len(windows) && size+windows[w1][1]-windows[w1][0] <= statPieceBytes {
+			size += windows[w1][1] - windows[w1][0]
+			w1++
+		}
+		pieces = append(pieces, piece{w0: w, w1: w1, from: a, to: windows[w1-1][1]})
+		w = w1
+	}
+	ranges := func(p *piece, fn func(from, to int)) {
+		for w := p.w0; w < p.w1; w++ {
+			fn(max(windows[w][0], p.from), min(windows[w][1], p.to))
 		}
 	}
-	pool.run(len(pieces), func(j int) {
-		p := pieces[j]
-		buf := ws.bufs[p.win][p.from-part.Windows[p.win][0]:]
-		d.model.ScoreWindowInto(buf, g, scoreWindow, p.from, p.to)
+	slots := make([]int, len(pieces)+1)
+	for i := range pieces {
+		n := slots[i]
+		ranges(&pieces[i], func(from, to int) {
+			for _, v := range viable[from:to] {
+				if v {
+					n++
+				}
+			}
+		})
+		slots[i+1] = n
+	}
+	recs := make([]analysis.StatRec, slots[len(pieces)])
+	pool.run(len(pieces), func(i int) {
+		p := &pieces[i]
+		p.out = recs[slots[i]:slots[i]:slots[i+1]]
+		ranges(p, func(from, to int) {
+			p.out = analysis.StatRecords(g, viable, d.model, d.penaltyWeight, d.threshold, from, to, p.out)
+		})
 	})
-}
+	ssp.Count("scored", int64(part.ContestedBytes))
+	ssp.End()
 
-// at serves a point lookup (correct.Options.ScoreAt): binary search for
-// the window containing off. Offsets outside every contested window
-// return 0 — gap fill only consults gap starts, which always lie inside
-// a contested window, so this case is never load-bearing.
-func (ws *windowScores) at(off int) float64 {
-	lo, hi := 0, len(ws.windows)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ws.windows[mid][0] <= off {
-			lo = mid + 1
-		} else {
-			hi = mid
+	hsp := sp.StartChild("stathints")
+	n := 0
+	for _, p := range pieces {
+		n += copy(recs[n:], p.out)
+	}
+	recs = recs[:n]
+	if d.flatPrio {
+		for i := range recs {
+			recs[i].Score = 0
 		}
 	}
-	if lo == 0 || off >= ws.windows[lo-1][1] {
-		return 0
-	}
-	return ws.bufs[lo-1][off-ws.windows[lo-1][0]]
+	hsp.Count("hints", int64(n))
+	hsp.End()
+	return recs
 }

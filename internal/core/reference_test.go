@@ -21,7 +21,7 @@ func singlePhase(d *Disassembler, code []byte, base uint64, entry int) (*dis.Res
 	viable := analysis.Viability(g)
 	var scores []float64
 	if d.useStats {
-		scores = d.model.ScoreAll(g, scoreWindow)
+		scores = d.model.ScoreAll(g, analysis.StatWindow)
 	}
 	hints := d.HintsFor(g, entry)
 	out := correct.Run(g, viable, hints, correct.Options{Scores: scores})

@@ -42,12 +42,10 @@ type Options struct {
 	// leftover unknown gaps (nil disables score-guided gap fill and
 	// treats unresolvable gaps as data).
 	Scores []float64
-	// ScoreAt is a sparse alternative to Scores, consulted only when
-	// Scores is nil: the pipeline stores scores per contested window
-	// (O(contested) instead of O(section) resident) and serves point
-	// lookups through this callback. Gap fill reads scores
-	// only at gap starts, and every gap is a subset of a contested
-	// window, so the two forms see identical values there.
+	// ScoreAt is a lazy alternative to Scores, consulted only when
+	// Scores is nil: gap fill reads a score only at each gap start, so
+	// the pipeline computes just those (stats.Model.Score) instead of
+	// holding a score per section or per contested byte.
 	ScoreAt func(off int) float64
 	// NoGapFill leaves Unknown bytes unresolved (ablation).
 	NoGapFill bool
@@ -103,25 +101,33 @@ const commitCheckInterval = 256
 // honours MaxHints.
 func Run(g *superset.Graph, viable []bool, hints []analysis.Hint, opts Options) *Outcome {
 	c := newCorrector(g, viable)
-	c.commitHints(nil, hints, opts.MaxHints, opts.Trace, "") // a nil ctx never cancels
+	c.commitHints(nil, nil, hints, opts.MaxHints, opts.Trace, "") // a nil ctx never cancels
 	out, _ := c.finish(nil, opts)
 	return out
 }
 
-// PhaseHintsFunc produces the second-phase hint stream of a tiered run,
-// given the outcome of the structural commit prefix. Implementations may
-// read o (typically the Unknown runs, which delimit the contested
-// windows) but must not mutate it.
+// PhaseFunc produces the second-phase input of a tiered run, given the
+// outcome of the structural commit prefix: the statistical hints as
+// records, in ascending offset order with each offset at most once, and
+// the remaining hints. The records stand for the hints
+// analysis.StatRec.Hint returns, listed before the remaining hints.
+// Implementations may read o (typically the Unknown runs, which delimit
+// the contested windows) but must not mutate it.
+type PhaseFunc func(o *Outcome) ([]analysis.StatRec, []analysis.Hint)
+
+// PhaseHintsFunc produces the second-phase hint stream of a tiered run
+// that has no statistical records (see PhaseFunc).
 type PhaseHintsFunc func(o *Outcome) []analysis.Hint
 
-// RunTieredContext executes correction in two phases. Phase one commits
-// the structural hints; rest then inspects the intermediate state and
-// returns the remaining (statistical and weak) hints, which phase two
-// commits; retraction and gap fill run once, after both phases.
+// RunTiered executes correction in two phases. Phase one commits the
+// structural hints; rest then inspects the intermediate state and returns
+// the remaining statistical records and hints, which phase two merges
+// into one commit order; retraction and gap fill run once, after both
+// phases. It reorders the records slice as scratch space.
 //
 // The result is byte-identical to a single Run over the combined hint
-// stream whenever (a) every structural hint outranks every hint
-// rest returns (the priority-first sort then concatenates the two phases
+// stream whenever (a) every structural hint outranks everything rest
+// returns (the priority-first sort then concatenates the two phases
 // exactly as the single sorted stream would), and (b) rest returns the
 // hints the single run would have carried at offsets still undecided —
 // hints at already-decided offsets are provable no-ops, because the
@@ -133,25 +139,32 @@ type PhaseHintsFunc func(o *Outcome) []analysis.Hint
 // single-phase runs) and is ignored.
 //
 // Cancellation is cooperative: the commit loops poll ctx every
-// commitCheckInterval hints, the retraction worklist every
+// commitCheckInterval commits, the retraction worklist every
 // ctxutil.CheckInterval pops and the gap-fill scan every
 // ctxutil.CheckInterval offsets. Once the context is done the run aborts
 // and returns (nil, ctx.Err()) — the partial outcome is discarded, never
 // returned, so callers can't mistake an aborted classification for a
 // complete one. A nil ctx never cancels.
-func RunTieredContext(ctx context.Context, g *superset.Graph, viable []bool, structural []analysis.Hint, rest PhaseHintsFunc, opts Options) (*Outcome, error) {
+func RunTiered(ctx context.Context, g *superset.Graph, viable []bool, structural []analysis.Hint, rest PhaseFunc, opts Options) (*Outcome, error) {
 	c := newCorrector(g, viable)
-	if err := c.commitHints(ctx, structural, 0, opts.Trace, "-structural"); err != nil {
+	if err := c.commitHints(ctx, nil, structural, 0, opts.Trace, "-structural"); err != nil {
 		return nil, err
 	}
-	contested := rest(c.out)
+	stat, hints := rest(c.out)
 	if ctxutil.Cancelled(ctx) {
 		return nil, ctxutil.Err(ctx)
 	}
-	if err := c.commitHints(ctx, contested, 0, opts.Trace, "-contested"); err != nil {
+	if err := c.commitHints(ctx, stat, hints, 0, opts.Trace, "-contested"); err != nil {
 		return nil, err
 	}
 	return c.finish(ctx, opts)
+}
+
+// RunTieredContext is RunTiered with a second phase of hints only.
+func RunTieredContext(ctx context.Context, g *superset.Graph, viable []bool, structural []analysis.Hint, rest PhaseHintsFunc, opts Options) (*Outcome, error) {
+	return RunTiered(ctx, g, viable, structural, func(o *Outcome) ([]analysis.StatRec, []analysis.Hint) {
+		return nil, rest(o)
+	}, opts)
 }
 
 // newCorrector allocates the outcome; the work buffers grow from nil on
@@ -172,14 +185,23 @@ func newCorrector(g *superset.Graph, viable []bool) *corrector {
 		srcIdx: map[string]uint8{"": 0}}
 }
 
-// commitHints sorts one hint stream into commit order and consumes it.
-// label suffixes the trace span names so a tiered run's two phases stay
-// distinguishable in stage-cost tables.
-func (c *corrector) commitHints(ctx context.Context, hints []analysis.Hint, maxHints int, trace *obs.Span, label string) error {
+// commitHints sorts one phase's statistical records and hints into
+// commit order and consumes them, merging the two sorted streams by the
+// full commit-order key. label suffixes the trace span names so a tiered
+// run's two phases stay distinguishable in stage-cost tables. maxHints
+// truncates the hints; it is set only by Run, which has no records.
+func (c *corrector) commitHints(ctx context.Context, stat []analysis.StatRec, hints []analysis.Hint, maxHints int, trace *obs.Span, label string) error {
 	o := c.out
 	ssp := trace.StartChild("sort" + label)
+	var statSrc uint8
+	if len(stat) > 0 {
+		// The records stand for hints that lead the phase's stream, so
+		// their source is interned before the hints' own.
+		statSrc = c.internSrc(analysis.StatSrc)
+		stat = c.sortStat(stat)
+	}
 	recs := c.sortOrder(hints)
-	ssp.Count("hints", int64(len(hints)))
+	ssp.Count("hints", int64(len(stat)+len(hints)))
 	ssp.End()
 
 	csp := trace.StartChild("commit" + label)
@@ -187,18 +209,27 @@ func (c *corrector) commitHints(ctx context.Context, hints []analysis.Hint, maxH
 	if maxHints > 0 && len(recs) > maxHints {
 		recs = recs[:maxHints]
 	}
-	for i := range recs {
-		if i&(commitCheckInterval-1) == 0 && ctxutil.Cancelled(ctx) {
+	order := phaseOrder{stat: stat, recs: recs, hints: hints}
+	for n := 0; ; n++ {
+		s, r := order.next()
+		if s == nil && r == nil {
+			return nil
+		}
+		if n&(commitCheckInterval-1) == 0 && ctxutil.Cancelled(ctx) {
 			return ctxutil.Err(ctx)
 		}
-		r := &recs[i]
-		c.curSrc = r.src
 		var ok bool
-		switch r.kind {
-		case analysis.HintCode:
-			ok = c.commitChain(int(r.off))
-		case analysis.HintData:
-			ok = c.commitData(int(r.off), int(r.len))
+		if s != nil {
+			c.curSrc = statSrc
+			ok = c.commitChain(s.Off)
+		} else {
+			c.curSrc = r.src
+			switch r.kind {
+			case analysis.HintCode:
+				ok = c.commitChain(int(r.off))
+			case analysis.HintData:
+				ok = c.commitData(int(r.off), int(r.len))
+			}
 		}
 		if ok {
 			o.Committed++
@@ -206,7 +237,45 @@ func (c *corrector) commitHints(ctx context.Context, hints []analysis.Hint, maxH
 			o.Rejected++
 		}
 	}
-	return nil
+}
+
+// phaseOrder merges one phase's two sorted streams, its statistical
+// records and its hint records, into commit order.
+type phaseOrder struct {
+	stat  []analysis.StatRec
+	recs  []commitRec
+	hints []analysis.Hint // the hints recs index
+	i, j  int             // the next record of each stream
+}
+
+// next returns the next record in commit order, a statistical record s
+// or a hint record r, or two nils once both streams are drained.
+func (m *phaseOrder) next() (s *analysis.StatRec, r *commitRec) {
+	switch {
+	case m.i < len(m.stat) && (m.j == len(m.recs) || statFirst(m.stat[m.i], &m.recs[m.j], m.hints)):
+		m.i++
+		return &m.stat[m.i-1], nil
+	case m.j < len(m.recs):
+		m.j++
+		return nil, &m.recs[m.j-1]
+	}
+	return nil, nil
+}
+
+// statFirst reports whether the statistical record r commits before the
+// hint record h: by key, then, on equal keys, by the tie rule. r's hint
+// leads the stream, so it goes first unless h's hint is canonically
+// smaller.
+func statFirst(r analysis.StatRec, h *commitRec, hints []analysis.Hint) bool {
+	// The high word holds the priority and the score's top 56 bits.
+	if hi := analysis.PrioStat<<56 | scoreKey(r.Score)>>8; hi != h.hi {
+		return hi > h.hi
+	}
+	hi, lo := statKey(r)
+	if hi != h.hi || lo != h.lo {
+		return hi > h.hi || hi == h.hi && lo > h.lo
+	}
+	return !hints[h.idx].Less(r.Hint())
 }
 
 // finish runs the post-commit phases — retraction fixpoint and gap fill —
@@ -400,19 +469,7 @@ func hintKey(h *analysis.Hint) (hi, lo uint64) {
 	case h.Prio > 255:
 		return math.MaxUint64, math.MaxUint64
 	}
-	s := h.Score
-	if s == 0 {
-		s = 0 // collapse -0 onto +0: they compare equal as floats
-	}
-	// Order-preserving transform of the float64 bit pattern: flip the
-	// sign bit for non-negatives, all bits for negatives. Descending
-	// unsigned order then matches descending float order.
-	sbits := math.Float64bits(s)
-	if sbits&(1<<63) == 0 {
-		sbits |= 1 << 63
-	} else {
-		sbits = ^sbits
-	}
+	sbits := scoreKey(h.Score)
 	var tail uint64 // inverted offset | code bit
 	switch {
 	case h.Off < 0:
@@ -424,6 +481,84 @@ func hintKey(h *analysis.Hint) (hi, lo uint64) {
 		}
 	}
 	return uint64(h.Prio)<<56 | sbits>>8, sbits<<56 | tail
+}
+
+// scoreKey is the order-preserving transform of a score's float64 bit
+// pattern: descending unsigned order matches descending float order, and
+// -0 and +0, which compare equal as floats, map alike.
+func scoreKey(s float64) uint64 {
+	if s == 0 {
+		s = 0 // collapse -0 onto +0
+	}
+	// Flip the sign bit for non-negatives, all bits for negatives.
+	b := math.Float64bits(s)
+	if b&(1<<63) == 0 {
+		return b | 1<<63
+	}
+	return ^b
+}
+
+// statKey is the commit-order key of r's hint.
+func statKey(r analysis.StatRec) (hi, lo uint64) {
+	h := analysis.Hint{Kind: analysis.HintCode, Off: r.Off, Prio: analysis.PrioStat, Score: r.Score}
+	return hintKey(&h)
+}
+
+// sortStat orders statistical records into commit order, the order
+// analysis.SortHints gives their hints: score descending, then offset
+// ascending, since the hints agree on every other field. The records
+// enter in ascending offset order, so a stable LSD radix sort over the
+// bytes of the score's key alone produces it, skipping the byte
+// positions constant across the records, with c.statTmp as the second
+// buffer. It returns whichever of the two buffers holds the result.
+func (c *corrector) sortStat(recs []analysis.StatRec) []analysis.StatRec {
+	n := len(recs)
+	if n < 2 {
+		return recs
+	}
+	// The histogram of every byte of the complemented key, unrolled: a
+	// loop over the byte positions made the whole sort about a fifth
+	// slower.
+	var counts [8][256]int
+	for i := range recs {
+		k := ^scoreKey(recs[i].Score)
+		counts[0][byte(k)]++
+		counts[1][byte(k>>8)]++
+		counts[2][byte(k>>16)]++
+		counts[3][byte(k>>24)]++
+		counts[4][byte(k>>32)]++
+		counts[5][byte(k>>40)]++
+		counts[6][byte(k>>48)]++
+		counts[7][byte(k>>56)]++
+	}
+	first := ^scoreKey(recs[0].Score)
+	src, dst := recs, []analysis.StatRec(nil)
+	for p := range counts {
+		shift := 8 * uint(p)
+		cnt := &counts[p]
+		if cnt[byte(first>>shift)] == n {
+			continue
+		}
+		if dst == nil {
+			if cap(c.statTmp) < n {
+				c.statTmp = make([]analysis.StatRec, n)
+			}
+			dst = c.statTmp[:n]
+		}
+		var next [256]int
+		sum := 0
+		for v, k := range cnt {
+			next[v] = sum
+			sum += k
+		}
+		for i := range src {
+			b := byte(^scoreKey(src[i].Score) >> shift)
+			dst[next[b]] = src[i]
+			next[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // sortRecs sorts recs into commit order with a stable LSD radix sort over
@@ -522,8 +657,10 @@ type corrector struct {
 	// The forced successors of the offset canPlace last passed.
 	ft, tgt int
 	// The commit records and the radix sort's second buffer, reused by
-	// the second phase of a tiered run.
+	// the second phase of a tiered run, and the statistical records' second
+	// buffer.
 	recs, tmp []commitRec
+	statTmp   []analysis.StatRec
 
 	// Retraction's worklist inputs, recorded by commitChain. Offsets fit
 	// in int32, so an edge packs into one word.

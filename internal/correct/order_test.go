@@ -1,6 +1,7 @@
 package correct
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -52,6 +53,39 @@ func checkCommitOrder(t *testing.T, c *corrector, hints []analysis.Hint) {
 	}
 }
 
+// checkMergedOrder requires one phase's statistical records, ordered by
+// sortStat and merged with sortOrder's hint records, to come out in
+// exactly the order analysis.SortHints gives the equivalent stream: the
+// records' hints, then the hints. stat must be in ascending offset order,
+// each offset once, as the pipeline emits it.
+func checkMergedOrder(t *testing.T, c *corrector, stat []analysis.StatRec, hints []analysis.Hint) {
+	t.Helper()
+	want := make([]analysis.Hint, 0, len(stat)+len(hints))
+	for _, r := range stat {
+		want = append(want, r.Hint())
+	}
+	want = append(want, hints...)
+	analysis.SortHints(want)
+	order := phaseOrder{stat: c.sortStat(slices.Clone(stat)), recs: c.sortOrder(hints), hints: hints}
+	for i := range want {
+		var got analysis.Hint
+		switch s, r := order.next(); {
+		case s != nil:
+			got = s.Hint()
+		case r != nil:
+			got = hints[r.idx]
+		default:
+			t.Fatalf("streams drained after %d of %d records", i, len(want))
+		}
+		if got != want[i] {
+			t.Fatalf("position %d of %d: %+v, SortHints has %+v", i, len(want), got, want[i])
+		}
+	}
+	if s, r := order.next(); s != nil || r != nil {
+		t.Fatalf("a record beyond the %d SortHints orders", len(want))
+	}
+}
+
 // Field pools for the order tests: each holds the edges of its field's
 // key encoding, so drawing from few values also forces ties.
 var (
@@ -98,6 +132,69 @@ func genOrderHints(rng *rand.Rand, n int, ties bool) []analysis.Hint {
 	return hs
 }
 
+// genStatRecs draws up to n statistical records in ascending offset
+// order, each offset once. With ties set, offsets crowd [0, 2n+2) and
+// every score comes from the order tests' pool, so runs of exactly equal
+// scores are long; otherwise scores are mostly random.
+func genStatRecs(rng *rand.Rand, n int, ties bool) []analysis.StatRec {
+	offs := make([]int, n)
+	for i := range offs {
+		switch {
+		case ties:
+			offs[i] = rng.Intn(2*n + 2)
+		case rng.Intn(8) == 0:
+			offs[i] = max(orderOffs[rng.Intn(len(orderOffs))], 0)
+		default:
+			offs[i] = rng.Intn(1 << 22)
+		}
+	}
+	slices.Sort(offs)
+	offs = slices.Compact(offs)
+	recs := make([]analysis.StatRec, len(offs))
+	for i, off := range offs {
+		recs[i] = analysis.StatRec{Score: rng.NormFloat64() * 8, Off: off}
+		if ties || rng.Intn(8) == 0 {
+			recs[i].Score = orderScores[rng.Intn(len(orderScores))]
+		}
+	}
+	return recs
+}
+
+// TestMergedOrderMatchesSortHints: statistical records merged with hint
+// streams at every priority, PrioStat and PrioWeak among them, commit in
+// exactly SortHints' order of the equivalent hint stream: below and above
+// the comparison sort's cutoff, with many exactly equal scores and
+// offsets shared with the hints, both as drawn and flattened the way
+// WithoutPrioritization flattens them (every score 0, every hint at
+// PrioStat).
+func TestMergedOrderMatchesSortHints(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	c := orderCorrector()
+	prios := append([]int{analysis.PrioStrong, analysis.PrioMedium}, orderPrios...)
+	for _, n := range []int{0, 1, radixMin - 1, radixMin, 3000} {
+		for _, prio := range prios {
+			for _, ties := range []bool{false, true} {
+				stat := genStatRecs(rng, n, ties)
+				hints := genOrderHints(rng, rng.Intn(300), ties)
+				for i := range hints {
+					hints[i].Prio = prio
+					if ties && rng.Intn(2) == 0 {
+						hints[i].Off = rng.Intn(2*n + 2)
+					}
+				}
+				checkMergedOrder(t, c, stat, hints)
+				for i := range stat {
+					stat[i].Score = 0
+				}
+				for i := range hints {
+					hints[i].Prio, hints[i].Score = analysis.PrioStat, 0
+				}
+				checkMergedOrder(t, c, stat, hints)
+			}
+		}
+	}
+}
+
 // TestCommitOrderMatchesSortHints: the radix-ordered commit records
 // reproduce analysis.SortHints exactly, below and above the comparison
 // sort's cutoff, under heavy ties, at saturated key fields (priorities
@@ -124,9 +221,12 @@ func TestCommitOrderMatchesSortHints(t *testing.T) {
 	checkCommitOrder(t, c, genHints(rng, 4096))
 }
 
-// FuzzCommitOrderMatchesSortHints extends the order differential to
+// FuzzCommitOrderMatchesSortHints extends the order differentials to
 // fuzzed hints: every eight bytes of the input decode into one hint whose
 // fields come from the order tests' pools or straight from the bytes.
+// The hints alone must commit in SortHints order; then those with the
+// last byte odd become statistical records (score and offset; the first
+// at each offset kept), which merged with the rest must too.
 // Run with `go test -fuzz=FuzzCommitOrderMatchesSortHints ./internal/correct`.
 func FuzzCommitOrderMatchesSortHints(f *testing.F) {
 	f.Add([]byte{})
@@ -143,6 +243,7 @@ func FuzzCommitOrderMatchesSortHints(f *testing.F) {
 			return
 		}
 		var hints []analysis.Hint
+		var odd []bool
 		for ; len(data) >= 8; data = data[8:] {
 			w := data[:8]
 			v := binary.LittleEndian.Uint16(w[6:])
@@ -167,7 +268,20 @@ func FuzzCommitOrderMatchesSortHints(f *testing.F) {
 				h.Prio = int(w[5] >> 4)
 			}
 			hints = append(hints, h)
+			odd = append(odd, w[7]&1 != 0)
 		}
 		checkCommitOrder(t, c, hints)
+		var stat []analysis.StatRec
+		rest := hints[:0:0]
+		for i, h := range hints {
+			if odd[i] {
+				stat = append(stat, analysis.StatRec{Score: h.Score, Off: h.Off})
+			} else {
+				rest = append(rest, h)
+			}
+		}
+		slices.SortStableFunc(stat, func(a, b analysis.StatRec) int { return cmp.Compare(a.Off, b.Off) })
+		stat = slices.CompactFunc(stat, func(a, b analysis.StatRec) bool { return a.Off == b.Off })
+		checkMergedOrder(t, c, stat, rest)
 	})
 }

@@ -191,11 +191,7 @@ func (m *Model) LogOdds(g *superset.Graph, off, window int) (score float64, step
 			break
 		}
 		tok := e.Tok()
-		if prev < 0 {
-			score += m.uniDiff[tok]
-		} else {
-			score += m.biDiff[prev*numTok+tok]
-		}
+		score += m.Step(prev, tok)
 		steps++
 		prev = tok
 		if !e.Flow().HasFallthrough() {
@@ -211,13 +207,26 @@ func (m *Model) LogOdds(g *superset.Graph, off, window int) (score float64, step
 	return score, steps
 }
 
+// Step returns one chain step's log-odds term: that of tok as the
+// chain's first token when prev < 0, else that of the step prev -> tok.
+// LogOdds sums these terms, and analysis.StatRecords, which walks the
+// chain once for its score and its behaviour penalty together, reads
+// the same table entries.
+func (m *Model) Step(prev, tok int) float64 {
+	if prev < 0 {
+		return m.uniDiff[tok]
+	}
+	return m.biDiff[prev*numTok+tok]
+}
+
 // ScoreAll computes the per-offset normalized log-odds (score/steps) for
 // every offset; invalid offsets get large negative values. It runs
-// serially on the calling goroutine: the pipeline splits scoring into
-// ScoreWindowInto pieces on its own work pool.
+// serially on the calling goroutine. It and ScoreRangesInto are the
+// reference the pipeline's fused walk (analysis.StatRecords) is checked
+// against.
 func (m *Model) ScoreAll(g *superset.Graph, window int) []float64 {
 	out := make([]float64, g.Len())
-	m.ScoreWindowInto(out, g, window, 0, g.Len())
+	m.scoreWindowInto(out, g, window, 0, g.Len())
 	return out
 }
 
@@ -233,19 +242,17 @@ func (m *Model) ScoreRangesInto(out []float64, g *superset.Graph, window int, wi
 	}
 	for _, w := range windows {
 		if from := max(w[0], 0); from < g.Len() {
-			m.ScoreWindowInto(out[from:], g, window, from, w[1])
+			m.scoreWindowInto(out[from:], g, window, from, w[1])
 		}
 	}
 }
 
-// ScoreWindowInto computes the per-offset values of [from, to) into a
+// scoreWindowInto computes the per-offset values of [from, to) into a
 // window-relative buffer: out[i] receives the score of offset from+i.
 // Values are bit-identical to the corresponding slice of a full scoring
 // pass (LogOdds reads only the graph). It is the one scoring loop behind
-// ScoreAll and ScoreRangesInto, and the pipeline calls it directly to
-// keep one small buffer per contested window instead of a section-length
-// slice. len(out) must be at least to-from.
-func (m *Model) ScoreWindowInto(out []float64, g *superset.Graph, window, from, to int) {
+// ScoreAll and ScoreRangesInto. len(out) must be at least to-from.
+func (m *Model) scoreWindowInto(out []float64, g *superset.Graph, window, from, to int) {
 	if from < 0 {
 		from = 0
 	}
@@ -253,11 +260,17 @@ func (m *Model) ScoreWindowInto(out []float64, g *superset.Graph, window, from, 
 		to = g.Len()
 	}
 	for off := from; off < to; off++ {
-		s, n := m.LogOdds(g, off, window)
-		if n == 0 {
-			out[off-from] = -1e9
-			continue
-		}
-		out[off-from] = s / float64(n)
+		out[off-from] = m.Score(g, off, window)
 	}
+}
+
+// Score is the value ScoreAll reports at off: LogOdds' score over its
+// steps, or -1e9 when no step is scored. The pipeline's gap fill calls
+// it at each gap start instead of keeping scores.
+func (m *Model) Score(g *superset.Graph, off, window int) float64 {
+	s, n := m.LogOdds(g, off, window)
+	if n == 0 {
+		return -1e9
+	}
+	return s / float64(n)
 }

@@ -17,6 +17,8 @@
 package tier
 
 import (
+	"math/bits"
+
 	"probedis/internal/analysis"
 	"probedis/internal/correct"
 )
@@ -38,23 +40,82 @@ type Partition struct {
 
 // FromStates derives the partition from the intermediate correction state
 // after the structural phase: each maximal run of Unknown bytes is one
-// contested window, everything else is settled.
+// contested window, everything else is settled. It counts the runs first,
+// so Windows is allocated once at its length, and stays nil when there
+// are none. Both passes read eight states per load.
 func FromStates(st []correct.State) *Partition {
 	p := &Partition{Total: len(st)}
-	for off := 0; off < len(st); {
-		if st[off] != correct.Unknown {
-			off++
-			continue
-		}
+	if n := countRuns(st); n > 0 {
+		p.Windows = make([][2]int, 0, n)
+	}
+	for off := nextState(st, 0, true); off < len(st); off = nextState(st, off, true) {
 		a := off
-		for off < len(st) && st[off] == correct.Unknown {
-			off++
-		}
+		off = nextState(st, off, false)
 		p.Windows = append(p.Windows, [2]int{a, off})
 		p.ContestedBytes += off - a
 	}
 	p.SettledBytes = p.Total - p.ContestedBytes
 	return p
+}
+
+// The state word helpers rely on Unknown being the zero state. highs is
+// each byte's top bit, low7 the other seven.
+const (
+	highs uint64 = 0x8080808080808080
+	low7  uint64 = 0x7f7f7f7f7f7f7f7f
+)
+
+// load8 packs st[i:i+8] into a word, st[i] in the low byte.
+func load8(st []correct.State, i int) uint64 {
+	b := st[i : i+8 : i+8]
+	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+}
+
+// unknownBytes sets the top bit of each byte of w that is zero (Unknown)
+// and clears every other bit. Unlike the usual zero-byte test it never
+// flags a byte above a zero one, so each bit is exact.
+func unknownBytes(w uint64) uint64 {
+	return ^((w&low7 + low7) | w) & highs
+}
+
+// countRuns returns the number of maximal Unknown runs in st: the
+// Unknown states whose predecessor is settled or absent.
+func countRuns(st []correct.State) int {
+	n, prev := 0, uint64(0) // prev: the top bit of the previous byte's flag
+	i := 0
+	for ; i+8 <= len(st); i += 8 {
+		u := unknownBytes(load8(st, i))
+		n += bits.OnesCount64(u &^ (u<<8 | prev))
+		prev = u >> 56
+	}
+	for ; i < len(st); i++ {
+		if st[i] == correct.Unknown && prev == 0 {
+			n++
+		}
+		prev = 0
+		if st[i] == correct.Unknown {
+			prev = 0x80
+		}
+	}
+	return n
+}
+
+// nextState returns the first offset at or after off whose state is
+// Unknown (unknown set) or settled (unknown clear), or len(st) if none is.
+func nextState(st []correct.State, off int, unknown bool) int {
+	var flip uint64 // inverts the flags when looking for a settled byte
+	if !unknown {
+		flip = highs
+	}
+	for ; off+8 <= len(st); off += 8 {
+		if u := unknownBytes(load8(st, off)) ^ flip; u != 0 {
+			return off + bits.TrailingZeros64(u)/8
+		}
+	}
+	for ; off < len(st) && (st[off] == correct.Unknown) != unknown; off++ {
+	}
+	return off
 }
 
 // SplitHints partitions a hint stream into the structural prefix (strictly

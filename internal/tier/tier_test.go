@@ -1,6 +1,7 @@
 package tier
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -62,6 +63,73 @@ func TestFromStates(t *testing.T) {
 					p.SettledBytes+p.ContestedBytes, p.Total)
 			}
 		})
+	}
+}
+
+// fromStatesByteLoop is the byte-at-a-time scan FromStates replaced,
+// kept as the reference for its word scan.
+func fromStatesByteLoop(st []correct.State) *Partition {
+	p := &Partition{Total: len(st)}
+	for off := 0; off < len(st); {
+		if st[off] != correct.Unknown {
+			off++
+			continue
+		}
+		a := off
+		for off < len(st) && st[off] == correct.Unknown {
+			off++
+		}
+		p.Windows = append(p.Windows, [2]int{a, off})
+		p.ContestedBytes += off - a
+	}
+	p.SettledBytes = p.Total - p.ContestedBytes
+	return p
+}
+
+// randomStates draws n states as runs of one state each, with run
+// lengths from 1 to 2*mean-1, so runs cross and fill the eight-state
+// words in every way.
+func randomStates(rng *rand.Rand, n, mean int) []correct.State {
+	st := make([]correct.State, 0, n)
+	for len(st) < n {
+		s := correct.State(rng.Intn(3))
+		for k := 1 + rng.Intn(2*mean-1); k > 0 && len(st) < n; k-- {
+			st = append(st, s)
+		}
+	}
+	return st
+}
+
+// TestFromStatesMatchesByteLoop holds FromStates to the byte loop on
+// random state arrays: every length up to 80 and some long ones, runs
+// short and long.
+func TestFromStatesMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 4000; trial++ {
+		n := trial % 81
+		if trial%40 == 0 {
+			n = rng.Intn(1 << 14)
+		}
+		st := randomStates(rng, n, []int{1, 2, 5, 9, 40}[rng.Intn(5)])
+		got, want := FromStates(st), fromStatesByteLoop(st)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("states %v:\nFromStates %+v\nbyte loop  %+v", st, got, want)
+		}
+		if len(got.Windows) != cap(got.Windows) {
+			t.Fatalf("%d windows in a slice of capacity %d", len(got.Windows), cap(got.Windows))
+		}
+	}
+}
+
+// TestFromStatesAllocatesOnce: the partition and its window list are the
+// only allocations, however many windows there are.
+func TestFromStatesAllocatesOnce(t *testing.T) {
+	st := randomStates(rand.New(rand.NewSource(9)), 1<<16, 4)
+	if n := len(FromStates(st).Windows); n < 1000 {
+		t.Fatalf("precondition: only %d windows", n)
+	}
+	if a := testing.AllocsPerRun(20, func() { FromStates(st) }); a > 2 {
+		t.Fatalf("FromStates made %v allocations, want at most 2", a)
 	}
 }
 

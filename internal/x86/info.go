@@ -97,21 +97,39 @@ func (e Info) MemResolved() bool { return e.tokFlags&flagMemResolved != 0 }
 // StackDelta is the statically-known RSP change in bytes, derived
 // exactly as the decoder's stackEffect computes Inst.StackDelta: the
 // fixed pushes and pops from Op, and RET's and the register-form
-// ADD/SUB's immediate-dependent deltas from Delta.
+// ADD/SUB's immediate-dependent deltas from Delta. One probe of stackOps
+// classifies the op, so the per-offset chain walks that sum it take no
+// branch on the op.
 func (e Info) StackDelta() int32 {
-	switch e.Op() {
-	case PUSH, PUSHF, CALL:
-		return -8
-	case POP, POPF:
-		return 8
-	case RET:
-		return e.Delta
-	case ADD, SUB:
-		if !e.HasMem() {
-			return e.Delta
-		}
+	k := stackOps[e.op]
+	var m int32 // all ones when the delta lives in Delta
+	if k.fromDelta == deltaAlways || k.fromDelta == deltaRegForm && !e.HasMem() {
+		m = -1
 	}
-	return 0
+	return int32(k.fixed) + e.Delta&m
+}
+
+// Where an op's stack delta comes from, besides its fixed part.
+const (
+	deltaNever   = iota
+	deltaAlways  // RET: Delta holds 8 plus its immediate
+	deltaRegForm // ADD, SUB: Delta holds the RSP adjustment of the register form
+)
+
+// stackOps is StackDelta's table: each op's fixed delta and where the
+// rest of it lives.
+var stackOps = [256]struct {
+	fixed     int8
+	fromDelta uint8
+}{
+	PUSH:  {fixed: -8},
+	PUSHF: {fixed: -8},
+	CALL:  {fixed: -8},
+	POP:   {fixed: 8},
+	POPF:  {fixed: 8},
+	RET:   {fromDelta: deltaAlways},
+	ADD:   {fromDelta: deltaRegForm},
+	SUB:   {fromDelta: deltaRegForm},
 }
 
 // packDelta stores the self-relative displacement d as Info.Delta.

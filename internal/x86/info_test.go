@@ -24,6 +24,37 @@ func TestOpsFitRecordByte(t *testing.T) {
 	}
 }
 
+// TestStackDeltaTable holds the table-driven StackDelta to the op switch
+// it replaced, for every op byte, with and without a memory operand, at
+// deltas that include the redecode sentinel.
+func TestStackDeltaTable(t *testing.T) {
+	want := func(e Info) int32 {
+		switch e.Op() {
+		case PUSH, PUSHF, CALL:
+			return -8
+		case POP, POPF:
+			return 8
+		case RET:
+			return e.Delta
+		case ADD, SUB:
+			if !e.HasMem() {
+				return e.Delta
+			}
+		}
+		return 0
+	}
+	for op := range 256 {
+		for _, flags := range []uint16{0, flagHasMem, flagHasImm | flagRare} {
+			for _, d := range []int32{0, 8, -24, 1 << 20, DeltaRedecode, 1<<31 - 1} {
+				e := Info{Delta: d, op: uint8(op), lenFlow: 1, tokFlags: flags}
+				if got := e.StackDelta(); got != want(e) {
+					t.Fatalf("op %v flags %#x delta %d: StackDelta %d, want %d", Op(op), flags, d, got, want(e))
+				}
+			}
+		}
+	}
+}
+
 // checkAccessors asserts that every accessor of the record e reads the
 // fact DecodeInto states for the instruction at buf[0] (address addr).
 // The record keeps some facts only implicitly — validity in Len, IsNop
