@@ -113,11 +113,13 @@ fuzz-smoke:
 
 # Chaos/load harness against the real serving stack (internal/serve)
 # over a real loopback listener: mixed hostile workloads under -race,
-# run twice to catch order-dependent state. PROBEDIS_LEAK_REPORT
+# run twice to catch order-dependent state. The serve package's own
+# tests (flight joins, leader cancellation and re-election, shedding,
+# deadlines) get the same two passes under -race. PROBEDIS_LEAK_REPORT
 # receives a goroutine stack dump if a leak check fails.
 servtest:
 	PROBEDIS_LEAK_REPORT=/tmp/servtest-leak.txt \
-		go test -race -count=2 -timeout=5m ./internal/servtest
+		go test -race -count=2 -timeout=5m ./internal/serve ./internal/servtest
 
 # Persistent result store under fault injection (torn writes, truncated
 # entries, bit flips, crash-before-rename), run twice under -race to

@@ -66,7 +66,7 @@ func TestRunContextNilMatchesRun(t *testing.T) {
 	want := Run(g, v, hints, Options{})
 	got, err := runTiered(context.Background(), g, v, hints, nil)
 	if err != nil {
-		t.Fatalf("RunTieredContext: %v", err)
+		t.Fatalf("RunTiered: %v", err)
 	}
 	for i := range want.State {
 		if got.State[i] != want.State[i] || got.InstStart[i] != want.InstStart[i] {

@@ -96,9 +96,8 @@ const commitCheckInterval = 256
 
 // Run executes single-phase prioritized error correction over the
 // superset graph: hints are consumed in SortHints order and viable gates
-// all code commits. It is the uncancellable reference for
-// RunTieredContext (which the pipeline runs) and the only path that
-// honours MaxHints.
+// all code commits. It is the uncancellable reference for RunTiered
+// (which the pipeline runs) and the only path that honours MaxHints.
 func Run(g *superset.Graph, viable []bool, hints []analysis.Hint, opts Options) *Outcome {
 	c := newCorrector(g, viable)
 	c.commitHints(nil, nil, hints, opts.MaxHints, opts.Trace, "") // a nil ctx never cancels
@@ -160,7 +159,8 @@ func RunTiered(ctx context.Context, g *superset.Graph, viable []bool, structural
 	return c.finish(ctx, opts)
 }
 
-// RunTieredContext is RunTiered with a second phase of hints only.
+// RunTieredContext is RunTiered with a second phase of hints only. The
+// pipeline calls RunTiered; only bench's layer-by-layer replay calls this.
 func RunTieredContext(ctx context.Context, g *superset.Graph, viable []bool, structural []analysis.Hint, rest PhaseHintsFunc, opts Options) (*Outcome, error) {
 	return RunTiered(ctx, g, viable, structural, func(o *Outcome) ([]analysis.StatRec, []analysis.Hint) {
 		return nil, rest(o)

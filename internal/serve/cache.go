@@ -21,9 +21,8 @@ type lru struct {
 }
 
 type lruItem struct {
-	key      cacheKey
-	body     []byte
-	sections int
+	key  cacheKey
+	body []byte
 }
 
 func newLRU(maxEntries int, maxBytes int64) *lru {
@@ -35,21 +34,20 @@ func newLRU(maxEntries int, maxBytes int64) *lru {
 	}
 }
 
-func (c *lru) get(key cacheKey) (body []byte, sections int, ok bool) {
+func (c *lru) get(key cacheKey) (body []byte, ok bool) {
 	e, ok := c.items[key]
 	if !ok {
-		return nil, 0, false
+		return nil, false
 	}
 	c.ll.MoveToFront(e)
-	it := e.Value.(*lruItem)
-	return it.body, it.sections, true
+	return e.Value.(*lruItem).body, true
 }
 
 // put inserts (or refreshes) an entry and returns how many entries were
 // evicted to make room. Bodies larger than the byte budget are not
 // stored at all — evicting the whole cache for one oversized response
 // would be strictly worse than skipping it.
-func (c *lru) put(key cacheKey, body []byte, sections int) (evicted int) {
+func (c *lru) put(key cacheKey, body []byte) (evicted int) {
 	if c.maxBytes > 0 && int64(len(body)) > c.maxBytes {
 		// Refusing the new body must still invalidate a resident entry
 		// under the same key: leaving it in place would keep serving the
@@ -67,10 +65,10 @@ func (c *lru) put(key cacheKey, body []byte, sections int) (evicted int) {
 	if e, ok := c.items[key]; ok {
 		it := e.Value.(*lruItem)
 		c.bytes += int64(len(body)) - int64(len(it.body))
-		it.body, it.sections = body, sections
+		it.body = body
 		c.ll.MoveToFront(e)
 	} else {
-		c.items[key] = c.ll.PushFront(&lruItem{key: key, body: body, sections: sections})
+		c.items[key] = c.ll.PushFront(&lruItem{key: key, body: body})
 		c.bytes += int64(len(body))
 	}
 	// The just-inserted entry is at the front and within the byte budget
@@ -95,14 +93,14 @@ func (c *lru) sizeBytes() int64 { return c.bytes }
 // flight is one in-progress pipeline run that duplicate requests for
 // the same image attach to instead of re-running the pipeline.
 type flight struct {
-	done     chan struct{} // closed when the leader finishes
-	body     []byte        // marshaled 200 response; nil on failure
-	sections int
-	status   int // error status when body == nil (400/429/500/504)
-	errMsg   string
-	// retry marks a leader aborted by its own context (deadline or
-	// client disconnect): the result is nobody's fault and nobody's
-	// answer, so joiners re-enter the group and elect a new leader.
+	done   chan struct{} // closed when the leader finishes
+	body   []byte        // marshaled 200 response; nil on failure
+	status int           // error status when body == nil
+	errMsg string
+	// retry marks a leader whose own context ended (deadline or client
+	// disconnect, queued or mid-run): the result is nobody's fault and
+	// nobody's answer, so joiners re-enter the group and elect a new
+	// leader.
 	retry bool
 }
 
@@ -127,26 +125,26 @@ func newGroup(maxEntries int, maxBytes int64) *group {
 // lookup returns either a cached body (hit=true), an existing flight to
 // join, or a fresh flight the caller now leads (lead=true, already
 // registered).
-func (g *group) lookup(key cacheKey) (body []byte, sections int, f *flight, hit, lead bool) {
+func (g *group) lookup(key cacheKey) (body []byte, f *flight, hit, lead bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if body, sections, ok := g.cache.get(key); ok {
-		return body, sections, nil, true, false
+	if body, ok := g.cache.get(key); ok {
+		return body, nil, true, false
 	}
 	if f, ok := g.flights[key]; ok {
-		return nil, 0, f, false, false
+		return nil, f, false, false
 	}
 	f = &flight{done: make(chan struct{})}
 	g.flights[key] = f
-	return nil, 0, f, false, true
+	return nil, f, false, true
 }
 
 // publish stores the leader's success in the cache, retires the flight
 // and wakes joiners. Returns the number of cache evictions.
-func (g *group) publish(key cacheKey, f *flight, body []byte, sections int) int {
+func (g *group) publish(key cacheKey, f *flight, body []byte) int {
 	g.mu.Lock()
-	f.body, f.sections = body, sections
-	evicted := g.cache.put(key, body, sections)
+	f.body = body
+	evicted := g.cache.put(key, body)
 	delete(g.flights, key)
 	g.mu.Unlock()
 	close(f.done)
@@ -154,9 +152,9 @@ func (g *group) publish(key cacheKey, f *flight, body []byte, sections int) int 
 }
 
 // abort retires the flight without caching anything. retry=true makes
-// joiners re-elect instead of inheriting the error (used for leader
-// context cancellation — a deadline or disconnect on one request says
-// nothing about the image).
+// joiners re-elect instead of inheriting the error (set when the
+// leader's own context ended — a deadline or disconnect on one request
+// says nothing about the image).
 func (g *group) abort(key cacheKey, f *flight, status int, msg string, retry bool) {
 	g.mu.Lock()
 	f.status, f.errMsg, f.retry = status, msg, retry

@@ -60,16 +60,14 @@ type Config struct {
 	// SpoolDir receives spilled request bodies ("" = os.TempDir()).
 	SpoolDir string
 	// StoreDir roots the persistent content-addressed result store
-	// shared between replicas ("" disables the disk tier).
+	// shared between replicas ("" disables the disk tier). Entries are
+	// keyed by the Disassembler's Fingerprint (the pipeline generation,
+	// its model and its options) as well as the image: a server reads
+	// only entries of its own fingerprint, and servers with different
+	// ones keep theirs side by side.
 	StoreDir string
 	// StoreBytes bounds the store (0 = store.DefaultMaxBytes).
 	StoreBytes int64
-	// Fingerprint keys store entries by what produced them: a server
-	// reads only entries of its own fingerprint, and servers with
-	// different ones keep theirs side by side ("" = the Disassembler's
-	// Fingerprint: the pipeline generation, its model and its options).
-	// Tests override it to exercise the separation.
-	Fingerprint string
 	// Clock injects a fake clock in tests (nil = wall clock).
 	Clock vclock.Clock
 	// Pipeline overrides the disassembly function (nil = the real
@@ -88,7 +86,6 @@ type Config struct {
 // which the pipeline polls cooperatively — a dead request stops
 // burning CPU within milliseconds and frees its slot.
 type Server struct {
-	d        *core.Disassembler
 	reg      *obs.Registry
 	cfg      Config
 	clock    vclock.Clock
@@ -126,11 +123,7 @@ func New(d *core.Disassembler, cfg Config) (*Server, error) {
 		// ever spills and the full image stays on the heap.
 		cfg.SpoolBytes = cfg.MaxBytes
 	}
-	if cfg.Fingerprint == "" && cfg.StoreDir != "" {
-		cfg.Fingerprint = d.Fingerprint()
-	}
 	s := &Server{
-		d:        d,
 		reg:      obs.NewRegistry(),
 		cfg:      cfg,
 		clock:    vclock.System(cfg.Clock),
@@ -146,7 +139,7 @@ func New(d *core.Disassembler, cfg Config) (*Server, error) {
 		s.group = newGroup(cfg.CacheEntries, cfg.CacheBytes)
 	}
 	if cfg.StoreDir != "" {
-		st, err := store.Open(cfg.StoreDir, cfg.StoreBytes, cfg.Fingerprint)
+		st, err := store.Open(cfg.StoreDir, cfg.StoreBytes, d.Fingerprint())
 		if err != nil {
 			return nil, fmt.Errorf("serve: opening result store: %w", err)
 		}
@@ -272,53 +265,89 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// reply is one /disassemble answer. Every request, refused or served,
+// becomes exactly one reply, and handleDisassemble writes it.
+type reply struct {
+	status int
+	body   []byte // the marshaled 200 response; nil on failure
+	msg    string // the error message of a failure
+	cache  string // X-Probedis-Cache value; "" sends no header
+	// retry marks a failure caused by the request's own context (its
+	// deadline or its client's disconnect, queued or mid-run): it says
+	// nothing about the image, so flight joiners re-elect a leader
+	// instead of inheriting it.
+	retry bool
+}
+
 // handleDisassemble serves POST /disassemble: the request body is one
 // ELF64 image, the response a per-section JSON summary (append ?trace=1
-// for the span tree; traced requests bypass the result cache, since a
-// cached trace would describe some earlier request's run). Malformed
-// inputs are client errors: 400, never 500.
+// for the span tree). Malformed inputs are client errors: 400, never
+// 500. Every request, its early refusals included, becomes one reply
+// (see answer), and this is the only place a response is written: the
+// status counter, the headers, then the body — the 200 summary or a JSON
+// error — and a newline.
+func (s *Server) handleDisassemble(w http.ResponseWriter, r *http.Request) {
+	rep := s.answer(r)
+	s.reg.Counter("probedis_requests_total", "code", fmt.Sprint(rep.status)).Add(1)
+	h := w.Header()
+	if rep.cache != "" {
+		h.Set("X-Probedis-Cache", rep.cache)
+	}
+	if rep.status == http.StatusTooManyRequests {
+		h.Set("Retry-After", s.retryAfter())
+	}
+	h.Set("Content-Type", "application/json")
+	body := rep.body
+	if rep.status != http.StatusOK {
+		body, _ = json.Marshal(errorResponse{Error: rep.msg}) // a lone string field always marshals
+	}
+	w.WriteHeader(rep.status)
+	// Two writes, not append: cached bodies are shared across requests
+	// and must never be mutated through a capacity-aliasing append.
+	w.Write(body)
+	io.WriteString(w, "\n")
+}
+
+// answer turns one request into its reply.
 //
 // Ingest is streaming: the body is spooled through an incremental
 // SHA-256 (so its cache key is known before any analysis), in memory up
 // to SpoolBytes and on disk past it. The size cap is enforced from the
 // spooled byte count — chunked uploads and lying Content-Length headers
-// hit the same 413 as honest oversized bodies.
-func (s *Server) handleDisassemble(w http.ResponseWriter, r *http.Request) {
+// hit the same 413 as honest oversized bodies. The spooled body is
+// released once, when answer returns.
+//
+// Traced requests bypass the result cache, since a cached trace would
+// describe some earlier request's run.
+func (s *Server) answer(r *http.Request) reply {
 	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, "POST an ELF64 image to /disassemble")
-		return
+		return reply{status: http.StatusMethodNotAllowed, msg: "POST an ELF64 image to /disassemble"}
 	}
-	if r.ContentLength > s.cfg.MaxBytes {
-		// A declared length over the cap is refused before spooling a
-		// byte; the count-based check below covers everything else.
-		s.fail(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBytes))
-		return
+	// A declared length over the cap is refused before spooling a byte;
+	// the spooled count covers everything else.
+	var body *spool.Body
+	err := spool.ErrTooLarge
+	if r.ContentLength <= s.cfg.MaxBytes {
+		body, err = spool.Spool(spool.Config{
+			Threshold: s.cfg.SpoolBytes,
+			Dir:       s.cfg.SpoolDir,
+			MaxBytes:  s.cfg.MaxBytes,
+		}, r.Body)
 	}
-	body, err := spool.Spool(spool.Config{
-		Threshold: s.cfg.SpoolBytes,
-		Dir:       s.cfg.SpoolDir,
-		MaxBytes:  s.cfg.MaxBytes,
-	}, r.Body)
-	if err != nil {
-		if errors.Is(err, spool.ErrTooLarge) {
-			s.fail(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBytes))
-			return
-		}
+	switch {
+	case errors.Is(err, spool.ErrTooLarge):
+		return reply{status: http.StatusRequestEntityTooLarge,
+			msg: fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBytes)}
+	case errors.Is(err, spool.ErrIO):
 		// Spool-side failures (no temp space) are the server's problem,
 		// transport failures the client's.
-		if errors.Is(err, spool.ErrIO) {
-			s.fail(w, http.StatusInsufficientStorage, err.Error())
-			return
-		}
-		s.fail(w, http.StatusBadRequest, "reading request body: "+err.Error())
-		return
+		return reply{status: http.StatusInsufficientStorage, msg: err.Error()}
+	case err != nil:
+		return reply{status: http.StatusBadRequest, msg: "reading request body: " + err.Error()}
 	}
+	defer body.Close()
 	if body.Size() == 0 {
-		body.Close()
-		s.fail(w, http.StatusBadRequest, "empty request body, expected an ELF64 image")
-		return
+		return reply{status: http.StatusBadRequest, msg: "empty request body, expected an ELF64 image"}
 	}
 
 	// The request context carries client disconnect; the optional
@@ -331,199 +360,141 @@ func (s *Server) handleDisassemble(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	wantTrace := r.URL.Query().Get("trace") == "1"
-	if s.group == nil || wantTrace {
-		if s.group != nil {
-			w.Header().Set("X-Probedis-Cache", "bypass")
-		}
-		s.serveUncached(ctx, w, body, wantTrace)
-		return
+	trace := r.URL.Query().Get("trace") == "1"
+	if s.group != nil && !trace {
+		return s.cached(ctx, body)
 	}
-	s.serveCached(ctx, w, body)
+	rep := s.compute(ctx, body, trace)
+	if s.group != nil {
+		rep.cache = "bypass"
+	}
+	return rep
 }
 
-// releaseBody returns a spooled body after a pipeline attempt. A panic
-// may have left stray goroutines still reading the mapped view, so that
-// path abandons the mapping (unlinking the file, leaking only pages)
-// instead of unmapping under the readers' feet.
-func releaseBody(b *spool.Body, err error) {
-	if errors.Is(err, errPanic) {
-		b.Abandon()
-		return
-	}
-	b.Close()
-}
-
-// serveUncached is the plain admit -> run -> respond path (traced
-// requests and cache-disabled configurations).
-func (s *Server) serveUncached(ctx context.Context, w http.ResponseWriter, b *spool.Body, wantTrace bool) {
-	release, status, msg := s.admit(ctx)
-	if status != 0 {
-		b.Close()
-		s.fail(w, status, msg)
-		return
-	}
-	defer release()
-	s.reg.Counter("probedis_request_bytes_total").Add(b.Size())
-
-	img, err := b.View()
-	if err != nil {
-		b.Close()
-		s.fail(w, http.StatusInsufficientStorage, err.Error())
-		return
-	}
-	secs, tr, err := s.run(ctx, img)
-	releaseBody(b, err)
-	if err != nil {
-		s.failPipeline(w, ctx, err)
-		return
-	}
-	resp := s.summarize(secs, tr)
-	if wantTrace {
-		t := obs.ToJSON(tr)
-		resp.Trace = &t
-	}
-	body, err := json.Marshal(resp)
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, "encoding response: "+err.Error())
-		return
-	}
-	s.writeOK(w, body)
-}
-
-// serveCached is the singleflight + cache path: per unique image at
-// most one pipeline run is in progress, duplicates wait for it, and
-// completed results are served from the LRU (backed, when configured,
-// by the persistent store — see lead).
-func (s *Server) serveCached(ctx context.Context, w http.ResponseWriter, b *spool.Body) {
-	key := b.Sum()
-	for {
-		body, _, f, hit, lead := s.group.lookup(key)
-		if hit {
-			b.Close()
-			s.reg.Counter("probedis_cache_hits_total").Add(1)
-			w.Header().Set("X-Probedis-Cache", "hit")
-			s.writeOK(w, body)
-			return
-		}
-		if !lead {
-			// Join the in-progress flight for the same image.
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				b.Close()
-				s.failPipeline(w, ctx, ctx.Err())
-				return
-			}
-			if f.retry {
-				// The leader was cancelled by its own request; its fate
-				// says nothing about the image. Re-enter: either the
-				// cache has it by now, another flight is up, or we lead.
-				continue
-			}
-			if f.body != nil {
-				b.Close()
-				s.reg.Counter("probedis_cache_hits_total").Add(1)
-				w.Header().Set("X-Probedis-Cache", "hit")
-				s.writeOK(w, f.body)
-				return
-			}
-			// Deterministic failures (malformed image: 400) and resource
-			// failures (shed, panic) propagate to joiners — re-running
-			// the pipeline would reproduce the former and worsen the
-			// latter.
-			b.Close()
-			s.fail(w, f.status, f.errMsg)
-			return
-		}
-		s.lead(ctx, w, key, f, b)
-		return
-	}
-}
-
-// lead runs as the flight leader for key: first consulting the
-// persistent store (a disk hit feeds the memory cache and skips
-// admission entirely — serving a stored body needs no pipeline slot),
-// then running the pipeline and publishing the result to both tiers.
-func (s *Server) lead(ctx context.Context, w http.ResponseWriter, key cacheKey, f *flight, b *spool.Body) {
-	if s.store != nil {
-		if stored, ok := s.store.Get(key); ok {
-			b.Close()
-			if ev := s.group.publish(key, f, stored, 0); ev > 0 {
-				s.reg.Counter("probedis_cache_evictions_total").Add(int64(ev))
-			}
-			w.Header().Set("X-Probedis-Cache", "disk")
-			s.writeOK(w, stored)
-			return
-		}
-	}
-	s.reg.Counter("probedis_cache_misses_total").Add(1)
-	release, status, msg := s.admit(ctx)
-	if status != 0 {
-		// Admission failures retire the flight. Shedding propagates
-		// (the server is saturated for joiners too); cancellation makes
-		// joiners re-elect.
-		b.Close()
-		s.group.abort(key, f, status, msg, status == http.StatusGatewayTimeout)
-		s.fail(w, status, msg)
-		return
+// compute runs the pipeline for one request: admission, the body's view,
+// the run, the summary and its marshaling (with the span tree when trace
+// is set). Uncached, traced and leading requests all compute through it.
+func (s *Server) compute(ctx context.Context, b *spool.Body, trace bool) reply {
+	release, refused := s.admit(ctx)
+	if release == nil {
+		return refused
 	}
 	defer release()
 	// Counted only after admission: shed and refused requests must not
 	// inflate the admitted-bytes series.
 	s.reg.Counter("probedis_request_bytes_total").Add(b.Size())
 
-	img, verr := b.View()
-	if verr != nil {
-		b.Close()
-		s.group.abort(key, f, http.StatusInsufficientStorage, verr.Error(), false)
-		s.fail(w, http.StatusInsufficientStorage, verr.Error())
-		return
+	img, err := b.View()
+	if err != nil {
+		return reply{status: http.StatusInsufficientStorage, msg: err.Error()}
 	}
 	secs, tr, err := s.run(ctx, img)
-	releaseBody(b, err)
-	if err != nil {
-		status, msg, retry := classify(ctx, err)
-		// A cancelled leader never publishes: the run was truncated, so
-		// nothing it produced may reach the cache.
-		s.group.abort(key, f, status, msg, retry)
-		s.failPipeline(w, ctx, err)
-		return
+	if errors.Is(err, errPanic) {
+		// Stray goroutines may still be reading the mapped view, so
+		// abandon the mapping (unlinking the file, leaking only pages)
+		// instead of unmapping it under the readers' feet.
+		b.Abandon()
 	}
-	resp := s.summarize(secs, tr)
+	if err != nil {
+		return classify(ctx, err)
+	}
+	resp := summarize(secs)
+	if trace {
+		t := obs.ToJSON(tr)
+		resp.Trace = &t
+	}
 	body, err := json.Marshal(resp)
 	if err != nil {
-		s.group.abort(key, f, http.StatusInternalServerError, "encoding response: "+err.Error(), false)
-		s.fail(w, http.StatusInternalServerError, "encoding response: "+err.Error())
-		return
+		return reply{status: http.StatusInternalServerError, msg: "encoding response: " + err.Error()}
 	}
+	return reply{status: http.StatusOK, body: body}
+}
+
+// cached answers through the result cache and singleflight: per unique
+// image at most one pipeline run is in progress, duplicates wait for it,
+// and completed results are served from the LRU (backed, when
+// configured, by the persistent store — see lead).
+func (s *Server) cached(ctx context.Context, b *spool.Body) reply {
+	key := b.Sum()
+	for {
+		body, f, hit, lead := s.group.lookup(key)
+		if lead {
+			return s.lead(ctx, key, f, b)
+		}
+		if !hit {
+			// Join the in-progress flight for the same image.
+			select {
+			case <-f.done:
+			case <-ctx.Done():
+				return classify(ctx, ctx.Err())
+			}
+			if f.retry {
+				// The leader's own request ended; its fate says nothing
+				// about the image. Re-enter: either the cache has it by
+				// now, another flight is up, or we lead.
+				continue
+			}
+			if f.body == nil {
+				// Deterministic failures (malformed image: 400) and
+				// resource failures (shed, panic, store full) propagate to
+				// joiners — re-running the pipeline would reproduce the
+				// former and worsen the latter.
+				return reply{status: f.status, msg: f.errMsg}
+			}
+			body = f.body
+		}
+		s.reg.Counter("probedis_cache_hits_total").Add(1)
+		return reply{status: http.StatusOK, body: body, cache: "hit"}
+	}
+}
+
+// lead answers as the flight leader for key: from the persistent store
+// when it holds the image (a disk hit feeds the memory cache and skips
+// admission entirely — serving a stored body needs no pipeline slot),
+// else by computing the result and publishing it to both tiers.
+func (s *Server) lead(ctx context.Context, key cacheKey, f *flight, b *spool.Body) reply {
+	rep := reply{status: http.StatusOK, cache: "disk"}
+	stored := false
 	if s.store != nil {
-		if perr := s.store.Put(key, body); perr != nil {
-			if errors.Is(perr, store.ErrFull) {
+		rep.body, stored = s.store.Get(key)
+	}
+	if !stored {
+		s.reg.Counter("probedis_cache_misses_total").Add(1)
+		rep = s.compute(ctx, b, false)
+		if rep.status == http.StatusOK && s.store != nil {
+			if err := s.store.Put(key, rep.body); errors.Is(err, store.ErrFull) {
 				// The result exists but cannot be made durable; refusing
 				// keeps the two-tier invariant (everything served from the
 				// memory cache is also on disk for the other replicas).
-				s.group.abort(key, f, http.StatusInsufficientStorage, perr.Error(), false)
-				s.fail(w, http.StatusInsufficientStorage, perr.Error())
-				return
+				rep = reply{status: http.StatusInsufficientStorage, msg: err.Error()}
+			} else if err != nil {
+				// Transient store I/O failure: the computed answer is still
+				// correct, serve it; the next miss retries the disk write.
+				s.reg.Counter("probedis_store_errors_total").Add(1)
 			}
-			// Transient store I/O failure: the computed answer is still
-			// correct, serve it; the next miss retries the disk write.
-			s.reg.Counter("probedis_store_errors_total").Add(1)
 		}
 	}
-	if ev := s.group.publish(key, f, body, len(secs)); ev > 0 {
+	if rep.status != http.StatusOK {
+		// A failed leader retires the flight without caching anything (a
+		// cancelled run was truncated): joiners inherit the failure, or
+		// re-elect when it came from the leader's own context.
+		s.group.abort(key, f, rep.status, rep.msg, rep.retry)
+		return rep
+	}
+	if ev := s.group.publish(key, f, rep.body); ev > 0 {
 		s.reg.Counter("probedis_cache_evictions_total").Add(int64(ev))
 	}
-	w.Header().Set("X-Probedis-Cache", "miss")
-	s.writeOK(w, body)
+	if !stored {
+		rep.cache = "miss"
+	}
+	return rep
 }
 
-// admit acquires a pipeline slot, waiting in the bounded queue. It
-// returns a non-zero status when the request is refused: 429 when the
-// queue is full (load shed), 504 when the deadline fires while queued,
-// 499 when the client hangs up while queued.
-func (s *Server) admit(ctx context.Context) (release func(), status int, msg string) {
+// admit acquires a pipeline slot, waiting in the bounded queue. A
+// refused request gets a nil release and its reply: 429 when the queue
+// is full (load shed), or a cancelled reply when its context ends while
+// it is queued.
+func (s *Server) admit(ctx context.Context) (release func(), refused reply) {
 	rel := func() {
 		s.inflight.Add(-1)
 		<-s.sem
@@ -531,14 +502,14 @@ func (s *Server) admit(ctx context.Context) (release func(), status int, msg str
 	select {
 	case s.sem <- struct{}{}:
 		s.inflight.Add(1)
-		return rel, 0, ""
+		return rel, reply{}
 	default:
 	}
 	s.mu.Lock()
 	if s.nwait >= s.cfg.Queue {
 		s.mu.Unlock()
-		return nil, http.StatusTooManyRequests,
-			fmt.Sprintf("server saturated: %d running, %d queued", s.cfg.Slots, s.cfg.Queue)
+		return nil, reply{status: http.StatusTooManyRequests,
+			msg: fmt.Sprintf("server saturated: %d running, %d queued", s.cfg.Slots, s.cfg.Queue)}
 	}
 	s.nwait++
 	s.mu.Unlock()
@@ -550,13 +521,10 @@ func (s *Server) admit(ctx context.Context) (release func(), status int, msg str
 	select {
 	case s.sem <- struct{}{}:
 		s.inflight.Add(1)
-		return rel, 0, ""
+		return rel, reply{}
 	case <-ctx.Done():
-		if context.Cause(ctx) == context.DeadlineExceeded {
-			return nil, http.StatusGatewayTimeout,
-				fmt.Sprintf("deadline %v exceeded while queued", s.cfg.Deadline)
-		}
-		return nil, 499, "client disconnected while queued"
+		return nil, cancelled(ctx, fmt.Sprintf("deadline %v exceeded while queued", s.cfg.Deadline),
+			"client disconnected while queued")
 	}
 }
 
@@ -582,7 +550,8 @@ func (s *Server) run(ctx context.Context, img []byte) (secs []core.SectionDetail
 	return secs, tr, nil
 }
 
-func (s *Server) summarize(secs []core.SectionDetail, tr *obs.Span) *DisassembleResponse {
+// summarize builds the per-section response of a finished run.
+func summarize(secs []core.SectionDetail) *DisassembleResponse {
 	resp := &DisassembleResponse{Sections: make([]sectionJSON, len(secs))}
 	for i, sec := range secs {
 		det := sec.Detail
@@ -606,28 +575,32 @@ func (s *Server) summarize(secs []core.SectionDetail, tr *obs.Span) *Disassemble
 	return resp
 }
 
-// classify maps a pipeline error to (status, message, joiner-retry).
-func classify(ctx context.Context, err error) (int, string, bool) {
+// classify is the reply for a pipeline error.
+func classify(ctx context.Context, err error) reply {
 	switch {
-	case err == errPanic:
-		return http.StatusInternalServerError, "internal error: pipeline panicked", false
-	case ctx.Err() != nil && context.Cause(ctx) == context.DeadlineExceeded:
-		return http.StatusGatewayTimeout, "deadline exceeded during disassembly", true
+	case errors.Is(err, errPanic):
+		return reply{status: http.StatusInternalServerError, msg: "internal error: pipeline panicked"}
 	case ctx.Err() != nil:
-		return 499, "client disconnected", true
+		return cancelled(ctx, "deadline exceeded during disassembly", "client disconnected")
 	default:
 		// Every remaining pipeline error on this path is an input
 		// problem (bad magic, truncated tables, overflowing offsets, no
 		// executable sections) — the malformed-header corpus in
 		// internal/elfx pins that Parse rejects rather than panics, so
 		// the client gets 400.
-		return http.StatusBadRequest, err.Error(), false
+		return reply{status: http.StatusBadRequest, msg: err.Error()}
 	}
 }
 
-func (s *Server) failPipeline(w http.ResponseWriter, ctx context.Context, err error) {
-	status, msg, _ := classify(ctx, err)
-	s.fail(w, status, msg)
+// cancelled is the reply for a request whose own context ended: 504
+// with deadlineMsg when its deadline fired, 499 with disconnectMsg when
+// its client hung up. Either way the failure says nothing about the
+// image, so it sets retry.
+func cancelled(ctx context.Context, deadlineMsg, disconnectMsg string) reply {
+	if context.Cause(ctx) == context.DeadlineExceeded {
+		return reply{status: http.StatusGatewayTimeout, msg: deadlineMsg, retry: true}
+	}
+	return reply{status: 499, msg: disconnectMsg, retry: true}
 }
 
 // retryAfter estimates when shedding might stop from the actual queue
@@ -652,26 +625,6 @@ func (s *Server) retryAfter() string {
 		}
 	}
 	return fmt.Sprint(rounds)
-}
-
-func (s *Server) writeOK(w http.ResponseWriter, body []byte) {
-	s.reg.Counter("probedis_requests_total", "code", "200").Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	// Two writes, not append: cached bodies are shared across requests
-	// and must never be mutated through a capacity-aliasing append.
-	w.Write(body)
-	io.WriteString(w, "\n")
-}
-
-// fail writes a JSON error response and counts it.
-func (s *Server) fail(w http.ResponseWriter, code int, msg string) {
-	s.reg.Counter("probedis_requests_total", "code", fmt.Sprint(code)).Add(1)
-	if code == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", s.retryAfter())
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(errorResponse{Error: msg})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -695,3 +695,78 @@ func TestCancelledLeaderNeverWritesCache(t *testing.T) {
 		t.Errorf("pipeline calls = %d, want 2 (cancelled + retried)", calls.Load())
 	}
 }
+
+// TestQueuedLeaderDisconnectReelects: the leader's client vanishes while
+// the leader still waits in the admission queue. Its 499 is about its own
+// request, not the image, so a joiner whose client is still connected
+// must re-elect itself and complete the work rather than inherit the 499.
+func TestQueuedLeaderDisconnectReelects(t *testing.T) {
+	inner := core.New(nil, core.WithWorkers(1))
+	calls := atomic.Int32{}
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	s := fastServer(Config{
+		Slots: 1, Queue: 8, MaxBytes: 1 << 20, CacheEntries: 8, CacheBytes: 1 << 20,
+		Pipeline: func(ctx context.Context, img []byte, tr *obs.Span) ([]core.SectionDetail, error) {
+			if calls.Add(1) == 1 {
+				started <- struct{}{}
+				<-release // the occupant holds the only slot until released
+				return nil, context.Canceled
+			}
+			return inner.DisassembleELFTraceContext(ctx, img, tr)
+		},
+	})
+	img := synthELF(t, 27)
+
+	occupantDone := make(chan struct{})
+	go func() {
+		post(t, s, "/disassemble", []byte("occupant"))
+		close(occupantDone)
+	}()
+	<-started
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	leader := make(chan *httptest.ResponseRecorder, 1)
+	go func() { leader <- postCtx(t, s, leaderCtx, "/disassemble", img) }()
+	waitForMetric(t, s, "probedis_queue_waiting 1")
+
+	joiner := make(chan *httptest.ResponseRecorder, 1)
+	go func() { joiner <- post(t, s, "/disassemble", img) }()
+	// Give the joiner a moment to attach to the leader's flight. (Order
+	// does not affect the outcome — a joiner arriving after the leader
+	// left simply leads from the start.)
+	time.Sleep(20 * time.Millisecond)
+	cancelLeader()
+	if rec := <-leader; rec.Code != 499 {
+		t.Fatalf("leader status = %d, want 499 (body: %s)", rec.Code, rec.Body)
+	}
+
+	close(release)
+	<-occupantDone
+	rec := <-joiner
+	if rec.Code != http.StatusOK {
+		t.Fatalf("joiner status = %d, want 200 (body: %s)", rec.Code, rec.Body)
+	}
+	if got := rec.Header().Get("X-Probedis-Cache"); got != "miss" {
+		t.Errorf("joiner cache header = %q, want miss (fresh leader run)", got)
+	}
+	if calls.Load() != 2 {
+		t.Errorf("pipeline calls = %d, want 2 (occupant + re-elected joiner)", calls.Load())
+	}
+}
+
+// waitForMetric polls the /metrics scrape until it holds line.
+func waitForMetric(t *testing.T, s *Server, line string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		rec := httptest.NewRecorder()
+		s.Routes().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if strings.Contains(rec.Body.String(), line+"\n") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/metrics never read %q", line)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

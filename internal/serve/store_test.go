@@ -129,19 +129,24 @@ func TestConcurrentReplicaPublishConverges(t *testing.T) {
 	}
 }
 
-// TestFingerprintChangeInvalidatesStore: a replica opened with a new
-// pipeline fingerprint must not serve entries written under the old
-// one — it recomputes and repopulates.
+// TestFingerprintChangeInvalidatesStore: a replica whose disassembler
+// has another fingerprint (here, jump-table recovery off) must not serve
+// entries written under the old one — it recomputes and repopulates.
 func TestFingerprintChangeInvalidatesStore(t *testing.T) {
 	dir := t.TempDir()
 	img := synthELF(t, 22)
 
-	a := replica(t, dir, func(c *Config) { c.Fingerprint = "pipeline-old" })
+	a := replica(t, dir)
 	if rec := post(t, a, "/disassemble", img); rec.Code != http.StatusOK {
 		t.Fatalf("seed: status %d", rec.Code)
 	}
 
-	b := replica(t, dir, func(c *Config) { c.Fingerprint = "pipeline-new" })
+	b, err := New(core.New(nil, core.WithWorkers(1), core.WithoutJumpTables()), Config{
+		Slots: 2, MaxBytes: 1 << 20, CacheEntries: 8, CacheBytes: 1 << 20, StoreDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rec := post(t, b, "/disassemble", img)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
@@ -152,15 +157,14 @@ func TestFingerprintChangeInvalidatesStore(t *testing.T) {
 	if runs := counterVal(b, "probedis_pipeline_runs_total"); runs != 1 {
 		t.Fatalf("pipeline runs = %d, want 1 (recompute)", runs)
 	}
-	// The old entry was invalidated as stale, not quarantined as corrupt.
+	// The old fingerprint's entry is not mistaken for a corrupt one.
 	if n := b.Store().CorruptionCount(); n != 0 {
 		t.Fatalf("fingerprint rotation produced %d corruption reports", n)
 	}
 }
 
-// TestStoreSeparatesModels: with no Config.Fingerprint, the store is
-// tagged with the disassembler's own fingerprint, which names its
-// statistical model. Servers with the default model and with another one
+// TestStoreSeparatesModels: the store is tagged with the disassembler's
+// own fingerprint, which names its statistical model. Servers with the default model and with another one
 // alternate on one store directory: neither answers from the entries the
 // other wrote, and neither deletes them, so the third and fourth requests
 // are disk hits, each with its own model's body.

@@ -13,7 +13,7 @@
 // a settled offset is a provable no-op in the single-phase run: it would
 // be sorted after the structural hints and then rejected (or commit the
 // already-present state) without changing a byte. Dropping it changes
-// nothing; see correct.RunTieredContext for the full argument.
+// nothing; see correct.RunTiered for the full argument.
 package tier
 
 import (

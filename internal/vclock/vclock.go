@@ -1,7 +1,8 @@
 // Package vclock is the clock seam for the serving layer: production
 // code runs on the real time package, tests swap in a deterministic
-// fake whose Advance method fires timers synchronously. Only the
-// operations the server needs are modelled (Now, After, AfterFunc).
+// fake whose Advance method fires timers synchronously. Only the one
+// operation the server needs is modelled: AfterFunc, which
+// ContextWithTimeout builds the request deadline on.
 package vclock
 
 import (
@@ -13,8 +14,6 @@ import (
 
 // Clock abstracts the passage of time.
 type Clock interface {
-	Now() time.Time
-	After(d time.Duration) <-chan time.Time
 	// AfterFunc runs f in its own goroutine once d has elapsed; the
 	// returned Timer cancels the call if it has not fired yet.
 	AfterFunc(d time.Duration, f func()) Timer
@@ -29,8 +28,6 @@ type Timer interface {
 // Real is the production clock backed by package time.
 type Real struct{}
 
-func (Real) Now() time.Time                         { return time.Now() }
-func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 func (Real) AfterFunc(d time.Duration, f func()) Timer {
 	return time.AfterFunc(d, f)
 }
@@ -70,7 +67,6 @@ type fakeTimer struct {
 	at      time.Time
 	seq     int // FIFO tie-break for equal deadlines
 	f       func()
-	ch      chan time.Time
 	stopped bool
 	fired   bool
 }
@@ -80,26 +76,10 @@ func NewFake() *Fake {
 	return &Fake{now: time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)}
 }
 
-func (c *Fake) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *Fake) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	c.schedule(d, nil, ch)
-	return ch
-}
-
 func (c *Fake) AfterFunc(d time.Duration, f func()) Timer {
-	return c.schedule(d, f, nil)
-}
-
-func (c *Fake) schedule(d time.Duration, f func(), ch chan time.Time) *fakeTimer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := &fakeTimer{clock: c, at: c.now.Add(d), seq: c.seq, f: f, ch: ch}
+	t := &fakeTimer{clock: c, at: c.now.Add(d), seq: c.seq, f: f}
 	c.seq++
 	c.timers = append(c.timers, t)
 	if d <= 0 {
@@ -146,17 +126,12 @@ func (c *Fake) fireLocked() {
 			continue
 		}
 		t.fired = true
-		if t.ch != nil {
-			t.ch <- c.now
-		}
-		if t.f != nil {
-			// Release the lock for the callback: deadline callbacks
-			// cancel contexts, whose waiters may immediately re-enter
-			// the clock (e.g. to stop a sibling timer).
-			c.mu.Unlock()
-			t.f()
-			c.mu.Lock()
-		}
+		// Release the lock for the callback: deadline callbacks cancel
+		// contexts, whose waiters may immediately re-enter the clock
+		// (e.g. to stop a sibling timer).
+		c.mu.Unlock()
+		t.f()
+		c.mu.Lock()
 	}
 }
 

@@ -6,15 +6,6 @@ import (
 	"time"
 )
 
-func TestFakeNowAdvances(t *testing.T) {
-	c := NewFake()
-	t0 := c.Now()
-	c.Advance(3 * time.Second)
-	if got := c.Now().Sub(t0); got != 3*time.Second {
-		t.Fatalf("advanced %v, want 3s", got)
-	}
-}
-
 func TestFakeAfterFiresInOrder(t *testing.T) {
 	c := NewFake()
 	var order []int
@@ -28,22 +19,6 @@ func TestFakeAfterFiresInOrder(t *testing.T) {
 	c.Advance(2 * time.Second)
 	if len(order) != 3 || order[0] != 1 || order[1] != 10 || order[2] != 2 {
 		t.Fatalf("fire order %v, want [1 10 2]", order)
-	}
-}
-
-func TestFakeAfterChannel(t *testing.T) {
-	c := NewFake()
-	ch := c.After(time.Second)
-	select {
-	case <-ch:
-		t.Fatal("fired before advance")
-	default:
-	}
-	c.Advance(time.Second)
-	select {
-	case <-ch:
-	default:
-		t.Fatal("did not fire at deadline")
 	}
 }
 
@@ -110,18 +85,10 @@ func TestContextWithTimeoutCancelBeforeDeadline(t *testing.T) {
 
 func TestRealClockBasics(t *testing.T) {
 	var c Clock = Real{}
-	if c.Now().IsZero() {
-		t.Fatal("Real.Now is zero")
-	}
 	done := make(chan struct{})
 	tm := c.AfterFunc(time.Hour, func() { close(done) })
 	if !tm.Stop() {
 		t.Fatal("Stop on hour timer = false")
-	}
-	select {
-	case <-c.After(time.Millisecond):
-	case <-time.After(5 * time.Second):
-		t.Fatal("Real.After never fired")
 	}
 	if System(nil) == nil || System(c) != c {
 		t.Fatal("System default wiring broken")
