@@ -69,13 +69,15 @@ acc-baseline:
 # per-package report and fails if any package is below $(COVER_MIN)%;
 # the ground-truth layers (synth, eval) carry higher floors — the
 # corpus generator and scorer must themselves be well-tested for the
-# accuracy gate to mean anything.
+# accuracy gate to mean anything. The same run writes the profile CI
+# uploads to /tmp/coverage.out, and fails if any package's tests fail.
 COVER_MIN = 70
 COVER_MIN_SYNTH = 90
 COVER_MIN_EVAL = 80
 COVER_MIN_STORE = 80
 cover:
-	@go test -cover ./internal/... | awk '\
+	@go test -coverprofile=/tmp/coverage.out ./internal/... | awk '\
+		/^FAIL/ { bad = 1; print } \
 		/coverage:/ { \
 			pct = ""; \
 			for (i = 1; i <= NF; i++) if ($$i == "coverage:") pct = $$(i+1); \

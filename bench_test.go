@@ -80,10 +80,7 @@ func corpusBytes(c []*synth.Binary) int64 {
 
 // errFactor runs one engine over a corpus and returns err/1k-inst.
 func errFactor(e dis.Engine, corpus []*synth.Binary) float64 {
-	var m eval.Metrics
-	for _, b := range corpus {
-		m.Add(eval.Score(b, e.Disassemble(b.Code, b.Base, int(b.Entry-b.Base))))
-	}
+	m := eval.ScoreCorpus(e, corpus)
 	return m.ErrorFactor()
 }
 
@@ -141,10 +138,7 @@ func BenchmarkT3DataCategories(b *testing.B) {
 	b.ResetTimer()
 	var recall float64
 	for i := 0; i < b.N; i++ {
-		var m eval.Metrics
-		for _, bin := range e.corpus {
-			m.Add(eval.Score(bin, d.Disassemble(bin.Code, bin.Base, int(bin.Entry-bin.Base))))
-		}
+		m := eval.ScoreCorpus(d, e.corpus)
 		recall = m.DataRecall(synth.ClassJumpTable)
 	}
 	b.ReportMetric(recall*100, "jumptable-recall-%")

@@ -155,11 +155,7 @@ func score(disabled string, opts []core.Option) (*File, error) {
 		Disabled:        disabled,
 	}
 	for _, pc := range corpus {
-		var m eval.Metrics
-		for _, b := range pc.Binaries {
-			res := d.Disassemble(b.Code, b.Base, int(b.Entry-b.Base))
-			m.Add(eval.Score(b, res))
-		}
+		m := eval.ScoreCorpus(d, pc.Binaries)
 		f.Profiles = append(f.Profiles, ProfileScore{
 			Profile:  pc.Profile,
 			Bytes:    m.Bytes,

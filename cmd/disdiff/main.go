@@ -60,14 +60,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	resA, err := sectionResults(engA, img, f)
+	if err != nil {
+		fatal(err)
+	}
+	resB, err := sectionResults(engB, img, f)
+	if err != nil {
+		fatal(err)
+	}
 
-	for _, s := range f.ExecutableSections() {
-		entry := -1
-		if f.Entry >= s.Addr && f.Entry < s.Addr+s.Size {
-			entry = int(f.Entry - s.Addr)
-		}
-		ra := engA.Disassemble(s.Data, s.Addr, entry)
-		rb := engB.Disassemble(s.Data, s.Addr, entry)
+	for si, s := range f.ExecutableSections() {
+		ra, rb := resA[si], resB[si]
 
 		agree := 0
 		for i := range ra.IsCode {
@@ -98,6 +101,30 @@ func main() {
 			i = j
 		}
 	}
+}
+
+// sectionResults runs one engine on each executable section of img, which
+// f holds parsed. The core engine runs the ELF pipeline, as disasm does,
+// so the other sections (PLT stubs, .init/.fini) are legitimate branch
+// targets; a baseline runs on each section alone, its entry taken from
+// the bytes present.
+func sectionResults(e dis.Engine, img []byte, f *elfx.File) ([]*dis.Result, error) {
+	var out []*dis.Result
+	if d, ok := e.(*core.Disassembler); ok {
+		secs, err := d.DisassembleELF(img)
+		for _, s := range secs {
+			out = append(out, s.Result)
+		}
+		return out, err
+	}
+	for _, s := range f.ExecutableSections() {
+		entry := -1
+		if f.Entry >= s.Addr && f.Entry-s.Addr < uint64(len(s.Data)) {
+			entry = int(f.Entry - s.Addr)
+		}
+		out = append(out, e.Disassemble(s.Data, s.Addr, entry))
+	}
+	return out, nil
 }
 
 func kind(code bool) string {

@@ -35,9 +35,6 @@ const (
 
 // Options tunes a correction run.
 type Options struct {
-	// MaxHints stops after committing/rejecting this many hints
-	// (0 = no limit). Used by the convergence experiment (F3).
-	MaxHints int
 	// Scores are the per-offset statistical scores used to resolve
 	// leftover unknown gaps (nil disables score-guided gap fill and
 	// treats unresolvable gaps as data).
@@ -97,10 +94,10 @@ const commitCheckInterval = 256
 // Run executes single-phase prioritized error correction over the
 // superset graph: hints are consumed in SortHints order and viable gates
 // all code commits. It is the uncancellable reference for RunTiered
-// (which the pipeline runs) and the only path that honours MaxHints.
+// (which the pipeline runs).
 func Run(g *superset.Graph, viable []bool, hints []analysis.Hint, opts Options) *Outcome {
 	c := newCorrector(g, viable)
-	c.commitHints(nil, nil, hints, opts.MaxHints, opts.Trace, "") // a nil ctx never cancels
+	c.commitHints(nil, nil, hints, opts.Trace, "") // a nil ctx never cancels
 	out, _ := c.finish(nil, opts)
 	return out
 }
@@ -134,9 +131,6 @@ type PhaseHintsFunc func(o *Outcome) []analysis.Hint
 // data bytes never reclassified until the retraction fixpoint, which
 // here runs only after all commits, exactly as in the single run.
 //
-// MaxHints is not supported on this path (the budget experiment replays
-// single-phase runs) and is ignored.
-//
 // Cancellation is cooperative: the commit loops poll ctx every
 // commitCheckInterval commits, the retraction worklist every
 // ctxutil.CheckInterval pops and the gap-fill scan every
@@ -146,14 +140,14 @@ type PhaseHintsFunc func(o *Outcome) []analysis.Hint
 // complete one. A nil ctx never cancels.
 func RunTiered(ctx context.Context, g *superset.Graph, viable []bool, structural []analysis.Hint, rest PhaseFunc, opts Options) (*Outcome, error) {
 	c := newCorrector(g, viable)
-	if err := c.commitHints(ctx, nil, structural, 0, opts.Trace, "-structural"); err != nil {
+	if err := c.commitHints(ctx, nil, structural, opts.Trace, "-structural"); err != nil {
 		return nil, err
 	}
 	stat, hints := rest(c.out)
 	if ctxutil.Cancelled(ctx) {
 		return nil, ctxutil.Err(ctx)
 	}
-	if err := c.commitHints(ctx, stat, hints, 0, opts.Trace, "-contested"); err != nil {
+	if err := c.commitHints(ctx, stat, hints, opts.Trace, "-contested"); err != nil {
 		return nil, err
 	}
 	return c.finish(ctx, opts)
@@ -188,9 +182,8 @@ func newCorrector(g *superset.Graph, viable []bool) *corrector {
 // commitHints sorts one phase's statistical records and hints into
 // commit order and consumes them, merging the two sorted streams by the
 // full commit-order key. label suffixes the trace span names so a tiered
-// run's two phases stay distinguishable in stage-cost tables. maxHints
-// truncates the hints; it is set only by Run, which has no records.
-func (c *corrector) commitHints(ctx context.Context, stat []analysis.StatRec, hints []analysis.Hint, maxHints int, trace *obs.Span, label string) error {
+// run's two phases stay distinguishable in stage-cost tables.
+func (c *corrector) commitHints(ctx context.Context, stat []analysis.StatRec, hints []analysis.Hint, trace *obs.Span, label string) error {
 	o := c.out
 	ssp := trace.StartChild("sort" + label)
 	var statSrc uint8
@@ -206,9 +199,6 @@ func (c *corrector) commitHints(ctx context.Context, stat []analysis.StatRec, hi
 
 	csp := trace.StartChild("commit" + label)
 	defer csp.End()
-	if maxHints > 0 && len(recs) > maxHints {
-		recs = recs[:maxHints]
-	}
 	order := phaseOrder{stat: stat, recs: recs, hints: hints}
 	for n := 0; ; n++ {
 		s, r := order.next()

@@ -237,21 +237,6 @@ func TestGapFillDataWhenNegative(t *testing.T) {
 	}
 }
 
-func TestMaxHints(t *testing.T) {
-	g, v := buildGraph([]byte{0x90, 0xc3, 0x90, 0xc3})
-	hints := []analysis.Hint{
-		{Kind: analysis.HintCode, Off: 0, Prio: analysis.PrioProof, Score: 2},
-		{Kind: analysis.HintCode, Off: 2, Prio: analysis.PrioProof, Score: 1},
-	}
-	out := Run(g, v, hints, Options{MaxHints: 1, NoGapFill: true})
-	if !out.InstStart[0] {
-		t.Error("first hint not committed")
-	}
-	if out.InstStart[2] {
-		t.Error("second hint committed despite MaxHints=1")
-	}
-}
-
 func TestDataHintMajorityBlocked(t *testing.T) {
 	// Commit 5 bytes of code, then a 6-byte data hint mostly covering it:
 	// refuted.

@@ -4,9 +4,7 @@ import (
 	"sync"
 	"testing"
 
-	"probedis/internal/baseline"
 	"probedis/internal/core"
-	"probedis/internal/dis"
 )
 
 // The differential regression suite pins the paper's T2 ordering as a
@@ -22,16 +20,15 @@ var (
 	diffM    map[string]*Metrics
 )
 
-// diffMetrics scores every engine once over the shared small corpus and
-// caches the result (engines are deterministic; the corpus is seeded).
+// diffMetrics scores every engine once over the shared small corpus, as
+// T2 does, and caches the result (engines are deterministic; the corpus
+// is seeded).
 func diffMetrics(t testing.TB) map[string]*Metrics {
 	t.Helper()
 	diffOnce.Do(func() {
-		r := smallRunner(t)
 		diffM = map[string]*Metrics{}
-		for _, e := range append([]dis.Engine{core.New(r.Model)}, baseline.Engines(r.Model)...) {
-			m := scoreCorpus(e, r.Corpus)
-			diffM[e.Name()] = &m
+		for _, s := range smallRunner(t).corpusScores() {
+			diffM[s.name] = &s.total
 		}
 	})
 	return diffM
@@ -109,8 +106,8 @@ func TestDifferentialStableUnderReruns(t *testing.T) {
 	r1 := smallRunner(t)
 	r2 := smallRunner(t)
 	d := core.New(r1.Model)
-	a := scoreCorpus(d, r1.Corpus)
-	b := scoreCorpus(d, r2.Corpus)
+	a := ScoreCorpus(d, r1.Corpus)
+	b := ScoreCorpus(d, r2.Corpus)
 	if a != b {
 		t.Errorf("metrics differ across identical corpus builds:\n%+v\n%+v", a, b)
 	}

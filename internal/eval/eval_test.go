@@ -1,6 +1,9 @@
 package eval
 
 import (
+	"os"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,7 +23,7 @@ func smallRunner(t testing.TB) *Runner {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Runner{Model: core.DefaultModel(), Corpus: corpus}
+	return &Runner{Model: core.DefaultModel(), Corpus: corpus, RealDir: realDir}
 }
 
 func TestScoreAgainstPerfectResult(t *testing.T) {
@@ -79,7 +82,7 @@ func TestMetricsAdd(t *testing.T) {
 // least 3x more accurate (error factor) than the best baseline.
 func TestHeadlineClaim(t *testing.T) {
 	r := smallRunner(t)
-	coreM := scoreCorpus(core.New(r.Model), r.Corpus)
+	coreM := ScoreCorpus(core.New(r.Model), r.Corpus)
 	coreF := coreM.ErrorFactor()
 	if coreF <= 0 {
 		t.Skip("core made zero errors; ratio undefined (better than any claim)")
@@ -87,7 +90,7 @@ func TestHeadlineClaim(t *testing.T) {
 	best := -1.0
 	bestName := ""
 	for _, e := range baseline.Engines(r.Model) {
-		m := scoreCorpus(e, r.Corpus)
+		m := ScoreCorpus(e, r.Corpus)
 		f := m.ErrorFactor()
 		if best < 0 || f < best {
 			best = f
@@ -103,7 +106,10 @@ func TestHeadlineClaim(t *testing.T) {
 
 func TestT1CorpusShape(t *testing.T) {
 	r := smallRunner(t)
-	tab := r.T1Corpus()
+	tab, err := r.t1Corpus()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tab.Rows) != len(synth.DefaultProfiles) {
 		t.Fatalf("T1 rows = %d", len(tab.Rows))
 	}
@@ -122,7 +128,10 @@ func TestT1CorpusShape(t *testing.T) {
 
 func TestT4AblationShowsComponentValue(t *testing.T) {
 	r := smallRunner(t)
-	tab := r.T4Ablation()
+	tab, err := r.t4Ablation()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tab.Rows) != 5 {
 		t.Fatalf("T4 rows = %d", len(tab.Rows))
 	}
@@ -143,7 +152,10 @@ func TestT4AblationShowsComponentValue(t *testing.T) {
 
 func TestF4ThresholdTradeoff(t *testing.T) {
 	r := smallRunner(t)
-	tab := r.F4Threshold()
+	tab, err := r.f4Threshold()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tab.Rows) < 5 {
 		t.Fatalf("F4 rows = %d", len(tab.Rows))
 	}
@@ -194,7 +206,7 @@ func TestProfileOf(t *testing.T) {
 
 func TestF3ConvergenceMonotone(t *testing.T) {
 	r := smallRunner(t)
-	tab, err := r.F3Convergence()
+	tab, err := r.f3Convergence()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +225,7 @@ func TestF3ConvergenceMonotone(t *testing.T) {
 // engine strictly dominating every baseline (the paper's thesis).
 func TestE2RewriteOrdering(t *testing.T) {
 	r := smallRunner(t)
-	tab, err := r.E2Rewrite()
+	tab, err := r.e2Rewrite()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +250,10 @@ func TestE2RewriteOrdering(t *testing.T) {
 // TestT8AccountsForTotal: the top-level stages must account for the
 // traced wall time, leaving at most 5% to T8's unattributed row.
 func TestT8AccountsForTotal(t *testing.T) {
-	tab := smallRunner(t).T8StageCost()
+	tab, err := smallRunner(t).t8StageCost()
+	if err != nil {
+		t.Fatal(err)
+	}
 	last := tab.Rows[len(tab.Rows)-1]
 	if last[0] != "unattributed" {
 		t.Fatalf("last T8 row = %q, want unattributed", last[0])
@@ -252,49 +267,59 @@ func TestT8AccountsForTotal(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsRun smoke-tests every experiment runner on a small
-// corpus: each must produce a non-empty, well-formed table.
+// TestAllExperimentsRun smoke-tests every registered experiment on a
+// small corpus: Runner.All must return one non-empty, well-formed table
+// per entry of Experiments, carrying the entry's ID.
 func TestAllExperimentsRun(t *testing.T) {
-	r := smallRunner(t)
-	type run struct {
-		name string
-		get  func() (Table, error)
+	tables, err := smallRunner(t).All()
+	if err != nil {
+		t.Fatal(err)
 	}
-	noErr := func(f func() Table) func() (Table, error) {
-		return func() (Table, error) { return f(), nil }
+	if len(tables) != len(Experiments) {
+		t.Fatalf("All returned %d tables for %d experiments", len(tables), len(Experiments))
 	}
-	runs := []run{
-		{"T1", noErr(r.T1Corpus)},
-		{"T2", noErr(r.T2Accuracy)},
-		{"T3", noErr(r.T3DataCategories)},
-		{"T5", noErr(r.T5Throughput)},
-		{"T6", noErr(r.T6FunctionStarts)},
-		{"T7", noErr(r.T7PerProfile)},
-		{"T8", noErr(r.T8StageCost)},
-		{"T9", noErr(r.T9TierSettlement)},
-		{"F2", r.F2Scaling},
-		{"E1", r.E1Adversarial},
-	}
-	for _, rn := range runs {
-		tab, err := rn.get()
-		if err != nil {
-			t.Fatalf("%s: %v", rn.name, err)
+	for i, tab := range tables {
+		id := Experiments[i].ID
+		if tab.ID != id {
+			t.Errorf("experiment %s returned table %q", id, tab.ID)
 		}
 		if len(tab.Rows) == 0 || len(tab.Columns) == 0 {
-			t.Errorf("%s: empty table", rn.name)
+			t.Errorf("%s: empty table", id)
 		}
 		for _, row := range tab.Rows {
 			if len(row) != len(tab.Columns) {
-				t.Errorf("%s: row width %d != %d columns", rn.name, len(row), len(tab.Columns))
+				t.Errorf("%s: row width %d != %d columns", id, len(row), len(tab.Columns))
 			}
 		}
 		var text, csv strings.Builder
 		tab.Render(&text)
 		if err := tab.RenderCSV(&csv); err != nil {
-			t.Errorf("%s: csv render: %v", rn.name, err)
+			t.Errorf("%s: csv render: %v", id, err)
 		}
 		if text.Len() == 0 || csv.Len() == 0 {
-			t.Errorf("%s: empty render", rn.name)
+			t.Errorf("%s: empty render", id)
 		}
+	}
+}
+
+// TestExperimentsMatchDocument: EXPERIMENTS.md has one "## <ID> —"
+// section per registered experiment, in registry order. A retired
+// experiment keeps its section, titled "retired ...", and is skipped.
+func TestExperimentsMatchDocument(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var documented, registered []string
+	for _, m := range regexp.MustCompile(`(?m)^## (\S+) — (.*)$`).FindAllStringSubmatch(string(doc), -1) {
+		if !strings.HasPrefix(m[2], "retired") {
+			documented = append(documented, m[1])
+		}
+	}
+	for _, e := range Experiments {
+		registered = append(registered, e.ID)
+	}
+	if !slices.Equal(documented, registered) {
+		t.Errorf("EXPERIMENTS.md documents %v; eval.Experiments registers %v", documented, registered)
 	}
 }

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -18,17 +19,72 @@ import (
 // Runner executes the reconstructed paper experiments. Create with
 // NewRunner (or populate the fields for custom corpora).
 type Runner struct {
-	Model  *stats.Model
-	Corpus []*synth.Binary
+	Model   *stats.Model
+	Corpus  []*synth.Binary
+	RealDir string // E4's real-binary corpus (see LoadReal)
+
+	// scored caches corpusScores. It is filled on first use, so Model
+	// and Corpus must not change once an experiment has run.
+	scored []engineScores
 }
 
-// NewRunner builds the default runner: lazily-trained model + T1 corpus.
+// NewRunner builds the default runner: lazily-trained model, T1 corpus
+// and DefaultRealDir.
 func NewRunner() (*Runner, error) {
 	corpus, err := DefaultCorpus().Build()
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{Model: core.DefaultModel(), Corpus: corpus}, nil
+	return &Runner{Model: core.DefaultModel(), Corpus: corpus, RealDir: DefaultRealDir}, nil
+}
+
+// Experiment is one table, or one figure's series, of the evaluation.
+type Experiment struct {
+	ID  string
+	run func(*Runner) (Table, error)
+}
+
+// Run runs the experiment on r. Its table carries e.ID: the registry
+// is the only place an experiment's ID is written.
+func (e Experiment) Run(r *Runner) (Table, error) {
+	t, err := e.run(r)
+	t.ID = e.ID
+	return t, err
+}
+
+// Experiments lists every experiment in EXPERIMENTS.md order. cmd/eval
+// and Runner.All run them from here.
+var Experiments = []Experiment{
+	{"T1", (*Runner).t1Corpus},
+	{"T2", (*Runner).t2Accuracy},
+	{"T3", (*Runner).t3DataCategories},
+	{"T4", (*Runner).t4Ablation},
+	{"T5", (*Runner).t5Throughput},
+	{"T6", (*Runner).t6FunctionStarts},
+	{"T7", (*Runner).t7PerProfile},
+	{"T8", (*Runner).t8StageCost},
+	{"T9", (*Runner).t9TierSettlement},
+	{"F1", (*Runner).f1Density},
+	{"F2", (*Runner).f2Scaling},
+	{"F3", (*Runner).f3Convergence},
+	{"F4", (*Runner).f4Threshold},
+	{"E1", (*Runner).e1Adversarial},
+	{"E2", (*Runner).e2Rewrite},
+	{"E3", (*Runner).e3AdversarialFamily},
+	{"E4", (*Runner).e4Real},
+}
+
+// All runs every experiment of Experiments in order.
+func (r *Runner) All() ([]Table, error) {
+	tables := make([]Table, 0, len(Experiments))
+	for _, e := range Experiments {
+		t, err := e.Run(r)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", e.ID, err)
+		}
+		tables = append(tables, t)
+	}
+	return tables, nil
 }
 
 // engines returns the comparison set: the core system plus baselines.
@@ -36,108 +92,120 @@ func (r *Runner) engines() []dis.Engine {
 	return append([]dis.Engine{core.New(r.Model)}, baseline.Engines(r.Model)...)
 }
 
-// scoreCorpus runs one engine over a corpus and accumulates metrics.
-func scoreCorpus(e dis.Engine, corpus []*synth.Binary) Metrics {
-	var total Metrics
-	for _, b := range corpus {
-		res := e.Disassemble(b.Code, b.Base, int(b.Entry-b.Base))
-		total.Add(Score(b, res))
-	}
-	return total
+// engineScores is one engine's metrics on each binary of a Runner's
+// corpus, and their sum.
+type engineScores struct {
+	name      string
+	total     Metrics
+	perBinary []Metrics // indexed like Runner.Corpus
 }
 
-// T1Corpus summarises the evaluation corpus per profile.
-func (r *Runner) T1Corpus() Table {
+// corpusScores scores every engine of engines() on each binary of
+// r.Corpus, once per Runner: T2, T3, T6 and T7 all read it.
+func (r *Runner) corpusScores() []engineScores {
+	if r.scored == nil {
+		for _, e := range r.engines() {
+			s := engineScores{name: e.Name(), perBinary: make([]Metrics, len(r.Corpus))}
+			for i, b := range r.Corpus {
+				s.perBinary[i] = Score(b, e.Disassemble(b.Code, b.Base, int(b.Entry-b.Base)))
+				s.total.Add(s.perBinary[i])
+			}
+			r.scored = append(r.scored, s)
+		}
+	}
+	return r.scored
+}
+
+// profileGroup is one profile's binaries, as indices into Runner.Corpus.
+type profileGroup struct {
+	name string
+	bins []int
+}
+
+// profiles groups r.Corpus by profile, in first-seen order.
+func (r *Runner) profiles() []profileGroup {
+	var groups []profileGroup
+	for i, b := range r.Corpus {
+		name := profileOf(b.Name)
+		g := slices.IndexFunc(groups, func(pg profileGroup) bool { return pg.name == name })
+		if g < 0 {
+			g = len(groups)
+			groups = append(groups, profileGroup{name: name})
+		}
+		groups[g].bins = append(groups[g].bins, i)
+	}
+	return groups
+}
+
+// t1Corpus summarises the evaluation corpus per profile.
+func (r *Runner) t1Corpus() (Table, error) {
 	t := Table{
-		ID:    "T1",
 		Title: "Evaluation corpus (synthetic, byte-exact ground truth)",
 		Columns: []string{"profile", "binaries", "bytes", "code", "data",
 			"jumptable", "string", "const", "padding", "funcs", "insts"},
 	}
-	type agg struct {
-		bins, bytes, funcs, insts int
-		counts                    [synth.NumClasses]int
-	}
-	per := map[string]*agg{}
-	var order []string
-	for _, b := range r.Corpus {
-		name := profileOf(b.Name)
-		a := per[name]
-		if a == nil {
-			a = &agg{}
-			per[name] = a
-			order = append(order, name)
+	for _, pg := range r.profiles() {
+		var bytes, funcs, insts int
+		var counts [synth.NumClasses]int
+		for _, i := range pg.bins {
+			b := r.Corpus[i]
+			bytes += len(b.Code)
+			funcs += len(b.Truth.FuncStarts)
+			insts += b.Truth.NumInsts()
+			c := b.Truth.Counts()
+			for k := range c {
+				counts[k] += c[k]
+			}
 		}
-		a.bins++
-		a.bytes += len(b.Code)
-		a.funcs += len(b.Truth.FuncStarts)
-		a.insts += b.Truth.NumInsts()
-		c := b.Truth.Counts()
-		for i := range c {
-			a.counts[i] += c[i]
-		}
+		data := bytes - counts[synth.ClassCode]
+		t.AddRow(pg.name, itoa(len(pg.bins)), itoa(bytes), itoa(counts[synth.ClassCode]),
+			itoa(data), itoa(counts[synth.ClassJumpTable]),
+			itoa(counts[synth.ClassString]), itoa(counts[synth.ClassConst]),
+			itoa(counts[synth.ClassPadding]), itoa(funcs), itoa(insts))
 	}
-	for _, name := range order {
-		a := per[name]
-		data := a.bytes - a.counts[synth.ClassCode]
-		t.AddRow(name, itoa(a.bins), itoa(a.bytes), itoa(a.counts[synth.ClassCode]),
-			itoa(data), itoa(a.counts[synth.ClassJumpTable]),
-			itoa(a.counts[synth.ClassString]), itoa(a.counts[synth.ClassConst]),
-			itoa(a.counts[synth.ClassPadding]), itoa(a.funcs), itoa(a.insts))
-	}
-	return t
+	return t, nil
 }
 
-// T2Accuracy is the headline comparison: instruction-level accuracy of the
+// t2Accuracy is the headline comparison: instruction-level accuracy of the
 // core system against every baseline.
-func (r *Runner) T2Accuracy() Table {
+func (r *Runner) t2Accuracy() (Table, error) {
 	t := Table{
-		ID:    "T2",
 		Title: "Instruction-level accuracy vs baselines (full corpus)",
 		Columns: []string{"engine", "byte-err", "inst-prec", "inst-recall",
 			"inst-F1", "err/1k-inst", "vs-core"},
 	}
-	engines := r.engines()
-	factors := make([]float64, len(engines))
-	var rows [][]string
-	for i, e := range engines {
-		m := scoreCorpus(e, r.Corpus)
-		factors[i] = m.ErrorFactor()
-		rows = append(rows, []string{
-			e.Name(), fmtPct(m.ByteErrRate()), fmtF(m.InstPrecision()),
-			fmtF(m.InstRecall()), fmtF(m.InstF1()), fmtF(m.ErrorFactor()), "",
-		})
-	}
-	coreFactor := factors[0]
+	scores := r.corpusScores()
+	coreFactor := scores[0].total.ErrorFactor()
 	best := 0.0
-	for i := range rows {
-		ratio := 0.0
+	for i, s := range scores {
+		m := &s.total
+		f := m.ErrorFactor()
+		vs := 0.0
 		if coreFactor > 0 {
-			ratio = factors[i] / coreFactor
+			vs = f / coreFactor
 		}
-		rows[i][6] = fmt.Sprintf("%.1fx", ratio)
-		if i > 0 && (best == 0 || factors[i] < best) {
-			best = factors[i]
+		t.AddRow(s.name, fmtPct(m.ByteErrRate()), fmtF(m.InstPrecision()),
+			fmtF(m.InstRecall()), fmtF(m.InstF1()), fmtF(f), fmt.Sprintf("%.1fx", vs))
+		if i > 0 && (best == 0 || f < best) {
+			best = f
 		}
-		t.AddRow(rows[i]...)
 	}
 	if coreFactor > 0 {
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"core error factor %.2f vs best baseline %.2f => %.1fx more accurate (paper: 3-4x)",
 			coreFactor, best, best/coreFactor))
 	}
-	return t
+	return t, nil
 }
 
-// T3DataCategories reports per-category embedded-data detection.
-func (r *Runner) T3DataCategories() Table {
+// t3DataCategories reports per-category embedded-data detection.
+func (r *Runner) t3DataCategories() (Table, error) {
 	t := Table{
-		ID:      "T3",
 		Title:   "Embedded-data detection rate by category (bytes classified data)",
 		Columns: []string{"engine", "jumptable", "string", "const", "padding", "all-data"},
 	}
-	for _, e := range r.engines() {
-		m := scoreCorpus(e, r.Corpus)
+	for _, s := range r.corpusScores() {
+		m := &s.total
 		all := 0
 		allTot := 0
 		for _, c := range []synth.ByteClass{synth.ClassJumpTable, synth.ClassString,
@@ -145,20 +213,19 @@ func (r *Runner) T3DataCategories() Table {
 			all += m.DataByClass[c]
 			allTot += m.DataTotal[c]
 		}
-		t.AddRow(e.Name(),
+		t.AddRow(s.name,
 			fmtPct(m.DataRecall(synth.ClassJumpTable)),
 			fmtPct(m.DataRecall(synth.ClassString)),
 			fmtPct(m.DataRecall(synth.ClassConst)),
 			fmtPct(m.DataRecall(synth.ClassPadding)),
 			fmtPct(ratio(all, allTot)))
 	}
-	return t
+	return t, nil
 }
 
-// T4Ablation disables one component at a time.
-func (r *Runner) T4Ablation() Table {
+// t4Ablation disables one component at a time.
+func (r *Runner) t4Ablation() (Table, error) {
 	t := Table{
-		ID:      "T4",
 		Title:   "Component ablation (core system)",
 		Columns: []string{"configuration", "byte-err", "inst-F1", "err/1k-inst"},
 	}
@@ -174,16 +241,15 @@ func (r *Runner) T4Ablation() Table {
 	}
 	for _, c := range configs {
 		d := core.New(r.Model, c.opts...)
-		m := scoreCorpus(d, r.Corpus)
+		m := ScoreCorpus(d, r.Corpus)
 		t.AddRow(c.name, fmtPct(m.ByteErrRate()), fmtF(m.InstF1()), fmtF(m.ErrorFactor()))
 	}
-	return t
+	return t, nil
 }
 
-// T5Throughput times each engine over the corpus.
-func (r *Runner) T5Throughput() Table {
+// t5Throughput times each engine over the corpus.
+func (r *Runner) t5Throughput() (Table, error) {
 	t := Table{
-		ID:      "T5",
 		Title:   "Disassembly throughput (full corpus, single-threaded)",
 		Columns: []string{"engine", "bytes", "time", "MB/s"},
 	}
@@ -201,28 +267,82 @@ func (r *Runner) T5Throughput() Table {
 		t.AddRow(e.Name(), itoa(totalBytes), el.Round(time.Millisecond).String(),
 			fmt.Sprintf("%.2f", mbs))
 	}
-	return t
+	return t, nil
 }
 
-// T6FunctionStarts measures function-entry identification.
-func (r *Runner) T6FunctionStarts() Table {
+// t6FunctionStarts measures function-entry identification.
+func (r *Runner) t6FunctionStarts() (Table, error) {
 	t := Table{
-		ID:      "T6",
 		Title:   "Function-start identification",
 		Columns: []string{"engine", "func-prec", "func-recall", "func-F1"},
 	}
-	for _, e := range r.engines() {
-		m := scoreCorpus(e, r.Corpus)
-		t.AddRow(e.Name(), fmtF(m.FuncPrecision()), fmtF(m.FuncRecall()), fmtF(m.FuncF1()))
+	for _, s := range r.corpusScores() {
+		m := &s.total
+		t.AddRow(s.name, fmtF(m.FuncPrecision()), fmtF(m.FuncRecall()), fmtF(m.FuncF1()))
 	}
-	return t
+	return t, nil
 }
 
-// F1Density sweeps embedded-data density and reports the error factor per
-// engine (the figure's series).
-func (r *Runner) F1Density() (Table, error) {
+// t7PerProfile breaks the headline accuracy down by generation profile —
+// the compiler/optimization-level axis of the paper's evaluation.
+func (r *Runner) t7PerProfile() (Table, error) {
 	t := Table{
-		ID:      "F1",
+		Title:   "Error factor by profile (err/1k-inst)",
+		Columns: []string{"profile"},
+	}
+	scores := r.corpusScores()
+	for _, s := range scores {
+		t.Columns = append(t.Columns, s.name)
+	}
+	for _, pg := range r.profiles() {
+		row := []string{pg.name}
+		for _, s := range scores {
+			var m Metrics
+			for _, i := range pg.bins {
+				m.Add(s.perBinary[i])
+			}
+			row = append(row, fmtF(m.ErrorFactor()))
+		}
+		t.AddRow(row...)
+	}
+	return t, nil
+}
+
+// t9TierSettlement quantifies the tiered correction pre-pass per
+// profile: how much of each binary the structural hints settle outright
+// (bytes that never see statistical scoring), how many contested
+// windows remain, and how far the hint stream shrinks versus a
+// single-phase run, whose stream (statistics over every byte) HintsFor
+// returns.
+func (r *Runner) t9TierSettlement() (Table, error) {
+	t := Table{
+		Title:   "Tiered correction: structural settlement by profile",
+		Columns: []string{"profile", "bytes", "settled", "windows", "hints", "hints(1-phase)", "hint-cut"},
+	}
+	d := core.New(r.Model)
+	for _, pg := range r.profiles() {
+		var bytes, settled, windows, hintsTiered, hintsSingle int
+		for _, i := range pg.bins {
+			b := r.Corpus[i]
+			entry := int(b.Entry - b.Base)
+			det, _ := d.DisassembleSectionTraceContext(nil, b.Code, b.Base, entry, nil, nil)
+			bytes += det.Tier.Total
+			settled += det.Tier.SettledBytes
+			windows += len(det.Tier.Windows)
+			hintsTiered += det.Hints
+			hintsSingle += len(d.HintsFor(det.Graph, entry))
+		}
+		t.AddRow(pg.name, itoa(bytes), fmtPct(ratio(settled, bytes)), itoa(windows),
+			itoa(hintsTiered), itoa(hintsSingle),
+			fmtPct(1-ratio(hintsTiered, hintsSingle)))
+	}
+	return t, nil
+}
+
+// f1Density sweeps embedded-data density and reports the error factor per
+// engine (the figure's series).
+func (r *Runner) f1Density() (Table, error) {
+	t := Table{
 		Title:   "Error factor vs embedded-data density (err/1k-inst)",
 		Columns: []string{"density"},
 	}
@@ -240,7 +360,7 @@ func (r *Runner) F1Density() (Table, error) {
 		}
 		row := []string{fmt.Sprintf("%.2fx", density)}
 		for _, e := range engines {
-			m := scoreCorpus(e, corpus)
+			m := ScoreCorpus(e, corpus)
 			row = append(row, fmtF(m.ErrorFactor()))
 		}
 		t.AddRow(row...)
@@ -248,10 +368,9 @@ func (r *Runner) F1Density() (Table, error) {
 	return t, nil
 }
 
-// F2Scaling measures accuracy and runtime as binaries grow.
-func (r *Runner) F2Scaling() (Table, error) {
+// f2Scaling measures accuracy and runtime as binaries grow.
+func (r *Runner) f2Scaling() (Table, error) {
 	t := Table{
-		ID:      "F2",
 		Title:   "Core accuracy and runtime vs binary size",
 		Columns: []string{"funcs", "bytes", "err/1k-inst", "time", "MB/s"},
 	}
@@ -274,11 +393,11 @@ func (r *Runner) F2Scaling() (Table, error) {
 	return t, nil
 }
 
-// F3Convergence replays prioritized correction with growing hint budgets
-// on one binary, showing how errors fall as hints commit.
-func (r *Runner) F3Convergence() (Table, error) {
+// f3Convergence replays prioritized correction with growing hint budgets
+// on one binary, showing how errors fall as hints commit: each budget is
+// a prefix of the single-phase stream in commit order.
+func (r *Runner) f3Convergence() (Table, error) {
 	t := Table{
-		ID:      "F3",
 		Title:   "Error-correction convergence (complex binary)",
 		Columns: []string{"hint-budget", "byte-err", "inst-F1"},
 	}
@@ -291,18 +410,15 @@ func (r *Runner) F3Convergence() (Table, error) {
 	viable := analysis.Viability(g)
 	scores := r.Model.ScoreAll(g, 8)
 	hints := d.HintsFor(g, int(b.Entry-b.Base))
+	analysis.SortHints(hints)
 
-	budgets := []int{1, 10, 100, 1000, 5000, 20000, len(hints)}
 	prev := -1
-	for _, budget := range budgets {
-		if budget > len(hints) {
-			budget = len(hints)
-		}
-		if budget == prev {
+	for _, budget := range []int{1, 10, 100, 1000, 5000, 20000, len(hints)} {
+		if budget = min(budget, len(hints)); budget == prev {
 			continue
 		}
 		prev = budget
-		out := correct.Run(g, viable, hints, correct.Options{MaxHints: budget, Scores: scores})
+		out := correct.Run(g, viable, hints[:budget], correct.Options{Scores: scores})
 		res := dis.NewResult(b.Base, len(b.Code))
 		for i, s := range out.State {
 			res.IsCode[i] = s == correct.Code
@@ -315,16 +431,15 @@ func (r *Runner) F3Convergence() (Table, error) {
 	return t, nil
 }
 
-// F4Threshold sweeps the statistical decision boundary.
-func (r *Runner) F4Threshold() Table {
+// f4Threshold sweeps the statistical decision boundary.
+func (r *Runner) f4Threshold() (Table, error) {
 	t := Table{
-		ID:      "F4",
 		Title:   "Statistical threshold sweep (full pipeline, ROC-style points)",
 		Columns: []string{"theta", "byte-FP-rate", "byte-FN-rate", "err/1k-inst"},
 	}
 	for _, theta := range []float64{-4, -2, -1, 0, 1, 2, 4} {
 		d := core.New(r.Model, core.WithThreshold(theta))
-		m := scoreCorpus(d, r.Corpus)
+		m := ScoreCorpus(d, r.Corpus)
 		var dataBytes int
 		for _, tot := range m.DataTotal {
 			dataBytes += tot
@@ -335,87 +450,14 @@ func (r *Runner) F4Threshold() Table {
 			fmtPct(ratio(m.ByteFN, codeBytes)),
 			fmtF(m.ErrorFactor()))
 	}
-	return t
+	return t, nil
 }
 
-// T7PerProfile breaks the headline accuracy down by generation profile —
-// the compiler/optimization-level axis of the paper's evaluation.
-func (r *Runner) T7PerProfile() Table {
-	t := Table{
-		ID:      "T7",
-		Title:   "Error factor by profile (err/1k-inst)",
-		Columns: []string{"profile"},
-	}
-	engines := r.engines()
-	for _, e := range engines {
-		t.Columns = append(t.Columns, e.Name())
-	}
-	byProfile := map[string][]*synth.Binary{}
-	var order []string
-	for _, b := range r.Corpus {
-		name := profileOf(b.Name)
-		if _, ok := byProfile[name]; !ok {
-			order = append(order, name)
-		}
-		byProfile[name] = append(byProfile[name], b)
-	}
-	for _, name := range order {
-		row := []string{name}
-		for _, e := range engines {
-			m := scoreCorpus(e, byProfile[name])
-			row = append(row, fmtF(m.ErrorFactor()))
-		}
-		t.AddRow(row...)
-	}
-	return t
-}
-
-// T9TierSettlement quantifies the tiered correction pre-pass per
-// profile: how much of each binary the structural hints settle outright
-// (bytes that never see statistical scoring), how many contested
-// windows remain, and how far the hint stream shrinks versus a
-// single-phase run, whose stream (statistics over every byte) HintsFor
-// returns.
-func (r *Runner) T9TierSettlement() Table {
-	t := Table{
-		ID:      "T9",
-		Title:   "Tiered correction: structural settlement by profile",
-		Columns: []string{"profile", "bytes", "settled", "windows", "hints", "hints(1-phase)", "hint-cut"},
-	}
-	d := core.New(r.Model)
-	byProfile := map[string][]*synth.Binary{}
-	var order []string
-	for _, b := range r.Corpus {
-		name := profileOf(b.Name)
-		if _, ok := byProfile[name]; !ok {
-			order = append(order, name)
-		}
-		byProfile[name] = append(byProfile[name], b)
-	}
-	for _, name := range order {
-		var bytes, settled, windows, hintsTiered, hintsSingle int
-		for _, b := range byProfile[name] {
-			entry := int(b.Entry - b.Base)
-			det, _ := d.DisassembleSectionTraceContext(nil, b.Code, b.Base, entry, nil, nil)
-			bytes += det.Tier.Total
-			settled += det.Tier.SettledBytes
-			windows += len(det.Tier.Windows)
-			hintsTiered += det.Hints
-			hintsSingle += len(d.HintsFor(det.Graph, entry))
-		}
-		t.AddRow(name, itoa(bytes), fmtPct(ratio(settled, bytes)), itoa(windows),
-			itoa(hintsTiered), itoa(hintsSingle),
-			fmtPct(1-ratio(hintsTiered, hintsSingle)))
-	}
-	return t
-}
-
-// E1Adversarial is the extension experiment: accuracy on binaries with
+// e1Adversarial is the extension experiment: accuracy on binaries with
 // deliberate anti-disassembly junk after unconditional jumps (never
 // executed, crafted to misalign sequential decoders).
-func (r *Runner) E1Adversarial() (Table, error) {
+func (r *Runner) e1Adversarial() (Table, error) {
 	t := Table{
-		ID:      "E1",
 		Title:   "Extension: anti-disassembly junk (adversarial profile)",
 		Columns: []string{"engine", "byte-err", "inst-F1", "err/1k-inst", "junk-detected"},
 	}
@@ -430,21 +472,20 @@ func (r *Runner) E1Adversarial() (Table, error) {
 		corpus = append(corpus, b)
 	}
 	for _, e := range r.engines() {
-		m := scoreCorpus(e, corpus)
+		m := ScoreCorpus(e, corpus)
 		t.AddRow(e.Name(), fmtPct(m.ByteErrRate()), fmtF(m.InstF1()),
 			fmtF(m.ErrorFactor()), fmtPct(m.DataRecall(synth.ClassJunk)))
 	}
 	return t, nil
 }
 
-// E3AdversarialFamily breaks accuracy down by adversarial profile — one
+// e3AdversarialFamily breaks accuracy down by adversarial profile — one
 // row per SoK-taxonomy construct (overlapping instructions, computed
 // mid-instruction jumps, inline jump tables, literal pools, fake
 // prologues, obfuscator idioms), so a regression in one hostile shape is
 // visible in isolation instead of averaged away.
-func (r *Runner) E3AdversarialFamily() (Table, error) {
+func (r *Runner) e3AdversarialFamily() (Table, error) {
 	t := Table{
-		ID:      "E3",
 		Title:   "Extension: adversarial profile family (core engine per profile)",
 		Columns: []string{"profile", "bytes", "insts", "byte-err", "inst-F1", "err/1k-inst", "func-F1"},
 	}
@@ -460,45 +501,11 @@ func (r *Runner) E3AdversarialFamily() (Table, error) {
 			bytes += len(b.Code)
 			insts += b.Truth.NumInsts()
 		}
-		m := scoreCorpus(d, corpus)
+		m := ScoreCorpus(d, corpus)
 		t.AddRow(p.Name, itoa(bytes), itoa(insts), fmtPct(m.ByteErrRate()),
 			fmtF(m.InstF1()), fmtF(m.ErrorFactor()), fmtF(m.FuncF1()))
 	}
 	return t, nil
-}
-
-// All runs every experiment in order.
-func (r *Runner) All() ([]Table, error) {
-	var out []Table
-	out = append(out, r.T1Corpus(), r.T2Accuracy(), r.T3DataCategories(),
-		r.T4Ablation(), r.T5Throughput(), r.T6FunctionStarts(), r.T7PerProfile(),
-		r.T8StageCost(), r.T9TierSettlement())
-	f1, err := r.F1Density()
-	if err != nil {
-		return nil, err
-	}
-	f2, err := r.F2Scaling()
-	if err != nil {
-		return nil, err
-	}
-	f3, err := r.F3Convergence()
-	if err != nil {
-		return nil, err
-	}
-	e1, err := r.E1Adversarial()
-	if err != nil {
-		return nil, err
-	}
-	e2, err := r.E2Rewrite()
-	if err != nil {
-		return nil, err
-	}
-	e3, err := r.E3AdversarialFamily()
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, f1, f2, f3, r.F4Threshold(), e1, e2, e3)
-	return out, nil
 }
 
 func itoa(v int) string { return fmt.Sprintf("%d", v) }

@@ -116,6 +116,15 @@ func Score(b *synth.Binary, res *dis.Result) Metrics {
 	return ScoreTruth(b.Truth, res)
 }
 
+// ScoreCorpus runs one engine over a corpus and sums its metrics.
+func ScoreCorpus(e dis.Engine, corpus []*synth.Binary) Metrics {
+	var total Metrics
+	for _, b := range corpus {
+		total.Add(Score(b, e.Disassemble(b.Code, b.Base, int(b.Entry-b.Base))))
+	}
+	return total
+}
+
 // ScoreTruth scores a result against bare ground truth, for callers that
 // carry no synth.Binary wrapper — the verification oracle scores stitched
 // multi-section results of transformed binaries against the original truth.

@@ -18,6 +18,10 @@ import (
 // into the same synth.Binary shape the synthetic corpus uses, so every
 // experiment and scorer applies unchanged.
 
+// DefaultRealDir is the real-binary corpus NewRunner gives E4, relative
+// to the repository root.
+const DefaultRealDir = "testdata/real"
+
 // LoadReal loads every <name>.elf / <name>.truth pair under dir.
 func LoadReal(dir string) ([]*synth.Binary, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.truth"))
@@ -85,16 +89,15 @@ func LoadRealBinary(elfPath, truthPath string) (*synth.Binary, error) {
 	return nil, fmt.Errorf("%s: no executable section at truth base %#x", elfPath, base)
 }
 
-// E4Real scores every engine on the real-binary corpus — toolchain
-// output with truth extracted from compiler artifacts rather than
-// generated, closing the synthetic-only evaluation gap.
-func (r *Runner) E4Real(dir string) (Table, error) {
+// e4Real scores every engine on the real-binary corpus under r.RealDir —
+// toolchain output with truth extracted from compiler artifacts rather
+// than generated, closing the synthetic-only evaluation gap.
+func (r *Runner) e4Real() (Table, error) {
 	t := Table{
-		ID:      "E4",
 		Title:   "Extension: real binaries (truth from compiler artifacts)",
 		Columns: []string{"engine", "byte-err", "inst-F1", "err/1k-inst", "func-F1"},
 	}
-	corpus, err := LoadReal(dir)
+	corpus, err := LoadReal(r.RealDir)
 	if err != nil {
 		return t, err
 	}
@@ -104,7 +107,7 @@ func (r *Runner) E4Real(dir string) (Table, error) {
 	}
 	t.Notes = append(t.Notes, "corpus: "+strings.Join(names, ", "))
 	for _, e := range r.engines() {
-		m := scoreCorpus(e, corpus)
+		m := ScoreCorpus(e, corpus)
 		t.AddRow(e.Name(), fmtPct(m.ByteErrRate()), fmtF(m.InstF1()),
 			fmtF(m.ErrorFactor()), fmtF(m.FuncF1()))
 	}

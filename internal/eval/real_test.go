@@ -38,7 +38,7 @@ func TestRealCorpusAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := core.New(core.DefaultModel())
-	m := scoreCorpus(d, corpus)
+	m := ScoreCorpus(d, corpus)
 	if r := m.ByteErrRate(); r > 0.10 {
 		t.Errorf("byte error rate %.2f%% on real corpus, want <= 10%%", r*100)
 	}

@@ -13,7 +13,7 @@ import (
 	"probedis/internal/synth"
 )
 
-// E2Rewrite is the instrumentation experiment: every engine's
+// e2Rewrite is the instrumentation experiment: every engine's
 // classification is fed to the static rewriter, the rewritten binary is
 // instrumented with basic-block counters and moved to a new base, and both
 // images are executed in the emulator. A binary counts as a success only
@@ -21,9 +21,8 @@ import (
 // the true per-block execution counts. This is the downstream task that
 // motivates metadata-free accuracy: inaccurate disassembly produces
 // rewritten binaries that crash or silently diverge.
-func (r *Runner) E2Rewrite() (Table, error) {
+func (r *Runner) e2Rewrite() (Table, error) {
 	t := Table{
-		ID:    "E2",
 		Title: "Extension: instrumentation (rewrite + execute) success rate",
 		Columns: []string{"engine", "rewrite-ok", "behave-ok", "counts-ok",
 			"success"},
@@ -39,14 +38,13 @@ func (r *Runner) E2Rewrite() (Table, error) {
 		corpus = append(corpus, b)
 	}
 
-	coreEngine := core.New(r.Model)
 	for _, e := range r.engines() {
 		var rewriteOK, behaveOK, countsOK, comparable int
 		for _, b := range corpus {
 			entry := int(b.Entry - b.Base)
 			var det *core.Detail
-			if e.Name() == coreEngine.Name() {
-				det, _ = coreEngine.DisassembleSectionTraceContext(nil, b.Code, b.Base, entry, nil, nil)
+			if d, ok := e.(*core.Disassembler); ok {
+				det, _ = d.DisassembleSectionTraceContext(nil, b.Code, b.Base, entry, nil, nil)
 			} else {
 				det = detailFor(e.Disassemble(b.Code, b.Base, entry), b)
 			}

@@ -3,21 +3,21 @@ package eval
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"probedis/internal/core"
 	"probedis/internal/obs"
 )
 
-// T8StageCost profiles the pipeline itself: every corpus binary is
+// t8StageCost profiles the pipeline itself: every corpus binary is
 // disassembled under a trace span, and the spans are folded into a
 // per-stage cost table (aggregated by span path, e.g. "hints/calltarget").
 // Runs are serial so stage durations are additive and the percentages
 // meaningful. A closing "unattributed" row is the root spans' time that
 // no top-level stage accounts for.
-func (r *Runner) T8StageCost() Table {
+func (r *Runner) t8StageCost() (Table, error) {
 	t := Table{
-		ID:      "T8",
 		Title:   "Per-stage pipeline cost (traced serial runs, full corpus)",
 		Columns: []string{"stage", "calls", "time", "% of total"},
 	}
@@ -70,7 +70,8 @@ func (r *Runner) T8StageCost() Table {
 	// Keep first-seen order for top-level stages (pipeline order), but
 	// sort each stage's sub-stages by cost so the expensive analyses lead.
 	sort.SliceStable(order, func(i, j int) bool {
-		pi, pj := topOf(order[i]), topOf(order[j])
+		pi, _, _ := strings.Cut(order[i], "/")
+		pj, _, _ := strings.Cut(order[j], "/")
 		if pi != pj {
 			return false // preserve pipeline order across top-level groups
 		}
@@ -96,15 +97,5 @@ func (r *Runner) T8StageCost() Table {
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"superset scan fallbacks to the full decoder: %d of %d offsets (%.2f%%)",
 		fallbacks, corpusBytes, pct))
-	return t
-}
-
-// topOf returns the first path segment of a stage path.
-func topOf(path string) string {
-	for i := 0; i < len(path); i++ {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return path
+	return t, nil
 }

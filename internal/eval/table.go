@@ -10,7 +10,7 @@ import (
 // Table is a rendered experiment result: one paper table or one figure's
 // data series.
 type Table struct {
-	ID      string // e.g. "T2", "F1"
+	ID      string // e.g. "T2", "F1", set by Experiment.Run
 	Title   string
 	Columns []string
 	Rows    [][]string

@@ -282,36 +282,38 @@ func CheckHintOrder(rep *Report, sec string, hints []analysis.Hint) {
 
 // CheckHintDeterminism collects the hint stream twice and requires the
 // sorted sequences to be identical, then checks total ordering. collect
-// must be side-effect free.
-func CheckHintDeterminism(rep *Report, sec string, collect func() []analysis.Hint) {
+// must be side-effect free. It returns the first collection, sorted.
+func CheckHintDeterminism(rep *Report, sec string, collect func() []analysis.Hint) []analysis.Hint {
 	h1, h2 := collect(), collect()
 	analysis.SortHints(h1)
 	analysis.SortHints(h2)
 	if len(h1) != len(h2) {
 		rep.addf(InvHintOrder, sec, -1, "hint collection not deterministic: %d vs %d hints", len(h1), len(h2))
-		return
+		return h1
 	}
 	for i := range h1 {
 		if h1[i] != h2[i] {
 			rep.addf(InvHintOrder, sec, h1[i].Off,
 				"hint collection not deterministic at rank %d: %+v vs %+v", i, h1[i], h2[i])
-			return
+			return h1
 		}
 	}
 	CheckHintOrder(rep, sec, h1)
+	return h1
 }
 
 // CheckTier re-derives the tiered pre-pass partition from first
-// principles and requires it to match the one the pipeline recorded: the
-// structural hints (everything outranking statistical priority) are
-// re-collected and committed alone — no retraction, no gap fill — and the
+// principles and requires it to match the one the pipeline recorded.
+// hints is the section's structural and weak stream, re-collected (see
+// checkRuns); its structural hints (everything outranking statistical
+// priority) are committed alone — no retraction, no gap fill — and the
 // maximal Unknown runs of the resulting state must be exactly the
 // recorded contested windows. A settled region containing a contested
 // offset (or the reverse) is a violation: statistical evidence would have
 // been skipped (or recomputed) where the single-phase run consults it.
 // Every pipeline run records a partition; a Detail without one is
 // vacuously fine.
-func CheckTier(rep *Report, sec string, d *core.Disassembler, entry int, det *core.Detail) {
+func CheckTier(rep *Report, sec string, hints []analysis.Hint, det *core.Detail) {
 	p := det.Tier
 	if p == nil {
 		return
@@ -342,12 +344,11 @@ func CheckTier(rep *Report, sec string, d *core.Disassembler, entry int, det *co
 		rep.addf(InvTier, sec, -1, "windows cover %d bytes, partition claims %d contested", sum, p.ContestedBytes)
 	}
 
-	// Independent recomputation. HintsFor rebuilds the full hint stream,
-	// flattened under WithoutPrioritization exactly as the pipeline
-	// flattens it; the statistical hints it contains all carry exactly
-	// PrioStat, so the structural split matches the one the tiered
-	// pipeline made before any statistics existed.
-	structural, _ := tier.SplitHints(d.HintsFor(det.Graph, entry))
+	// Independent recomputation. The stream is flattened under
+	// WithoutPrioritization exactly as the pipeline flattens it, so the
+	// structural split matches the one the tiered pipeline made before
+	// any statistics existed.
+	structural, _ := tier.SplitHints(hints)
 	phaseA := correct.Run(det.Graph, det.Viable, structural,
 		correct.Options{NoRetract: true, NoGapFill: true})
 	want := tier.FromStates(phaseA.State)
@@ -437,7 +438,6 @@ const parallelWorkers = 4
 // truncated run never reaches the invariant checks, so cancellation can
 // never manufacture partial-result violations. A nil ctx never cancels.
 func CheckELF(ctx context.Context, d *core.Disassembler, img []byte) (*Report, error) {
-	rep := &Report{}
 	serial, err := d.Clone(core.WithWorkers(1)).DisassembleELFTraceContext(ctx, img, nil)
 	if err != nil {
 		return nil, err
@@ -449,33 +449,35 @@ func CheckELF(ctx context.Context, d *core.Disassembler, img []byte) (*Report, e
 		}
 		return nil, fmt.Errorf("oracle: parallel run failed where serial succeeded: %w", err)
 	}
-	CheckAgreement(rep, "elf", serial, par)
-	for i := range par {
-		s := &par[i]
-		CheckDetail(rep, s.Name, s.Data, s.Detail)
-		CheckHintDeterminism(rep, s.Name, func() []analysis.Hint {
-			return d.HintsFor(s.Detail.Graph, s.Entry)
-		})
-		CheckTier(rep, s.Name, d, s.Entry, s.Detail)
-	}
-	return rep, nil
+	return checkRuns(d, "elf", serial, par), nil
 }
 
 // CheckSection is CheckELF for one bare text section (no ELF container).
 func CheckSection(d *core.Disassembler, code []byte, base uint64, entry int) *Report {
+	run := func(workers int) []core.SectionDetail {
+		det, _ := d.Clone(core.WithWorkers(workers)).DisassembleSectionTraceContext(nil, code, base, entry, nil, nil)
+		return []core.SectionDetail{{Name: ".text", Addr: base, Data: code, Entry: entry, Detail: det}}
+	}
+	return checkRuns(d, "section", run(1), run(parallelWorkers))
+}
+
+// checkRuns is the battery over a serial and a parallel run of d. The
+// hint checks collect the stream the pipeline splits between its two
+// correction phases, d's structural and weak hints (HintsFor under
+// WithoutStats): the whole-section statistical hints HintsFor adds
+// otherwise are never built by the pipeline.
+func checkRuns(d *core.Disassembler, label string, serial, par []core.SectionDetail) *Report {
 	rep := &Report{}
-	serial, _ := d.Clone(core.WithWorkers(1)).DisassembleSectionTraceContext(nil, code, base, entry, nil, nil)
-	par, _ := d.Clone(core.WithWorkers(parallelWorkers)).DisassembleSectionTraceContext(nil, code, base, entry, nil, nil)
-	CheckAgreement(rep, "section", []core.SectionDetail{
-		{Name: ".text", Addr: base, Data: code, Entry: entry, Detail: serial},
-	}, []core.SectionDetail{
-		{Name: ".text", Addr: base, Data: code, Entry: entry, Detail: par},
-	})
-	CheckDetail(rep, ".text", code, par)
-	CheckHintDeterminism(rep, ".text", func() []analysis.Hint {
-		return d.HintsFor(par.Graph, entry)
-	})
-	CheckTier(rep, ".text", d, entry, par)
+	CheckAgreement(rep, label, serial, par)
+	d = d.Clone(core.WithoutStats())
+	for i := range par {
+		s := &par[i]
+		CheckDetail(rep, s.Name, s.Data, s.Detail)
+		hints := CheckHintDeterminism(rep, s.Name, func() []analysis.Hint {
+			return d.HintsFor(s.Detail.Graph, s.Entry)
+		})
+		CheckTier(rep, s.Name, hints, s.Detail)
+	}
 	return rep
 }
 

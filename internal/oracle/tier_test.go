@@ -16,14 +16,14 @@ import (
 
 // tierDetail runs the default (tiered) pipeline on a fixed binary and
 // returns everything CheckTier needs.
-func tierDetail(t *testing.T) (d *core.Disassembler, entry int, code []byte, det *core.Detail) {
+func tierDetail(t *testing.T) (hints []analysis.Hint, det *core.Detail) {
 	t.Helper()
 	bin, err := synth.Generate(synth.Config{Seed: 42, Profile: synth.ProfileO2, NumFuncs: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d = testDis()
-	entry = int(bin.Entry - bin.Base)
+	d := testDis()
+	entry := int(bin.Entry - bin.Base)
 	det, _ = d.DisassembleSectionTraceContext(nil, bin.Code, bin.Base, entry, nil, nil)
 	if det.Tier == nil {
 		t.Fatal("precondition: default pipeline should record a tier partition")
@@ -31,14 +31,14 @@ func tierDetail(t *testing.T) (d *core.Disassembler, entry int, code []byte, det
 	if len(det.Tier.Windows) == 0 {
 		t.Fatal("precondition: corpus binary should leave contested windows")
 	}
-	return d, entry, bin.Code, det
+	return d.Clone(core.WithoutStats()).HintsFor(det.Graph, entry), det
 }
 
 // TestCheckTierClean: an untampered tiered run passes the tier invariant.
 func TestCheckTierClean(t *testing.T) {
-	d, entry, _, det := tierDetail(t)
+	hints, det := tierDetail(t)
 	rep := &Report{}
-	CheckTier(rep, "t", d, entry, det)
+	CheckTier(rep, "t", hints, det)
 	if !rep.OK() {
 		t.Fatalf("clean tiered run reported violations: %v", rep.Violations)
 	}
@@ -50,7 +50,7 @@ func TestCheckTierClean(t *testing.T) {
 // statistical evidence the single-phase run consults. CheckTier must
 // flag it.
 func TestDetectsSettledRegionContainingContestedOffset(t *testing.T) {
-	d, entry, _, det := tierDetail(t)
+	hints, det := tierDetail(t)
 	det.Tier.Windows[0][0]++ // first contested byte now claimed settled
 	det.Tier.SettledBytes++
 	det.Tier.ContestedBytes--
@@ -58,7 +58,7 @@ func TestDetectsSettledRegionContainingContestedOffset(t *testing.T) {
 		det.Tier.Windows = det.Tier.Windows[1:]
 	}
 	rep := &Report{}
-	CheckTier(rep, "t", d, entry, det)
+	CheckTier(rep, "t", hints, det)
 	if !hasViolation(rep, InvTier) {
 		t.Fatalf("corrupted tier partition not flagged; report: %v", rep.Violations)
 	}
@@ -68,10 +68,10 @@ func TestDetectsSettledRegionContainingContestedOffset(t *testing.T) {
 // (counters not matching the windows) must be flagged even before the
 // expensive recomputation.
 func TestDetectsTierByteCountMismatch(t *testing.T) {
-	d, entry, _, det := tierDetail(t)
+	hints, det := tierDetail(t)
 	det.Tier.SettledBytes++ // settled+contested no longer == total
 	rep := &Report{}
-	CheckTier(rep, "t", d, entry, det)
+	CheckTier(rep, "t", hints, det)
 	if !hasViolation(rep, InvTier) {
 		t.Fatalf("inconsistent tier byte counts not flagged; report: %v", rep.Violations)
 	}

@@ -55,11 +55,7 @@ func TestAccuracyBitIdenticalToPinnedBaseline(t *testing.T) {
 		if !ok {
 			t.Fatalf("no pinned values for engine %q", e.Name())
 		}
-		var m eval.Metrics
-		for _, b := range corpus {
-			r := e.Disassemble(b.Code, b.Base, int(b.Entry-b.Base))
-			m.Add(eval.Score(b, r))
-		}
+		m := eval.ScoreCorpus(e, corpus)
 		got := pinnedMetrics{
 			errFactor: fmt.Sprintf("%.15g", m.ErrorFactor()),
 			instF1:    fmt.Sprintf("%.15g", m.InstF1()),
